@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-sanitize test-chaos chaos lint bench bench-engine bench-distributed bench-service bench-columnar bench-sparse bench-kernels docs-check check
+.PHONY: test test-sanitize test-chaos chaos lint bench bench-engine bench-lifecycle bench-distributed bench-service bench-columnar bench-sparse bench-kernels docs-check check
 
 # Tier-1 verification: the full unit/integration suite, fail-fast.
 test:
@@ -40,9 +40,17 @@ lint:
 bench:
 	$(PYTHON) -m pytest benchmarks/ -q
 
-# Just the batched-vs-scalar sketch engine gate (>=5x, bit-identical).
+# The per-sketch batch path gate: SparseRecoverySketch.update_batch,
+# which the pass-2 hash tables and the columnar spill ride (>=5x over
+# the scalar loop, bit-identical).
 bench-engine:
 	$(PYTHON) -m pytest benchmarks/bench_batch_engine.py -q
+
+# The GraphSession lifecycle benchmark (ingest, snapshot, query,
+# checkpoint) on all three workloads at a fixed seed; every answer is
+# checked against the session's exact ledger and a wrong one exits 1.
+bench-lifecycle:
+	$(PYTHON) benchmarks/lifecycle/run.py --all --seed 0
 
 # The distributed engine gates: sharded output == single-stream output
 # on every backend/discipline, and >=2x multi-process speedup at 4
@@ -100,8 +108,9 @@ docs-check:
 # Everything a PR should pass: the sketchlint invariants, docs gates
 # (docstring coverage), the unit/integration suite (plus the
 # sanitizer-armed sketch/service subset and the fault/recovery pins),
-# the fixed-seed chaos harness, the distributed-engine gates, the live
-# service gates, the columnar-engine speedup/regression gates, the
-# sparse vertex-universe memory/identity gates, and the kernel-backend
-# speedup/identity/ladder gates.
-check: lint docs-check test test-sanitize test-chaos chaos bench-distributed bench-service bench-columnar bench-sparse bench-kernels
+# the fixed-seed chaos harness, the per-sketch batch path gate, the
+# distributed-engine gates, the live service gates, the columnar-engine
+# speedup/regression gates, the sparse vertex-universe memory/identity
+# gates, the kernel-backend speedup/identity/ladder gates, and the
+# lifecycle benchmark's answer checks.
+check: lint docs-check test test-sanitize test-chaos chaos bench-engine bench-distributed bench-service bench-columnar bench-sparse bench-kernels bench-lifecycle

@@ -1,33 +1,27 @@
-"""Batch engine — scalar vs. vectorized sketch update throughput.
+"""Batch path — scalar vs. vectorized sparse-recovery update throughput.
 
-The batched sketch engine (``update_batch`` across the sketch layer,
-``process_batch`` across the algorithm layer) exists to strip the
-per-update Python interpreter cost off the hot path of every
-experiment.  This bench measures exactly that claim on a ``10^5``-update
-dynamic (insert/delete) stream over the edge-pair domain:
+The one per-sketch batch path left in the sketch layer is
+``SparseRecoverySketch.update_batch``: the pass-2 hash tables replay
+their arbitrary-precision payloads through it on every cold spanner or
+cut snapshot, and the columnar stacks spill to it.  (Graph streams ride
+the columnar stacks, gated by ``bench_columnar.py``.)  This bench
+measures that path on a ``10^5``-update dynamic (insert/delete) stream
+over the edge-pair domain:
 
-* per-primitive updates/sec, scalar loop vs. one ``update_batch`` call
-  per chunk, with the resulting sketch states asserted bit-identical;
+* updates/sec, scalar loop vs. one ``update_batch`` call per chunk,
+  with the resulting sketch states asserted bit-identical;
 * a perf smoke gate: the engine-level speedup (total scalar time over
-  total batched time across the primitives) must be >= 5x, with a
-  per-primitive floor of 3x.
+  total batched time across the rows) must be >= 5x, with a per-row
+  floor of 3x.
 
-``docs/performance.md`` quotes this table and explains when the batched
-path wins (long streams, many updates per sketch) and when it cannot
-(tiny sub-batches fall back to the scalar loop by design).
+``docs/performance.md`` quotes this table.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.sketch import (
-    CountSketch,
-    DistinctElementsSketch,
-    L0Sampler,
-    OneSparseDetector,
-    SparseRecoverySketch,
-)
+from repro.sketch import SparseRecoverySketch
 from repro.util.rng import rng_from_seed
 
 #: Stream length for the headline measurement (the issue's 10^5).
@@ -39,8 +33,7 @@ BATCH_SIZE = 8_192
 #: Engine-level speedup gate (scalar total time / batched total time).
 ENGINE_SPEEDUP_FLOOR = 5.0
 
-#: Per-primitive floor; L0 sampling pays an extra routing pass, so its
-#: margin over scalar is structurally the smallest.
+#: Per-primitive floor.
 PRIMITIVE_SPEEDUP_FLOOR = 3.0
 
 
@@ -91,15 +84,11 @@ def test_batch_engine_throughput(results):
     indices, deltas = _dynamic_stream(domain, STREAM_UPDATES, seed=17)
 
     primitives = [
-        ("CountSketch(B=8)", lambda: CountSketch(domain, 8, seed="bench")),
         ("SparseRecovery(B=8)", lambda: SparseRecoverySketch(domain, 8, seed="bench")),
-        ("L0Sampler", lambda: L0Sampler(domain, seed="bench")),
-        ("OneSparseDetector", lambda: OneSparseDetector(domain, seed="bench")),
-        ("DistinctElements", lambda: DistinctElementsSketch(domain, seed="bench")),
     ]
 
     rows = [
-        f"batch engine on a {STREAM_UPDATES:,}-update dynamic stream "
+        f"batch path on a {STREAM_UPDATES:,}-update dynamic stream "
         f"(batch size {BATCH_SIZE:,}, states bit-identical):",
         f"  {'primitive':<22}{'scalar up/s':>14}{'batched up/s':>14}{'speedup':>9}",
     ]

@@ -24,14 +24,19 @@ Contents
     columnar storage of many same-shaped sketches as one 2-D state
     array — hashes evaluated once per (coordinate, stack), one
     flattened scatter for all rows (:mod:`repro.sketch.columnar`).
-:mod:`repro.sketch.batched`
-    exact vectorized field arithmetic behind every ``update_batch``.
+:mod:`repro.sketch.kernels`
+    exact vectorized mod-``(2^61 - 1)`` field arithmetic (pluggable
+    backends) behind every batch path.
 
-Scalar vs. batched updates
---------------------------
-Every sketch takes single updates or whole batches; the two paths land
-in bit-identical state (``tests/sketch/test_batched.py``), so they mix
-freely — including across ``combine``::
+Two update engines
+------------------
+Every sketch's scalar ``update`` is the oracle; the columnar stacks are
+the production engine for streams.  One per-sketch batch path remains,
+:meth:`SparseRecoverySketch.update_batch`, which the pass-2 hash tables
+use for their arbitrary-precision payloads.  All paths land in
+bit-identical state (``tests/sketch/test_batched.py``,
+``tests/sketch/test_columnar.py``), so they mix freely — including
+across ``combine``::
 
     from repro.sketch import SparseRecoverySketch
 

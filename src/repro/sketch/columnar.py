@@ -1,12 +1,12 @@
 """Columnar sketch stacks: many sketches, one contiguous state array.
 
-The batch engine (:mod:`repro.sketch.batched`) vectorizes *within* one
-sketch, but the graph algorithms fan a stream chunk out across ``n x
-O(log n)`` AGM vertex sketches or ``(endpoint, r, j)`` spanner stacks
-before any single sketch sees a vectorizable sub-batch — so the
-per-sketch engine mostly falls back to its scalar loops.  The structural
-fact that rescues vectorization is that those sketches are *same-seeded
-stacks*: every vertex row of an AGM round hashes the same edge
+A per-sketch batch update vectorizes *within* one sketch, but the graph
+algorithms fan a stream chunk out across ``n x O(log n)`` AGM vertex
+sketches or ``(endpoint, r, j)`` spanner stacks before any single
+sketch sees a vectorizable sub-batch — so a per-sketch engine mostly
+falls back to its scalar loops.  The structural fact that rescues
+vectorization is that those sketches are *same-seeded stacks*: every
+vertex row of an AGM round hashes the same edge
 coordinates with the same hash family.  This module stores such a stack
 as one 2-D array (rows = sketches, columns = counter cells), evaluates
 each chunk's polynomial hashes and fingerprint powers **once per
@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sketch.batched import max_abs_int64
 from repro.sketch.kernels import (
     MASK32,
     addmod61,
@@ -92,6 +91,7 @@ from repro.sketch.l0sampler import L0Sampler
 from repro.sketch.sparse_recovery import (
     _BUCKET_HASH_INDEPENDENCE,
     SparseRecoverySketch,
+    max_abs_int64,
 )
 from repro.util.rng import derive_seed
 

@@ -24,9 +24,6 @@ import math
 import statistics
 from typing import Iterable
 
-import numpy as np
-
-from repro.sketch.batched import fits_int64_products, prepare_batch
 from repro.sketch.hashing import KWiseHash
 from repro.util.rng import derive_seed
 
@@ -35,10 +32,6 @@ __all__ = ["CountSketch"]
 #: Independence for bucket/sign hashes; pairwise suffices for the
 #: variance bound, 4-wise tightens concentration.
 _HASH_INDEPENDENCE = 4
-
-#: Measured scalar/vector crossover for this sketch's shapes (the
-#: 4-wise hashes are cheap enough that numpy wins early).
-_SMALL_BATCH = 128
 
 
 class CountSketch:
@@ -94,8 +87,7 @@ class CountSketch:
         return 1 if self._sign_hashes[row](index) % 2 == 0 else -1
 
     def update(self, index: int, delta: int) -> None:
-        """Apply ``x[index] += delta`` (the batch-of-one case of
-        :meth:`update_batch`; both paths land in identical state)."""
+        """Apply ``x[index] += delta``."""
         if not 0 <= index < self.domain_size:
             raise IndexError(f"index {index} out of domain [0, {self.domain_size})")
         if delta == 0:
@@ -103,38 +95,6 @@ class CountSketch:
         for row in range(self.depth):
             bucket = self._bucket_hashes[row].bucket(index, self.width)
             self._cells[row][bucket] += self._sign(row, index) * delta
-
-    def update_batch(self, indices, deltas) -> None:
-        """Apply ``x[indices[t]] += deltas[t]`` for a whole batch at once.
-
-        Bit-identical to the equivalent sequence of scalar
-        :meth:`update` calls, but the bucket/sign hashing and the
-        scatter-adds run vectorized over the batch — the per-update
-        Python interpreter cost is replaced by a handful of numpy passes.
-        Arbitrary-precision deltas fall back to the scalar loop.
-        """
-        route, idx, values, _, max_abs = prepare_batch(
-            indices,
-            deltas,
-            domain_size=self.domain_size,
-            small_batch=_SMALL_BATCH,
-            scalar_bigints=True,  # no vectorized bigint path: plain counters
-        )
-        if route == "empty":
-            return
-        if route == "scalar" or not fits_int64_products(idx.size, max_abs, 1):
-            for index, delta in zip(idx, values):
-                self.update(int(index), int(delta))
-            return
-        for row in range(self.depth):
-            buckets = self._bucket_hashes[row].bucket_array(idx, self.width)
-            parity = self._sign_hashes[row].values_array(idx) & np.uint64(1)
-            signed = np.where(parity == 0, values, -values)
-            aggregate = np.zeros(self.width, dtype=np.int64)
-            np.add.at(aggregate, buckets, signed)
-            cells = self._cells[row]
-            for bucket in np.flatnonzero(aggregate):
-                cells[bucket] += int(aggregate[bucket])
 
     def estimate(self, index: int) -> int:
         """Point query: the median-of-rows estimate of ``x[index]``."""

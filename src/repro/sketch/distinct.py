@@ -24,10 +24,6 @@ from __future__ import annotations
 import math
 import statistics
 
-import numpy as np
-
-from repro.sketch.batched import SMALL_BATCH, as_field_array, prepare_batch
-from repro.sketch.kernels import mulmod61, powmod61, scatter_sum_mod61
 from repro.sketch.hashing import MERSENNE_61, NestedSampler
 from repro.util.rng import derive_seed
 
@@ -82,36 +78,6 @@ class DistinctElementsSketch:
             row = self._fingerprints[rep]
             for j in range(level + 1):
                 row[j] = (row[j] + contribution) % MERSENNE_61
-
-    def update_batch(self, indices, deltas) -> None:
-        """Apply ``x[indices[t]] += deltas[t]`` for a whole batch at once.
-
-        Per repetition, the geometric levels and fingerprint powers are
-        computed vectorized; each level's fingerprint then absorbs the
-        suffix-sum of the per-level contributions (a coordinate at level
-        ``l`` feeds every row ``j <= l``, exactly as the scalar loop
-        does).  Bit-identical to the scalar :meth:`update` sequence.
-        """
-        route, idx, values, _, _ = prepare_batch(
-            indices, deltas, domain_size=self.domain_size, small_batch=SMALL_BATCH
-        )
-        if route == "empty":
-            return
-        if route == "scalar":
-            for index, delta in zip(idx, values):
-                self.update(int(index), int(delta))
-            return
-        residues = as_field_array(values)
-        for rep in range(self.reps):
-            levels = self._samplers[rep].level_array(idx)
-            terms = mulmod61(residues, powmod61(self._bases[rep], idx))
-            per_level = scatter_sum_mod61(self.levels, levels, terms)
-            row = self._fingerprints[rep]
-            suffix = 0
-            for j in range(self.levels - 1, -1, -1):
-                suffix = (suffix + int(per_level[j])) % MERSENNE_61
-                if suffix:
-                    row[j] = (row[j] + suffix) % MERSENNE_61
 
     def estimate(self) -> float:
         """Return an estimate of the number of nonzero coordinates."""

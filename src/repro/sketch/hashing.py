@@ -77,7 +77,7 @@ class KWiseHash:
     def coefficients(self) -> tuple[int, ...]:
         """The polynomial's coefficients (read-only; for stacked
         evaluation of many hashes at once — see
-        :func:`repro.sketch.batched.polyhash61_rows`)."""
+        :func:`repro.sketch.kernels.polyhash61_rows`)."""
         return tuple(self._coeffs)
 
     # Instances are immutable after construction, so copying is sharing.
@@ -177,8 +177,8 @@ class NestedSampler:
         """Vectorized :meth:`level`: deepest levels for a batch of keys.
 
         Bit-identical to the scalar method element-wise; this is what
-        lets ``update_batch`` route each coordinate to exactly the same
-        per-level sketches the scalar path would touch.
+        lets the columnar stacks route each coordinate to exactly the
+        same per-level rows the scalar path would touch.
         """
         values = self._hash.values_array(xs)
         # x in S_j  <=>  value < 2^(61-j); thresholds ascending in j's

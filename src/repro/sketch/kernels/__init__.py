@@ -30,6 +30,9 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+
+from repro.sketch.hashing import MERSENNE_61
 from repro.sketch.kernels import limb as _limb_mod
 from repro.sketch.kernels import reference as _reference_mod
 
@@ -37,6 +40,7 @@ __all__ = [
     "KERNEL_NAMES",
     "MASK32",
     "active_backend",
+    "as_field_array",
     "available_backends",
     "native_fallback_reason",
     "select_backend",
@@ -52,7 +56,6 @@ __all__ = [
     "scatter_sum_mod61",
     "stack_positions_terms",
     "submod61",
-    "sum_mod61",
 ]
 
 #: Every kernel a backend may provide; missing entries inherit from the
@@ -68,13 +71,28 @@ KERNEL_NAMES = (
     "powmod61_bases",
     "powmod61_windowed",
     "build_pow_table",
-    "sum_mod61",
     "scatter_sum_mod61",
     "stack_positions_terms",
 )
 
 #: Low 32-bit limb mask (re-exported from the reference kernels).
 MASK32 = _reference_mod.MASK32
+
+
+def as_field_array(values) -> np.ndarray:
+    """Canonical field residues of a delta batch: ``uint64`` in ``[0, p)``.
+
+    The one blessed coercion from signed or arbitrary-precision deltas
+    to kernel operands (sketchlint ``SL202`` bans hand-rolled copies
+    outside this package).  Plain numpy, not dispatched: every backend
+    consumes the same residues.  ``int64`` arrays reduce vectorized;
+    lists or object arrays of exact Python ints (the linear hash
+    tables' ~``2^61``-sized serialized payloads) reduce element-wise in
+    Python integers.  Both land on identical canonical residues.
+    """
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        return np.remainder(values, MERSENNE_61).astype(np.uint64)
+    return np.array([int(delta) % MERSENNE_61 for delta in values], dtype=np.uint64)
 
 
 class _Backend:
@@ -201,11 +219,6 @@ def powmod61_windowed(exponents, table):
 def build_pow_table(base, max_exponent):
     """Byte-windowed power table for :func:`powmod61_windowed`."""
     return _ACTIVE.build_pow_table(base, max_exponent)
-
-
-def sum_mod61(terms):
-    """Exact ``sum(terms) mod p`` via the active backend."""
-    return _ACTIVE.sum_mod61(terms)
 
 
 def scatter_sum_mod61(cells, positions, terms):

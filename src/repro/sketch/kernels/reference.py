@@ -1,9 +1,9 @@
 """The ``reference`` kernel backend: exact numpy field arithmetic.
 
 These are the original audited mod-``(2^61 - 1)`` kernels, moved here
-verbatim from ``repro.sketch.batched`` when the backend seam was cut.
-They are the **oracle**: every other backend (``limb``, ``native``) must
-land bit-identical values on every input, and the property suite in
+verbatim when the backend seam was cut.  They are the **oracle**: every
+other backend (``limb``, ``native``) must land bit-identical values on
+every input, and the property suite in
 ``tests/sketch/test_kernel_backends.py`` holds them to it.
 
 Everything here is **exact**: products of 61-bit field elements are
@@ -37,7 +37,6 @@ __all__ = [
     "scatter_sum_mod61",
     "stack_positions_terms",
     "submod61",
-    "sum_mod61",
 ]
 
 #: Low 32-bit limb mask used by the exact 61-bit multiplication.
@@ -255,22 +254,6 @@ def powmod61_bases(bases: np.ndarray, exponents: np.ndarray) -> np.ndarray:
             break
         square = mulmod61(square, square)
     return result
-
-
-def sum_mod61(terms: np.ndarray) -> int:
-    """Exact ``sum(terms) mod p`` for field elements, any batch length.
-
-    Accumulates the 32-bit limbs separately (each limb sum stays far
-    below ``2^64`` for any realistic batch), then recombines exactly in
-    Python integers.
-    """
-    if terms.size == 0:
-        return 0
-    if _sanitize.ENABLED:
-        _sanitize.require_canonical(terms, MERSENNE_61, "sum_mod61 terms")
-    lo = int(np.sum(terms & MASK32, dtype=np.uint64))
-    hi = int(np.sum(terms >> np.uint64(32), dtype=np.uint64))
-    return (lo + (hi << 32)) % MERSENNE_61
 
 
 def scatter_sum_mod61(cells: int, positions: np.ndarray, terms: np.ndarray) -> np.ndarray:

@@ -18,19 +18,11 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from repro.sketch.batched import prepare_batch
 from repro.sketch.hashing import KWiseHash, NestedSampler
 from repro.sketch.sparse_recovery import SparseRecoverySketch
 from repro.util.rng import derive_seed
 
 __all__ = ["L0Sampler"]
-
-#: Measured scalar/vector crossover: an L0 batch pays one routing pass
-#: plus a geometric cascade of sub-batches, so it needs a longer batch
-#: than a flat sketch before numpy wins.
-_SMALL_BATCH = 384
 
 
 class L0Sampler:
@@ -75,35 +67,6 @@ class L0Sampler:
         deepest = self._membership.level(index)
         for j in range(deepest + 1):
             self._level_sketches[j].update(index, delta)
-
-    def update_batch(self, indices, deltas) -> None:
-        """Apply ``x[indices[t]] += deltas[t]`` for a whole batch at once.
-
-        The geometric level of every coordinate is computed in one
-        vectorized pass, then each level sketch receives its surviving
-        sub-batch via
-        :meth:`~repro.sketch.sparse_recovery.SparseRecoverySketch.update_batch`.
-        Bit-identical to the equivalent scalar :meth:`update` sequence.
-        """
-        route, idx, values, fits, _ = prepare_batch(
-            indices, deltas, small_batch=_SMALL_BATCH
-        )
-        if route == "empty":
-            return
-        if route == "scalar":
-            for index, delta in zip(idx, values):
-                self.update(int(index), int(delta))
-            return
-        levels = self._membership.level_array(idx)
-        for j in range(int(levels.max()) + 1):
-            surviving = levels >= j
-            if fits:
-                self._level_sketches[j].update_batch(idx[surviving], values[surviving])
-            else:
-                kept = np.flatnonzero(surviving)
-                self._level_sketches[j].update_batch(
-                    idx[kept], [values[t] for t in kept]
-                )
 
     def sample(self) -> tuple[int, int] | None:
         """Return one nonzero ``(index, value)`` or ``None`` if it failed.

@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sketch.batched import as_index_array
 from repro.sketch.kernels import powmod61
 from repro.sketch.hashing import MERSENNE_61
 from repro.sketch.onesparse import DecodeStatus, OneSparseDetector, OneSparseResult
-from repro.sketch.sparse_recovery import SparseRecoverySketch
+from repro.sketch.sparse_recovery import SparseRecoverySketch, as_index_array
 from repro.util.rng import derive_seed
 
 __all__ = ["LinearHashTable", "NeighborhoodHashTable"]
@@ -244,7 +243,7 @@ class NeighborhoodHashTable:
             return
         if int(neighbors.min()) < 0 or int(neighbors.max()) >= self.num_vertices:
             raise IndexError(f"neighbor batch leaves [0, {self.num_vertices})")
-        values = np.ascontiguousarray(deltas, dtype=np.int64)
+        values = as_index_array(deltas)
         powers = powmod61(self._payload_template.fingerprint_base, neighbors)
         self._table.add_to_payload_batch(keys, 0, values)
         self._table.add_to_payload_batch(keys, 1, values * neighbors)

@@ -23,15 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from repro.sketch.batched import (
-    SMALL_BATCH,
-    as_field_array,
-    fits_int64_products,
-    prepare_batch,
-)
-from repro.sketch.kernels import mulmod61, powmod61, sum_mod61
 from repro.sketch.hashing import MERSENNE_61
 from repro.util.rng import derive_seed
 
@@ -90,35 +81,6 @@ class OneSparseDetector:
         self.total += delta
         self.index_sum += index * delta
         self.fingerprint = (self.fingerprint + delta * pow(self._z, index, MERSENNE_61)) % MERSENNE_61
-
-    def update_batch(self, indices, deltas) -> None:
-        """Apply ``x[indices[t]] += deltas[t]`` for a whole batch at once.
-
-        Bit-identical to the equivalent scalar :meth:`update` sequence:
-        the counter sums are exact (guarded against int64 overflow, with
-        a scalar fallback for arbitrary-precision deltas) and the
-        fingerprint accumulates via exact vectorized field arithmetic.
-        """
-        route, idx, values, _, max_abs = prepare_batch(
-            indices,
-            deltas,
-            domain_size=self.domain_size,
-            small_batch=SMALL_BATCH,
-            scalar_bigints=True,  # bigint counter sums need exact Python ints
-        )
-        if route == "empty":
-            return
-        if route == "scalar" or not fits_int64_products(
-            idx.size, max_abs, int(idx.max())
-        ):
-            for index, delta in zip(idx, values):
-                self.update(int(index), int(delta))
-            return
-        self.total += int(values.sum())
-        self.index_sum += int((idx * values).sum())
-        residues = as_field_array(values)
-        terms = mulmod61(residues, powmod61(self._z, idx))
-        self.fingerprint = (self.fingerprint + sum_mod61(terms)) % MERSENNE_61
 
     def decode(self) -> OneSparseResult:
         """Classify the summarized vector (correct whp over the seed)."""

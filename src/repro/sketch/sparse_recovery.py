@@ -30,13 +30,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.sketch.batched import (
-    SMALL_BATCH,
-    as_field_array,
-    fits_int64_products,
-    prepare_batch,
-)
-from repro.sketch.kernels import mulmod61, powmod61, scatter_sum_mod61
+from repro.sketch.kernels import as_field_array, mulmod61, powmod61, scatter_sum_mod61
 from repro import obs
 from repro.sketch.hashing import MERSENNE_61, KWiseHash
 from repro.util.rng import derive_seed
@@ -46,6 +40,126 @@ __all__ = ["SparseRecoverySketch"]
 #: Independence of the bucket-choice hash functions.  Theorem 8 only needs
 #: O(1)-wise independence; 6-wise keeps peeling well-behaved in practice.
 _BUCKET_HASH_INDEPENDENCE = 6
+
+#: Below this batch length the numpy path's fixed per-call cost exceeds
+#: the scalar loop's, so :meth:`SparseRecoverySketch.update_batch` loops
+#: :meth:`~SparseRecoverySketch.update` instead (identical state).
+SMALL_BATCH = 192
+
+# -- the batch prologue ----------------------------------------------
+# Module-internal helpers of ``update_batch``; the pass-2 hash tables
+# (``repro.sketch.linear_hash_table``) and the columnar stacks
+# (``repro.sketch.columnar``) share the coercions and the int64 guards.
+
+
+def _integer_array(values) -> np.ndarray:
+    """``values`` as an ndarray, or ``TypeError`` if an entry is not an integer.
+
+    Casting a float batch to ``int64`` would silently truncate it, while
+    the scalar :meth:`SparseRecoverySketch.update` rejects a float index.
+    Integer-dtype arrays pass on their dtype alone (constant cost however
+    long the batch); anything else is re-read as exact Python objects and
+    checked entry by entry (numpy infers ``float64`` for a list such as
+    ``[2**63, -1]``, so the inferred dtype alone cannot reject it).
+    """
+    array = np.asarray(values)
+    if array.dtype.kind in "iub" or array.size == 0:
+        return array
+    if not isinstance(values, np.ndarray):
+        array = np.array(values, dtype=object)
+    for value in array.flat:
+        if not isinstance(value, (int, np.integer)):
+            raise TypeError(f"batch entries must be integers, got {value!r}")
+    return array
+
+
+def as_index_array(indices) -> np.ndarray:
+    """Coerce an integer batch to contiguous ``int64``: coordinates, keys,
+    or the hash tables' ``±1`` neighbor deltas."""
+    array = _integer_array(indices)
+    if array.ndim != 1:
+        raise ValueError(f"index batch must be 1-D, got shape {array.shape}")
+    return np.ascontiguousarray(array, dtype=np.int64)
+
+
+def as_delta_array(deltas, length: int):
+    """Coerce a delta batch to ``int64`` if every value fits, else a list.
+
+    Returns ``(array_or_list, fits_int64)``.  Arbitrary-precision deltas
+    (the linear hash tables push ~``2^61``-sized serialized payloads
+    through their sketches) keep exact Python integers and route the
+    caller onto the mixed fallback path.
+    """
+    array = _integer_array(deltas)
+    if array.ndim != 1 or array.shape[0] != length:
+        raise ValueError("indices and deltas must be 1-D of equal length")
+    # A uint64 entry >= 2^63 would wrap in the int64 cast instead of raising.
+    if array.dtype.kind != "u" or not array.size or int(array.max()) < 1 << 63:
+        try:
+            return np.ascontiguousarray(array, dtype=np.int64), True
+        except OverflowError:
+            pass
+    return [int(d) for d in array], False
+
+
+def max_abs_int64(values: np.ndarray) -> int:
+    """Exact ``max(|values|)`` of a nonempty ``int64`` array.
+
+    Computed from the extrema in Python integers: ``np.abs`` wraps on
+    ``-2^63`` (its magnitude is not representable in ``int64``), which
+    would let that delta slip past :func:`fits_int64_products`.
+    """
+    return max(abs(int(values.min())), abs(int(values.max())))
+
+
+def fits_int64_products(length: int, max_abs_delta: int, max_index: int) -> bool:
+    """Whether ``sum_t |delta_t * index_t|`` stays safely below ``2^62``.
+
+    The int64 scatter fast path accumulates ``delta`` and
+    ``delta * index`` per cell with ``np.add.at``; this bound guarantees
+    no intermediate (even if every update hits the same cell) can
+    overflow a signed 64-bit accumulator.
+    """
+    if length == 0:
+        return True
+    return length * max_abs_delta * max(max_index, 1) < (1 << 62)
+
+
+def prepare_batch(indices, deltas, domain_size: int):
+    """Coerce, validate and route one ``update_batch`` call.
+
+    Returns ``(route, idx, values, fits, max_abs)`` where ``route`` is
+
+    * ``"empty"``  — nothing to do (``idx``/``values`` are ``None``);
+    * ``"scalar"`` — an ``int64`` batch of at most :data:`SMALL_BATCH`
+      updates: loop the scalar ``update`` over ``zip(idx, values)``;
+    * ``"vector"`` — ``idx`` (``int64`` array) and ``values`` (``int64``
+      array when ``fits``, else a list of exact Python ints) are
+      zero-filtered and ready for the numpy path.
+
+    ``max_abs`` is the exact ``max(|values|)`` on the vector route when
+    ``fits`` holds and ``0`` otherwise, hoisted here so the overflow
+    guard (:func:`fits_int64_products`) costs O(1) on the hot path.
+    """
+    idx = as_index_array(indices)
+    if idx.size == 0:
+        return "empty", None, None, True, 0
+    if int(idx.min()) < 0 or int(idx.max()) >= domain_size:
+        raise IndexError(f"index batch leaves domain [0, {domain_size})")
+    values, fits = as_delta_array(deltas, idx.size)
+    if fits and idx.size <= SMALL_BATCH:
+        return "scalar", idx, values, True, 0
+    if fits:
+        nonzero = values != 0
+        if not nonzero.all():
+            idx, values = idx[nonzero], values[nonzero]
+            if idx.size == 0:
+                return "empty", None, None, True, 0
+        return "vector", idx, values, True, max_abs_int64(values)
+    keep = [t for t, delta in enumerate(values) if delta != 0]
+    if not keep:
+        return "empty", None, None, False, 0
+    return "vector", idx[keep], [values[t] for t in keep], False, 0
 
 
 class SparseRecoverySketch:
@@ -149,7 +263,7 @@ class SparseRecoverySketch:
           vectorized.
         """
         route, idx, values, fits, max_abs = prepare_batch(
-            indices, deltas, domain_size=self.domain_size, small_batch=SMALL_BATCH
+            indices, deltas, self.domain_size
         )
         if route == "empty":
             return

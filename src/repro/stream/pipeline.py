@@ -15,8 +15,8 @@ state transitions commute — so :func:`run_passes` can hand the algorithm
 contiguous chunks of the stream instead of single tokens.  Algorithms
 that implement :meth:`~StreamingAlgorithm.process_batch` (the AGM
 checkers, the two-pass spanner, the sparsifier pipeline) then ride the
-numpy-vectorized ``update_batch`` paths of the sketch layer; the default
-implementation just loops :meth:`~StreamingAlgorithm.process`, so every
+numpy-vectorized columnar sketch stacks (:mod:`repro.sketch.columnar`);
+the default implementation just loops :meth:`~StreamingAlgorithm.process`, so every
 algorithm works under either driver and the resulting sketch state is
 bit-identical between the two.
 
@@ -81,7 +81,7 @@ class StreamingAlgorithm(abc.ABC):
         Default: loop over :meth:`process`, so plain algorithms work
         under a batched runner unchanged.  Sketch-based algorithms
         override this to route the chunk through the vectorized
-        ``update_batch`` sketch paths; overrides must leave the
+        columnar sketch stacks; overrides must leave the
         algorithm in exactly the state the scalar loop would produce
         (linear sketch updates commute, so this is a no-op requirement
         for anything built on the :mod:`repro.sketch` substrate).

@@ -4,7 +4,7 @@
 repo's invariants can silently rot at runtime rather than in review:
 
 * **canonical-range discipline** — every mod-``p`` kernel in
-  :mod:`repro.sketch.batched` requires operands already reduced into
+  :mod:`repro.sketch.kernels` requires operands already reduced into
   ``[0, p)``; an out-of-range operand does not crash, it *wraps*, and
   the sketch quietly stops being summable with its scalar twin.  The
   armed kernels assert the precondition instead.

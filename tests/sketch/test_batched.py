@@ -1,38 +1,39 @@
-"""Batch engine correctness: kernels and scalar/batched bit-identity.
+"""Batch path correctness: kernels and scalar/batched bit-identity.
 
 Two layers of guarantees:
 
-* the numpy field-arithmetic kernels in :mod:`repro.sketch.batched`
+* the numpy field-arithmetic kernels in :mod:`repro.sketch.kernels`
   agree exactly with Python's arbitrary-precision arithmetic;
-* every sketch's ``update_batch`` lands in *bit-identical* state to the
-  equivalent sequence of scalar ``update`` calls — including interleaved
-  inserts/deletes, zero deltas, arbitrary-precision deltas (the
-  fallback path), arbitrary chunkings, and interaction with ``combine``.
+* the one per-sketch batch path,
+  :meth:`~repro.sketch.sparse_recovery.SparseRecoverySketch.update_batch`
+  (the pass-2 hash tables and the columnar spill fallback ride it),
+  lands in *bit-identical* state to the equivalent sequence of scalar
+  ``update`` calls — including interleaved inserts/deletes, zero
+  deltas, arbitrary-precision deltas (the fallback path), arbitrary
+  chunkings, and interaction with ``combine`` — and rejects what the
+  scalar oracle rejects.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sketch import (
     MERSENNE_61,
-    CountSketch,
-    DistinctElementsSketch,
     KWiseHash,
-    L0Sampler,
+    LinearHashTable,
     NeighborhoodHashTable,
     NestedSampler,
-    OneSparseDetector,
     SparseRecoverySketch,
 )
-from repro.sketch.batched import (
+from repro.sketch.kernels import (
     mulmod61,
     polyhash61,
     powmod61,
     scatter_sum_mod61,
-    sum_mod61,
 )
 
 DOMAIN = 2_000
@@ -69,11 +70,6 @@ class TestKernels:
         values = powmod61(base, np.array(exponents, dtype=np.int64))
         for exponent, value in zip(exponents, values):
             assert int(value) == pow(base, exponent, MERSENNE_61)
-
-    @given(terms=st.lists(field_elements, min_size=0, max_size=64))
-    @settings(max_examples=100, deadline=None)
-    def test_sum_mod61(self, terms):
-        assert sum_mod61(np.array(terms, dtype=np.uint64)) == sum(terms) % MERSENNE_61
 
     @given(
         entries=st.lists(
@@ -145,12 +141,11 @@ def _apply_batched(sketch, updates, chunk):
         )
 
 
+#: The default shape, and the three-row shape of the L0 sampler levels
+#: and the pass-2 hash tables.
 SKETCH_FACTORIES = [
-    lambda: CountSketch(DOMAIN, 4, seed="prop"),
     lambda: SparseRecoverySketch(DOMAIN, 4, seed="prop"),
-    lambda: OneSparseDetector(DOMAIN, seed="prop"),
-    lambda: L0Sampler(DOMAIN, seed="prop"),
-    lambda: DistinctElementsSketch(DOMAIN, seed="prop", reps=4),
+    lambda: SparseRecoverySketch(DOMAIN, 8, seed="prop", rows=3),
 ]
 
 
@@ -188,12 +183,15 @@ class TestBitIdentity:
         updates=st.lists(
             st.tuples(
                 st.integers(min_value=0, max_value=DOMAIN - 1),
-                st.integers(min_value=-(2**61), max_value=2**61),
+                st.integers(min_value=-(2**64), max_value=2**64),
             ),
             min_size=0,
             max_size=60,
         )
     )
+    # numpy infers float64 for the first list and uint64 for the second.
+    @example(updates=[(3, 2**63), (4, -1)])
+    @example(updates=[(5, 2**63), (6, 2**64 - 1)])
     @settings(max_examples=15, deadline=None)
     def test_arbitrary_precision_deltas(self, updates):
         # The int64 fast path must hand off to the exact fallback when
@@ -218,11 +216,11 @@ class TestBitIdentity:
             assert scalar.state_ints() == batched.state_ints()
 
     def test_interleaved_insert_delete_cancels(self):
-        sketch = L0Sampler(DOMAIN, seed="cancel")
-        indices = list(range(0, 500, 5))
+        sketch = SparseRecoverySketch(DOMAIN, 4, seed="cancel")
+        indices = list(range(0, DOMAIN, 5))  # above SMALL_BATCH: the numpy path
         sketch.update_batch(indices, [1] * len(indices))
         sketch.update_batch(indices, [-1] * len(indices))
-        assert sketch.is_probably_zero()
+        assert sketch.is_zero()
         assert all(value == 0 for value in sketch.state_ints())
 
     def test_zero_deltas_are_no_ops(self):
@@ -239,6 +237,30 @@ class TestBitIdentity:
             pass
         else:
             raise AssertionError("out-of-domain batch must raise IndexError")
+
+    @pytest.mark.parametrize(
+        "apply",
+        [
+            lambda: SparseRecoverySketch(100, 4, "x").update_batch([3, 4], [1.9, -0.5]),
+            lambda: SparseRecoverySketch(100, 4, "x").update_batch([2.7] * 300, [1] * 300),
+            lambda: SparseRecoverySketch(100, 4, "x").update_batch(
+                np.arange(300, dtype=np.float64) % 100, np.ones(300, dtype=np.int64)
+            ),
+            lambda: LinearHashTable(20, 3, 4, "x").add_to_payload_batch([1.5, 2], 0, [1, 1]),
+            lambda: LinearHashTable(20, 3, 4, "x").add_to_payload_batch([1, 2], 0, [0.5, 1]),
+            lambda: NeighborhoodHashTable(20, 4, "x").add_neighbors_batch([1, 2], [3, 4], [0.9, 1]),
+            lambda: NeighborhoodHashTable(20, 4, "x").add_neighbors_batch([1, 2], [3.5, 4], [1, 1]),
+        ],
+        ids=[
+            "float-deltas", "float-indices-long", "float64-ndarray", "table-float-keys",
+            "table-float-deltas", "neighborhood-float-deltas", "neighborhood-float-neighbors",
+        ],
+    )
+    def test_non_integer_batch_rejected(self, apply):
+        # Casting to int64 would truncate; the scalar oracle rejects a
+        # float index, so the batch path must not guess either.
+        with pytest.raises(TypeError):
+            apply()
 
 
 class TestNeighborhoodTableBatch:

@@ -241,9 +241,7 @@ def test_stack_positions_terms_matches_reference(backend, data):
 def test_negative_deltas_coerce_identically(deltas):
     """Signed deltas enter the kernels via as_field_array; both fast
     backends must multiply the resulting residues identically."""
-    from repro.sketch.batched import as_field_array
-
-    residues = as_field_array(np.array(deltas + [-1, -(P - 1), -P], dtype=object))
+    residues = kernels.as_field_array(np.array(deltas + [-1, -(P - 1), -P], dtype=object))
     other = np.roll(residues, 1)
     want = ref_mod.mulmod61(residues, other)
     assert_same(want, limb_mod.mulmod61(residues, other))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.service.session import GraphSession
-from repro.sketch import batched
+from repro.sketch import kernels
 from repro.sketch.hashing import MERSENNE_61
 from repro.stream.updates import EdgeUpdate
 from repro.util import sanitize
@@ -29,45 +29,44 @@ CANONICAL = np.array([0, 1, 12345, MERSENNE_61 - 1], dtype=np.uint64)
 
 def test_armed_kernels_accept_canonical_operands(armed):
     other = np.array([5, 0, MERSENNE_61 - 1, 7], dtype=np.uint64)
-    assert int(batched.addmod61(CANONICAL, other)[0]) == 5
-    batched.submod61(CANONICAL, other)
-    batched.mulmod61(CANONICAL, other)
-    batched.sum_mod61(CANONICAL)
-    batched.scatter_sum_mod61(4, np.array([0, 1, 2, 3]), CANONICAL)
+    assert int(kernels.addmod61(CANONICAL, other)[0]) == 5
+    kernels.submod61(CANONICAL, other)
+    kernels.mulmod61(CANONICAL, other)
+    kernels.scatter_sum_mod61(4, np.array([0, 1, 2, 3]), CANONICAL)
 
 
 def test_armed_mulmod_trips_on_overflow(armed):
     # p itself is the canonical-range violation: == p, not < p.
     seeded = np.array([MERSENNE_61], dtype=np.uint64)
     with pytest.raises(sanitize.SanitizeError, match="canonical"):
-        batched.mulmod61(seeded, np.array([1], dtype=np.uint64))
+        kernels.mulmod61(seeded, np.array([1], dtype=np.uint64))
 
 
 def test_armed_addmod_trips_on_overflow(armed):
     seeded = np.array([MERSENNE_61 + 5], dtype=np.uint64)
     with pytest.raises(sanitize.SanitizeError):
-        batched.addmod61(CANONICAL[:1], seeded)
+        kernels.addmod61(CANONICAL[:1], seeded)
 
 
 def test_armed_kernels_trip_on_float_contamination(armed):
     floats = np.array([1.0, 2.0])
     with pytest.raises(sanitize.SanitizeError, match="float"):
-        batched.sum_mod61(floats)
+        kernels.scatter_sum_mod61(2, np.array([0, 1]), floats)
 
 
 def test_armed_scatter_trips_on_position_out_of_range(armed):
     terms = np.array([1, 2], dtype=np.uint64)
     with pytest.raises(sanitize.SanitizeError, match="position"):
-        batched.scatter_sum_mod61(2, np.array([0, 2]), terms)
+        kernels.scatter_sum_mod61(2, np.array([0, 2]), terms)
     with pytest.raises(sanitize.SanitizeError, match="position"):
-        batched.scatter_sum_mod61(2, np.array([-1, 0]), terms)
+        kernels.scatter_sum_mod61(2, np.array([-1, 0]), terms)
 
 
 def test_disarmed_kernels_skip_all_checks(monkeypatch):
     monkeypatch.setattr(sanitize, "ENABLED", False)
     seeded = np.array([MERSENNE_61], dtype=np.uint64)
-    batched.mulmod61(seeded, seeded)  # wraps silently; must not raise
-    batched.sum_mod61(seeded)
+    kernels.mulmod61(seeded, seeded)  # wraps silently; must not raise
+    kernels.scatter_sum_mod61(1, np.array([0]), seeded)
 
 
 def test_enabled_reads_environment_at_import(monkeypatch):

@@ -101,6 +101,6 @@ def test_live_bench_suites_discovered():
 
 
 def test_module_name_maps_src_tree():
-    path = _repo.SRC_DIR / "repro" / "sketch" / "batched.py"
-    assert _repo.module_name(path) == "repro.sketch.batched"
+    path = _repo.SRC_DIR / "repro" / "sketch" / "columnar.py"
+    assert _repo.module_name(path) == "repro.sketch.columnar"
     assert _repo.module_name(_repo.REPO_ROOT / "scratch.py") == "scratch"

@@ -9,6 +9,7 @@ starts firing on clean code — fails here, not in review.
 
 import dataclasses
 import json
+import re
 import textwrap
 
 import pytest
@@ -47,10 +48,8 @@ def test_broken_sketch_fails_protocol(tmp_path):
                 pass
         """,
     )
-    codes = codes_of(result)
-    # No clone, no wire protocol, no space accounting, no batch path.
-    assert codes.count("SL101") == 3
-    assert "SL105" in codes
+    # No clone, no wire protocol, no space accounting.
+    assert codes_of(result).count("SL101") == 3
 
 
 def test_conforming_sketch_is_clean(tmp_path):
@@ -61,7 +60,6 @@ def test_conforming_sketch_is_clean(tmp_path):
             def combine(self, other, sign=1): pass
             def clone(self): pass
             def update(self, index, delta): pass
-            def update_batch(self, indices, deltas): pass
             def state_ints(self): return []
             def from_state_ints(self, values): return self
             def space_words(self): return 0
@@ -79,7 +77,6 @@ def test_contract_resolves_through_repo_local_bases(tmp_path):
             def state_ints(self): return []
             def from_state_ints(self, values): return self
             def space_words(self): return 0
-            def update_batch(self, indices, deltas): pass
 
         class Derived(Base):
             def combine(self, other, sign=1): pass
@@ -209,7 +206,7 @@ def test_unguarded_sum_flagged_guarded_allowed(tmp_path):
     result = lint_source(
         tmp_path,
         """
-        from repro.sketch.batched import fits_int64_products
+        from repro.sketch.sparse_recovery import fits_int64_products
 
         def unguarded(x):
             return x.sum()
@@ -236,7 +233,7 @@ def test_kernel_name_import_from_non_dispatch_flagged(tmp_path):
     result = lint_source(
         tmp_path,
         """
-        from repro.sketch.batched import mulmod61
+        from repro.sketch.sparse_recovery import mulmod61
 
         def use(a, b):
             return mulmod61(a, b)
@@ -785,3 +782,12 @@ def test_registry_exposes_all_families():
     }
     codes = {code for checker in all_checkers() for code in checker.codes}
     assert len(codes) >= 15
+
+
+def test_registered_codes_match_the_invariants_catalogue():
+    # Every code a checker can emit has a `### SLNNN` section in
+    # docs/invariants.md, and every section names a live code.
+    codes = {code for checker in all_checkers() for code in checker.codes}
+    catalogue = (_repo.REPO_ROOT / "docs" / "invariants.md").read_text()
+    documented = set(re.findall(r"^### (SL\d{3})\b", catalogue, flags=re.MULTILINE))
+    assert codes == documented

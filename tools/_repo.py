@@ -63,7 +63,7 @@ def module_name(path: pathlib.Path) -> str:
     """Dotted module name of a source file.
 
     Files under ``src/`` get their real import name
-    (``src/repro/sketch/batched.py`` -> ``repro.sketch.batched``); files
+    (``src/repro/sketch/columnar.py`` -> ``repro.sketch.columnar``); files
     elsewhere (test fixtures, scratch snippets) fall back to their stem
     so tools can still key per-module configuration off the result.
     """

@@ -1,7 +1,7 @@
 """SL2xx — field-arithmetic and dtype discipline.
 
 All mod-``(2^61 - 1)`` *array* arithmetic must live in the audited
-kernel modules (``sketch/batched.py``, ``sketch/hashing.py``,
+kernel modules (the ``sketch/kernels/`` package, ``sketch/hashing.py``,
 ``sketch/columnar.py``): raw ``%`` on a ``uint64`` product silently
 wraps, a float intermediate silently rounds, and both produce sketches
 that are subtly non-summable with their scalar twins.  Scalar Python-int
@@ -14,7 +14,7 @@ arithmetic is exact and is *not* flagged.
 * ``SL202`` — hand-rolled array field coercion
   (``np.remainder(x, MERSENNE_61)`` / ``np.mod(x, MERSENNE_61)``)
   outside the audited kernels: use
-  ``repro.sketch.batched.as_field_array``, which also handles the
+  ``repro.sketch.kernels.as_field_array``, which also handles the
   arbitrary-precision fallback exactly.
 * ``SL203`` — float or narrowing ``astype``/``dtype=`` on arrays inside
   the field modules (``float``, ``np.float32/64``, ``np.int32``,
@@ -24,7 +24,7 @@ arithmetic is exact and is *not* flagged.
   without an explicit ``dtype=``) in a field module, in a function that
   never consults ``fits_int64_products``: int64 scatter sums are only
   exact *because* of that magnitude guard; bypassing it reintroduces
-  the silent-overflow class of bug the batched engine was audited
+  the silent-overflow class of bug the batch paths were audited
   against.
 """
 
@@ -154,7 +154,7 @@ def _check_file(index: RepoIndex, source: SourceFile) -> Iterable[Diagnostic]:
                     source, node, "SL202",
                     f"hand-rolled field coercion np.{name}(..., MERSENNE_61) "
                     f"outside the audited kernels; use "
-                    f"repro.sketch.batched.as_field_array",
+                    f"repro.sketch.kernels.as_field_array",
                 )
             # SL203 — float/narrowing astype or dtype= in field modules.
             if in_field:

@@ -21,9 +21,6 @@ a new class can never silently ship clone-unsafe or shard-incompatible:
   missing part of the stack wire contract (``load_row_state``,
   ``row_state_len``, ``sparse_state_ints``, ``load_sparse_state``,
   ``reset_state``) — the sparse-wire participation its dense twin has.
-* ``SL105`` — a sketch class defines scalar ``update`` but no
-  ``update_batch``: it silently drops off the batched engine and every
-  pipeline built on it slows down by an order of magnitude.
 
 PR 2 found two hash tables missing ``state_ints`` and PR 5 a clone that
 aliased live state through a hash family — both by manual audit.  This
@@ -110,13 +107,6 @@ def _check_sketch(index: RepoIndex, info: ClassInfo) -> Iterable[Diagnostic]:
             f"(space_words, or resident_space_words+universe_space_words): "
             f"the paper's space claims cannot be measured on it",
         )
-    if resolves("update") and not resolves("update_batch"):
-        yield _diag(
-            info, "SL105",
-            f"sketch class {info.name} defines update() but no "
-            f"update_batch(): it falls off the batched engine (the "
-            f"default driver loops scalar updates, ~10x slower)",
-        )
     if info.has_method("row_state_ints"):
         missing = [
             name for name in _STACK_CONTRACT if not index.resolves_method(info, name)
@@ -164,7 +154,7 @@ def _check_algorithm(index: RepoIndex, info: ClassInfo) -> Iterable[Diagnostic]:
         )
 
 
-@register("protocol", codes=("SL101", "SL102", "SL103", "SL104", "SL105"))
+@register("protocol", codes=("SL101", "SL102", "SL103", "SL104"))
 def check_protocol(index: RepoIndex) -> Iterable[Diagnostic]:
     """Sketch/StreamingAlgorithm contract conformance (SL1xx)."""
     registry = discover(index)

@@ -22,7 +22,6 @@ class Config:
     #: ``scatter_sum_mod61``, ...).
     kernel_modules: frozenset[str] = frozenset(
         {
-            "repro.sketch.batched",
             "repro.sketch.columnar",
             "repro.sketch.hashing",
             "repro.sketch.kernels",
@@ -52,7 +51,6 @@ class Config:
             "powmod61_bases",
             "powmod61_windowed",
             "build_pow_table",
-            "sum_mod61",
             "scatter_sum_mod61",
             "stack_positions_terms",
         }
