@@ -7,15 +7,18 @@ and samples one outgoing edge.
 
 Storage is *columnar* (:mod:`repro.sketch.columnar`): the ``n`` vertex
 samplers of one round are same-seeded by construction (component sums
-must be meaningful), so each round keeps one
-:class:`~repro.sketch.columnar.L0SamplerStack` whose rows are vertices.
-A batched update then evaluates each round's membership/bucket hashes
-and fingerprint powers once per distinct edge coordinate and scatters
-into all affected vertex rows at once — instead of routing per-vertex
-sub-batches into ``n x rounds`` standalone samplers.  State stays
-bit-identical to the per-sampler scalar sequence
-(``tests/sketch/test_columnar.py``), and the Borůvka component sums
-become vectorized column reductions.
+must be meaningful), and the rounds are independent seed families over
+the same vertex rows and the same cell shape.  So one
+:class:`~repro.sketch.columnar.L0SamplerStack` holds every round, its
+``(round, level)`` sketches stored as the seed groups of a single
+:class:`~repro.sketch.columnar.SketchStack`.  A batched update collapses
+the chunk to its distinct edge coordinates, evaluates all rounds'
+membership hashes in one stacked pass, and lands every ``(round, level,
+vertex)`` contribution with exactly one scatter — bucket hashes and
+fingerprint powers gathered per incidence from its group's seeds.
+State stays bit-identical to the per-sampler scalar sequence
+(``tests/sketch/test_columnar.py``), the wire is unchanged, and the
+Borůvka component sums become one gathered column reduction per round.
 
 Two extra properties the paper relies on are implemented here:
 
@@ -39,15 +42,11 @@ from repro.agm.incidence import decode_edge, incidence_updates
 from repro.graph.vertex_space import VertexSpace, as_vertex_space
 from repro.sketch.columnar import L0SamplerStack
 from repro.sketch.l0sampler import L0Sampler
+from repro.sketch.sparse_recovery import as_index_array
 from repro.stream.batching import aggregate_updates
 from repro.util.rng import derive_seed
 
 __all__ = ["AgmSketch", "DisjointSets", "SparseDisjointSets"]
-
-#: Below this many updates the batched path's fixed numpy cost exceeds
-#: the scalar loop's (the stacks amortize over distinct coordinates, so
-#: the crossover is lower than the per-sketch engine's).
-_SMALL_BATCH = 48
 
 
 class DisjointSets:
@@ -167,19 +166,16 @@ class AgmSketch:
         self.rounds = rounds
         self._seed_key = derive_seed(seed, "agm", num_vertices, rounds, budget)
         domain = num_vertices * num_vertices
-        # One columnar stack per round, rows = vertices: samplers for the
-        # same round share a seed across vertices so that component sums
-        # are meaningful; rounds are independent.
-        self._round_stacks = [
-            L0SamplerStack(
-                num_vertices,
-                domain,
-                derive_seed(self._seed_key, "round", r),
-                budget=budget,
-                lazy=self.space.lazy,
-            )
-            for r in range(rounds)
-        ]
+        # One columnar store for every round, rows = vertices: samplers of
+        # the same round share a seed across vertices so that component
+        # sums are meaningful; rounds are independent seed families.
+        self._samplers = L0SamplerStack(
+            num_vertices,
+            domain,
+            [derive_seed(self._seed_key, "round", r) for r in range(rounds)],
+            budget=budget,
+            lazy=self.space.lazy,
+        )
 
     # ------------------------------------------------------------------
     # Streaming updates
@@ -188,24 +184,24 @@ class AgmSketch:
     def update(self, u: int, v: int, delta: int) -> None:
         """Apply ``x_{uv} += delta`` to every round's samplers."""
         for vertex, coordinate, signed in incidence_updates(u, v, delta, self.num_vertices):
-            for stack in self._round_stacks:
-                stack.update_row(vertex, coordinate, signed)
+            self._samplers.update_row(vertex, coordinate, signed)
 
     def update_batch(self, us, vs, deltas) -> None:
         """Apply a whole batch of edge updates ``x_{u_t v_t} += delta_t``.
 
         The chunk is first collapsed to its net delta per distinct edge
         pair (:func:`~repro.stream.batching.aggregate_updates` — exact by
-        linearity), then every round stack absorbs the signed-incidence
-        encoding of the distinct pairs in one columnar scatter.  Hashes
-        are evaluated once per (coordinate, round) rather than once per
-        (coordinate, vertex, round, level); the final state is
+        linearity), then the signed-incidence encoding of the distinct
+        pairs reaches every round in one columnar scatter: membership
+        hashes are evaluated once per (coordinate, round) and bucket
+        hashes and fingerprint powers once per (incidence, round,
+        level), all in whole-batch passes.  The final state is
         bit-identical to the scalar :meth:`update` sequence.
         """
-        us = np.ascontiguousarray(us, dtype=np.int64)
-        vs = np.ascontiguousarray(vs, dtype=np.int64)
-        values = np.ascontiguousarray(deltas, dtype=np.int64)
-        if not (us.shape == vs.shape == values.shape) or us.ndim != 1:
+        us = as_index_array(us)
+        vs = as_index_array(vs)
+        values = as_index_array(deltas)
+        if not us.shape == vs.shape == values.shape:
             raise ValueError("us, vs, deltas must be 1-D of equal length")
         if us.size == 0:
             return
@@ -213,11 +209,6 @@ class AgmSketch:
             raise ValueError(f"vertex batch leaves [0, {self.num_vertices})")
         if np.any(us == vs):
             raise ValueError("self-loops are not allowed")
-        if us.size <= _SMALL_BATCH:
-            for u, v, delta in zip(us, vs, values):
-                if delta:
-                    self.update(int(u), int(v), int(delta))
-            return
         low = np.minimum(us, vs)
         high = np.maximum(us, vs)
         lows, highs, coordinates, net = aggregate_updates(
@@ -227,11 +218,11 @@ class AgmSketch:
             return
         # Each distinct edge touches both endpoints: +delta at the low
         # endpoint, -delta at the high endpoint (the AGM sign convention).
-        rows = np.concatenate([lows, highs])
-        coords = np.concatenate([coordinates, coordinates])
-        signed = np.concatenate([net, -net])
-        for stack in self._round_stacks:
-            stack.scatter(rows, coords, signed)
+        self._samplers.scatter(
+            np.concatenate([lows, highs]),
+            np.concatenate([coordinates, coordinates]),
+            np.concatenate([net, -net]),
+        )
 
     def subtract_edges(self, edges: dict[tuple[int, int], int]) -> None:
         """Remove known edges (pair -> multiplicity) by linearity."""
@@ -248,13 +239,12 @@ class AgmSketch:
         """In-place ``self += sign * other``; seeds must match."""
         if self._seed_key != other._seed_key:
             raise ValueError("cannot combine AGM sketches with different seeds")
-        for mine, theirs in zip(self._round_stacks, other._round_stacks):
-            mine.combine(theirs, sign)
+        self._samplers.combine(other._samplers, sign)
 
     def clone(self) -> "AgmSketch":
         """Independent copy with the same state and seed.
 
-        Round stacks are copied cell-for-cell (their hash families are
+        The sampler store is copied cell-for-cell (its hash families are
         shared, immutable), so forest extraction from the clone is
         unaffected by further updates to the original.
         """
@@ -263,7 +253,7 @@ class AgmSketch:
         clone.num_vertices = self.num_vertices
         clone.rounds = self.rounds
         clone._seed_key = self._seed_key
-        clone._round_stacks = [stack.clone() for stack in self._round_stacks]
+        clone._samplers = self._samplers.clone()
         return clone
 
     def sampler_view(self, vertex: int, r: int) -> L0Sampler:
@@ -273,7 +263,7 @@ class AgmSketch:
         exact current state and shares the (immutable) randomness, so it
         is summable with other views of the same round.
         """
-        return self._round_stacks[r].row_sampler(vertex)
+        return self._samplers.row_sampler(vertex, r)
 
     # ------------------------------------------------------------------
     # Forest extraction
@@ -306,7 +296,7 @@ class AgmSketch:
                     "supernode collapsing needs a dense per-vertex group map; "
                     "lazy vertex spaces do not support it"
                 )
-            vertices: list[int] = self._round_stacks[0].touched_row_ids()
+            vertices: list[int] = self._samplers.touched_row_ids()
             dsu: DisjointSets | SparseDisjointSets = SparseDisjointSets(vertices)
         else:
             vertices = list(range(self.num_vertices))
@@ -335,9 +325,9 @@ class AgmSketch:
                 break
             merged_any = False
             for root, component in members.items():
-                # The component sum, as one column reduction over the
-                # round's stack (identical to pairwise combines).
-                combined = self._round_stacks[r].rows_sum_sampler(component)
+                # The component sum, as one gathered column reduction
+                # over the round's levels (identical to pairwise combines).
+                combined = self._samplers.rows_sum_sampler(component, r)
                 sampled = combined.sample()
                 if sampled is None:
                     continue
@@ -353,11 +343,11 @@ class AgmSketch:
     def touched_vertices(self) -> list[int]:
         """Sorted vertex ids holding resident sketch rows.
 
-        Every update reaches every round's level-0 stack, so round 0
-        carries the complete touched set; for a dense space this is all
-        of ``range(n)``.
+        Every update reaches every round's level 0, so round 0 carries
+        the complete touched set; for a dense space this is all of
+        ``range(n)``.
         """
-        return self._round_stacks[0].touched_row_ids()
+        return self._samplers.touched_row_ids()
 
     def num_touched_vertices(self) -> int:
         """Number of vertices holding resident sketch rows, in O(1).
@@ -366,10 +356,10 @@ class AgmSketch:
         sorts the ids); the adaptive sizing ladder polls this after
         every ingest batch, so it must not scale with the touched set.
         """
-        return self._round_stacks[0].num_touched_rows()
+        return self._samplers.num_touched_rows()
 
     def state_digest(self) -> str:
-        """Canonical content hash of every round stack's resident state.
+        """Canonical content hash of the sampler store's resident state.
 
         Runs at memory bandwidth (numpy ``tobytes`` into BLAKE2b), so
         it stays practical at million-vertex scale where
@@ -379,9 +369,7 @@ class AgmSketch:
         cheap strong probe for replay/promotion identity checks.
         """
         hasher = hashlib.blake2b(digest_size=16)
-        for r, stack in enumerate(self._round_stacks):
-            hasher.update(np.int64(r).tobytes())
-            stack.state_digest(hasher)
+        self._samplers.state_digest(hasher)
         return hasher.hexdigest()
 
     def connected_components(self, supernodes: list[int] | None = None) -> list[set[int]]:
@@ -419,18 +407,15 @@ class AgmSketch:
     def state_ints(self) -> list[int]:
         """Dynamic state as a flat int sequence (for serialization).
 
-        Round-major sparse blocks: every round stack ships, per
-        geometric level, its *nonzero* rows tagged with their logical
-        vertex ids (:meth:`~repro.sketch.columnar.SketchStack.sparse_state_ints`).
+        Round-major sparse blocks: every round ships, per geometric
+        level, its *nonzero* rows tagged with their logical vertex ids
+        (:meth:`~repro.sketch.columnar.SketchStack.sparse_state_ints`).
         Nonzero-ness is a pure function of the summarized vectors, so
         dense and lazy engines fed the same stream emit byte-identical
         sequences — which is what lets their checkpoints and shard
         messages round-trip interchangeably.
         """
-        flat: list[int] = []
-        for stack in self._round_stacks:
-            flat.extend(stack.sparse_state_ints())
-        return flat
+        return self._samplers.sparse_state_ints()
 
     def load_state_ints(self, values: list[int], cursor: int = 0) -> int:
         """Consume one serialized sketch from ``values`` at ``cursor``;
@@ -441,10 +426,8 @@ class AgmSketch:
         all-zero first — loading genuinely *overwrites* the dynamic
         state even on a non-fresh target.
         """
-        for stack in self._round_stacks:
-            stack.reset_state()
-            cursor = stack.load_sparse_state(values, cursor)
-        return cursor
+        self._samplers.reset_state()
+        return self._samplers.load_sparse_state(values, cursor)
 
     def from_state_ints(self, values: list[int]) -> "AgmSketch":
         """Overwrite the dynamic state from a :meth:`state_ints` sequence.
@@ -464,10 +447,10 @@ class AgmSketch:
         """Resident persistent state, in machine words (lazy spaces count
         materialized rows only; dense spaces count every row, matching
         the historical accounting)."""
-        return sum(stack.resident_space_words() for stack in self._round_stacks)
+        return self._samplers.resident_space_words()
 
     def universe_space_words(self) -> int:
         """Words a fully dense allocation over the universe would hold —
         the paper's ``O(n polylog n)`` reference the resident number is
         audited against."""
-        return sum(stack.universe_space_words() for stack in self._round_stacks)
+        return self._samplers.universe_space_words()

@@ -6,58 +6,71 @@ sketches or ``(endpoint, r, j)`` spanner stacks before any single
 sketch sees a vectorizable sub-batch — so a per-sketch engine mostly
 falls back to its scalar loops.  The structural fact that rescues
 vectorization is that those sketches are *same-seeded stacks*: every
-vertex row of an AGM round hashes the same edge
-coordinates with the same hash family.  This module stores such a stack
-as one 2-D array (rows = sketches, columns = counter cells), evaluates
-each chunk's polynomial hashes and fingerprint powers **once per
-(coordinate, stack)**, and lands every row's contribution with a single
-flattened ``(row, cell)`` scatter — bit-identical to updating each row's
-standalone sketch (the property ``tests/sketch/test_columnar.py`` pins).
+vertex row of an AGM round hashes the same edge coordinates with the
+same hash family.  This module stores such stacks as one 2-D array
+(storage rows = sketches, columns = counter cells), evaluates each
+chunk's polynomial hashes and fingerprint powers in one vectorized pass,
+and lands every contribution with a single flattened ``(row, cell)``
+scatter — bit-identical to updating each row's standalone sketch (the
+property ``tests/sketch/test_columnar.py`` pins).
 
 Two stack flavors:
 
 :class:`SketchStack`
-    ``num_rows`` same-shaped :class:`~repro.sketch.sparse_recovery.SparseRecoverySketch`
-    states.  Rows may share one seed (AGM rounds, the spanner's
-    ``(r, j)`` cluster stacks) — hashes are then evaluated once per
-    coordinate and broadcast — or carry per-row seeds (the spanner's
-    per-root cut sketches), in which case the gathered-coefficient
-    kernels :func:`~repro.sketch.kernels.polyhash61_rows` /
-    :func:`~repro.sketch.kernels.powmod61_bases` still evaluate the
-    whole incidence list in one vectorized pass.
+    Same-shaped :class:`~repro.sketch.sparse_recovery.SparseRecoverySketch`
+    states over ``num_rows`` logical rows, in one of two seed layouts:
+
+    * **seed groups** — ``G`` independent seed families, each shared by
+      all rows (AGM's ``(round, level)`` samplers, the spanner's
+      ``(r, j)`` cluster stacks as ``G = 1``).  A storage row is a
+      ``(group, row)`` pair; one :meth:`~SketchStack.scatter` takes a
+      per-incidence group id, gathers each incidence's bucket-hash
+      coefficients and fingerprint-power table from its group, and
+      lands the whole batch with one row intern and one flat scatter
+      per counter plane — however many groups the batch touches;
+    * **per-row seeds** (the spanner's per-root cut sketches), where the
+      gathered-coefficient kernels
+      :func:`~repro.sketch.kernels.polyhash61_rows` /
+      :func:`~repro.sketch.kernels.powmod61_bases` evaluate the whole
+      incidence list in one pass.
 
 :class:`L0SamplerStack`
-    ``num_rows`` same-seeded :class:`~repro.sketch.l0sampler.L0Sampler`
-    states: one shared membership evaluation per coordinate routes every
-    row's contribution to the right geometric levels, each level being a
-    :class:`SketchStack`.
+    ``num_rows`` rows of :class:`~repro.sketch.l0sampler.L0Sampler`
+    states for one or more independent seed *families* (AGM rounds).
+    One stacked membership evaluation per coordinate routes every
+    incidence to its geometric levels in every family, and the
+    ``(family, level)`` sketches live in one seed-grouped
+    :class:`SketchStack` — so an AGM chunk is one scatter.
 
 Lazy row materialization
 ------------------------
 ``lazy=True`` (what a sparse :class:`~repro.graph.vertex_space.VertexSpace`
-selects) keeps ``num_rows`` purely *logical*: no per-row cell is
-allocated until a row is first touched, so a stack over a ``10^7``-vertex
-universe holds memory proportional to the vertices that actually appear
-in the stream.  Hashes, seeds and the fingerprint base are functions of
-the shared seed and the *logical* row index — never of materialization
-order — so a lazy stack's touched rows are bit-identical to the same
-rows of an eager stack fed the same updates, and the two storages are
-freely combinable (``combine``/``merge_shard`` across mixed dense/lazy
-operands).  Untouched rows read as exact zero states.
+selects) keeps ``num_rows`` purely *logical*: no storage row is
+allocated until a ``(group, row)`` pair is first touched, so a stack over
+a ``10^7``-vertex universe holds memory proportional to the vertices
+that actually appear in the stream.  Hashes, seeds and fingerprint bases
+are functions of the group seeds and the *logical* row index — never of
+materialization order — so a lazy stack's touched rows are bit-identical
+to the same rows of an eager stack fed the same updates, and the two
+storages are freely combinable (``combine``/``merge_shard`` across mixed
+dense/lazy operands).  Untouched rows read as exact zero states.
 
 Exactness and interop
 ---------------------
 Counter cells live in ``int64`` arrays guarded by a conservative running
-bound (:attr:`SketchStack.cell_bound`) on any single cell's magnitude.
-Before a batch could overflow, the bound is first *tightened* to the
-actual maximum cell magnitude (huge-coordinate domains make the running
-bound very conservative); only if the tightened bound still cannot admit
-the batch does the stack *spill* to per-row scalar sketches and keep
-exact Python-integer arithmetic from then on (state identical, just
-slower).  Cross-row column sums (the Borůvka component reduction) are
-computed with 32-bit limb splitting, so they are exact for any row count
-even when per-cell magnitudes approach the ``int64`` guard — no sum can
-silently wrap.
+bound per seed group (:attr:`SketchStack.cell_bound` is their maximum) on
+any single cell's magnitude.  A batch is admitted group by group: each
+group's bound grows by *that group's* ``|delta|`` volume times its
+largest index, because a cell only ever receives its own group's
+incidences.  Before a batch could overflow, the bounds are first
+*tightened* to the actual maximum cell magnitudes (huge-coordinate
+domains make the running bound very conservative); only if a tightened
+bound still cannot admit the batch does the stack *spill* to per-row
+scalar sketches and keep exact Python-integer arithmetic from then on
+(state identical, just slower).  Cross-row column sums (the Borůvka
+component reduction) are computed with 32-bit limb splitting, so they are
+exact for any row count even when per-cell magnitudes approach the
+``int64`` guard — no sum can silently wrap.
 
 Rows materialize back into the existing sketch classes via
 :meth:`SketchStack.row_sketch` / :meth:`L0SamplerStack.row_sampler`
@@ -65,9 +78,9 @@ Rows materialize back into the existing sketch classes via
 ``clone()``, ``combine`` and ``state_ints`` contract is preserved on top
 of the new storage — mixed scalar/columnar state stays summable.  The
 sparse serialization helpers (:meth:`SketchStack.sparse_state_ints`)
-ship ``(logical row id, cells)`` pairs for nonzero rows only, which is
-what lets checkpoints and shard messages of dense and lazy engines
-round-trip interchangeably.
+ship, group by group, ``(logical row id, cells)`` pairs for nonzero rows
+only, which is what lets checkpoints and shard messages of dense and
+lazy engines round-trip interchangeably.
 """
 
 from __future__ import annotations
@@ -79,6 +92,7 @@ from repro.sketch.kernels import (
     addmod61,
     build_pow_table,
     mulmod61,
+    polyhash61_multi,
     polyhash61_rows,
     powmod61_bases,
     scatter_sum_mod61,
@@ -86,11 +100,12 @@ from repro.sketch.kernels import (
     submod61,
 )
 from repro import obs
-from repro.sketch.hashing import MERSENNE_61, KWiseHash, NestedSampler
+from repro.sketch.hashing import MERSENNE_61, KWiseHash
 from repro.sketch.l0sampler import L0Sampler
 from repro.sketch.sparse_recovery import (
     _BUCKET_HASH_INDEPENDENCE,
     SparseRecoverySketch,
+    as_index_array,
     max_abs_int64,
 )
 from repro.util.rng import derive_seed
@@ -102,65 +117,88 @@ __all__ = ["SketchStack", "L0SamplerStack"]
 #: batch is provably exact (intermediates stay under ``2^62``).
 _INT64_SAFE_BOUND = 1 << 61
 
+#: Incidences landed per counter-plane pass of :meth:`SketchStack.scatter`:
+#: bounds the pass's temporaries (a dozen arrays of ``rows x block``
+#: words) however large the fused batch, at no measurable speed cost.
+_LAND_BLOCK = 1 << 14
+
 #: Signed-int64 low-limb mask for the exact cross-row column sums.
 _MASK32_I64 = np.int64((1 << 32) - 1)
 
 
-def _colsum_mod61(selected: np.ndarray) -> np.ndarray:
-    """Exact per-column ``sum mod p`` over a gathered row subset.
+def _segment_sum_mod61(selected: np.ndarray, starts: np.ndarray) -> list[list[int]]:
+    """Exact per-segment column ``sum mod p`` of a ``uint64`` gather.
 
-    ``selected`` is a ``uint64`` field-element matrix (the caller's
-    already-gathered rows); the straight sum of even a handful of 61-bit
-    values overflows ``uint64``, so the 32-bit limbs are accumulated
-    separately (exact for up to ``2^31`` rows) and recombined mod ``p``
-    — the column form of
+    ``selected`` holds field-element rows; segment ``s`` is rows
+    ``starts[s]`` up to the next start.  The straight sum of even a
+    handful of 61-bit values overflows ``uint64``, so the 32-bit limbs
+    are accumulated separately (exact for up to ``2^31`` rows) and
+    recombined mod ``p`` — the column form of
     :func:`repro.sketch.kernels.scatter_sum_mod61`.
     """
-    lo = np.sum(selected & MASK32, axis=0, dtype=np.uint64)
-    hi = np.sum(selected >> np.uint64(32), axis=0, dtype=np.uint64)
+    lo = np.add.reduceat(selected & MASK32, starts, axis=0).reshape(-1)
+    hi = np.add.reduceat(selected >> np.uint64(32), starts, axis=0).reshape(-1)
     lo_red = np.remainder(lo, np.uint64(MERSENNE_61))
     hi_red = np.remainder(hi, np.uint64(MERSENNE_61))
-    return addmod61(lo_red, mulmod61(hi_red, np.uint64((1 << 32) % MERSENNE_61)))
+    summed = addmod61(
+        lo_red, mulmod61(hi_red, np.full_like(hi_red, (1 << 32) % MERSENNE_61))
+    )
+    return summed.reshape(starts.size, selected.shape[1]).tolist()
 
 
-def _colsum_exact(selected: np.ndarray) -> list[int]:
-    """Exact per-column signed sum of an ``int64`` matrix, as Python ints.
+def _segment_sum_exact(selected: np.ndarray, starts: np.ndarray) -> list[list[int]]:
+    """Exact per-segment column sum of an ``int64`` gather, as Python ints.
 
-    A straight ``sum(axis=0)`` can wrap once per-cell magnitudes (up to
-    the ``2^61`` guard) meet large row counts — the Borůvka component
-    sums over huge-coordinate domains hit exactly that regime.  Summing
-    the 32-bit limbs separately keeps every accumulator far inside
-    ``int64`` (rows < ``2^31``), and the recombination in Python integers
-    is exact for any magnitudes.
+    A straight sum can wrap once per-cell magnitudes (up to the ``2^61``
+    guard) meet large row counts — the Borůvka component sums over
+    huge-coordinate domains hit exactly that regime.  Summing the 32-bit
+    limbs separately keeps every accumulator far inside ``int64`` (rows
+    < ``2^31``); the recombination stays in ``int64`` when the high
+    limbs are small enough to make it provably exact, and falls back to
+    Python integers otherwise.
     """
-    if selected.shape[0] == 0:
-        return [0] * selected.shape[1]
-    lo = np.sum(selected & _MASK32_I64, axis=0, dtype=np.int64)
-    hi = np.sum(selected >> np.int64(32), axis=0, dtype=np.int64)
-    return [(int(h) << 32) + int(l) for h, l in zip(hi, lo)]
+    lo = np.add.reduceat(selected & _MASK32_I64, starts, axis=0)
+    hi = np.add.reduceat(selected >> np.int64(32), starts, axis=0)
+    # |hi * 2^32| < 2^62 and lo < rows * 2^32 < 2^52: the int64 sum is exact.
+    if selected.shape[0] < (1 << 20) and int(np.abs(hi).max()) < 1 << 30:
+        return ((hi << np.int64(32)) + lo).tolist()
+    return [
+        [(int(h) << 32) + int(l) for h, l in zip(hi_row, lo_row)]
+        for hi_row, lo_row in zip(hi, lo)
+    ]
 
 
 class SketchStack:
-    """Columnar state of ``num_rows`` sparse-recovery sketches.
+    """Columnar state of same-shaped sparse-recovery sketches.
+
+    Storage row ``key = group * num_rows + row`` holds logical row
+    ``row`` of seed group ``group``; a stack built from one shared seed
+    is the single-group case, where the key is the row.
 
     Parameters
     ----------
     num_rows:
-        Number of stacked sketches (AGM: vertices; spanner cluster
-        stacks: vertices; cut stacks: terminal roots).  With
-        ``lazy=True`` this is a purely logical universe size.
+        Logical rows per group (AGM: vertices; spanner cluster stacks:
+        vertices; cut stacks: terminal roots).  With ``lazy=True`` this
+        is a purely logical universe size.
     domain_size, budget, rows, bucket_factor:
         Per-row sketch shape, exactly as
         :class:`~repro.sketch.sparse_recovery.SparseRecoverySketch`.
     seed:
         One shared randomness name (all rows identically seeded, hence
         summable across rows — the AGM requirement), **or** a list of
-        ``num_rows`` per-row seeds for heterogeneous stacks.
+        ``num_rows`` per-row seeds for heterogeneous stacks, **or**
+        ``None`` when ``group_seeds`` is given.
     lazy:
-        Materialize row storage on first touch instead of allocating
-        ``num_rows x cells`` eagerly.  Requires a shared seed (per-row
-        seed lists are inherently O(num_rows) state).  Touched rows are
-        bit-identical to the same rows of an eager stack.
+        Materialize storage rows on first touch instead of allocating
+        ``groups x num_rows x cells`` eagerly.  Requires shared seeds
+        (per-row seed lists are inherently O(num_rows) state).  Touched
+        rows are bit-identical to the same rows of an eager stack.
+    group_seeds:
+        One randomness name per seed group: ``G`` independent families,
+        each shared by every row, over one storage array.  Group ``g``'s
+        row ``v`` is bit-identical to a single-seed stack built from
+        ``group_seeds[g]``.
     """
 
     __slots__ = (
@@ -170,24 +208,25 @@ class SketchStack:
         "rows",
         "buckets",
         "cells",
+        "num_groups",
         "shared_seed",
         "lazy",
-        "_seed_key",
         "_seed_keys",
-        "_z",
         "_zs",
         "_hash_objs",
         "_coeff_mats",
+        "_bucket_coeffs",
+        "_pow_table",
+        "_pow_built",
         "_totals",
         "_index_sums",
         "_fingerprints",
         "_slot_of",
-        "_slot_rows",
-        "_sorted_rows",
+        "_slot_keys",
+        "_sorted_keys",
         "_sorted_slots",
-        "_pow_table",
-        "_bucket_coeffs",
-        "_bound",
+        "_resident",
+        "_bounds",
         "_spilled",
     )
 
@@ -200,15 +239,29 @@ class SketchStack:
         rows: int = 4,
         bucket_factor: float = 2.0,
         lazy: bool = False,
+        group_seeds=None,
     ):
         if num_rows <= 0:
             raise ValueError(f"num_rows must be positive, got {num_rows}")
+        per_row = isinstance(seed, (list, tuple))
+        if group_seeds is not None:
+            if seed is not None:
+                raise ValueError("pass either seed or group_seeds, not both")
+            unit_seeds = list(group_seeds)
+            if not unit_seeds:
+                raise ValueError("group_seeds must name at least one group")
+        elif per_row:
+            if len(seed) != num_rows:
+                raise ValueError(
+                    f"need one seed per row: {num_rows} rows, {len(seed)} seeds"
+                )
+            if lazy:
+                raise ValueError("lazy stacks require a shared seed")
+            unit_seeds = list(seed)
+        else:
+            unit_seeds = [seed]
         template = SparseRecoverySketch(
-            domain_size,
-            budget,
-            seed if not isinstance(seed, (list, tuple)) else seed[0],
-            rows=rows,
-            bucket_factor=bucket_factor,
+            domain_size, budget, unit_seeds[0], rows=rows, bucket_factor=bucket_factor
         )
         self.num_rows = num_rows
         self.domain_size = domain_size
@@ -217,89 +270,92 @@ class SketchStack:
         self.buckets = template.buckets
         self.cells = rows * self.buckets
         self.lazy = bool(lazy)
-        if isinstance(seed, (list, tuple)):
-            if len(seed) != num_rows:
-                raise ValueError(
-                    f"need one seed per row: {num_rows} rows, {len(seed)} seeds"
-                )
-            if self.lazy:
-                raise ValueError("lazy stacks require a shared seed")
-            self.shared_seed = False
-            self._seed_key = None
-            self._z = None
-            self._seed_keys = [
-                derive_seed(s, "sparse-recovery", domain_size, budget, rows)
-                for s in seed
+        self.shared_seed = not per_row
+        self.num_groups = len(unit_seeds) if self.shared_seed else 1
+        # One seed unit per group (shared seeds) or per row (per-row
+        # seeds): the same derivation as the standalone sketch.
+        self._seed_keys = [
+            derive_seed(s, "sparse-recovery", domain_size, budget, rows)
+            for s in unit_seeds
+        ]
+        self._hash_objs = [
+            [
+                KWiseHash.shared(_BUCKET_HASH_INDEPENDENCE, derive_seed(key, "row", r))
+                for r in range(rows)
             ]
-            self._hash_objs = [
-                [
-                    KWiseHash.shared(
-                        _BUCKET_HASH_INDEPENDENCE, derive_seed(key, "row", r)
-                    )
-                    for r in range(rows)
-                ]
-                for key in self._seed_keys
-            ]
-            self._zs = np.array(
-                [1 + key % (MERSENNE_61 - 1) for key in self._seed_keys],
-                dtype=np.uint64,
-            )
+            for key in self._seed_keys
+        ]
+        self._zs = np.array(
+            [1 + key % (MERSENNE_61 - 1) for key in self._seed_keys], dtype=np.uint64
+        )
+        coefficients = np.array(
+            [[h.coefficients for h in hashes] for hashes in self._hash_objs],
+            dtype=np.uint64,
+        )  # (units, rows, k)
+        if self.shared_seed:
+            self._bucket_coeffs = coefficients
+            self._coeff_mats = None
+        else:
+            self._bucket_coeffs = None
             # One (num_rows, k) coefficient matrix per hash row, for the
             # gathered-coefficient vectorized evaluation.
             self._coeff_mats = [
-                np.array(
-                    [self._hash_objs[row][r].coefficients for row in range(num_rows)],
-                    dtype=np.uint64,
-                )
-                for r in range(rows)
+                np.ascontiguousarray(coefficients[:, r, :]) for r in range(rows)
             ]
-        else:
-            self.shared_seed = True
-            self._seed_key = template._seed_key
-            self._seed_keys = None
-            self._z = int(template._z)
-            self._zs = None
-            self._hash_objs = template._row_hashes  # d shared hashes
-            self._coeff_mats = None
-        stored = 0 if self.lazy else num_rows
+        # Per-group byte-windowed fingerprint power tables, built the first
+        # time a group is touched (derived, shared across clones).
+        self._pow_table: np.ndarray | None = None
+        self._pow_built: np.ndarray | None = None
+        self._reset_storage()
+
+    def _reset_storage(self) -> None:
+        stored = 0 if self.lazy else self.num_groups * self.num_rows
         self._totals = np.zeros((stored, self.cells), dtype=np.int64)
         self._index_sums = np.zeros((stored, self.cells), dtype=np.int64)
         self._fingerprints = np.zeros((stored, self.cells), dtype=np.uint64)
         self._slot_of: dict[int, int] | None = {} if self.lazy else None
-        self._slot_rows: list[int] | None = [] if self.lazy else None
+        self._slot_keys: list[int] | None = [] if self.lazy else None
         # Sorted snapshot of the intern map for vectorized batch lookup
-        # (rebuilt lazily whenever rows were added since the last batch).
-        self._sorted_rows: np.ndarray | None = None
+        # (rebuilt lazily whenever keys were added since the last batch).
+        self._sorted_keys: np.ndarray | None = None
         self._sorted_slots: np.ndarray | None = None
-        # Derived, immutable batch-kernel caches (shared across clones):
-        # the byte-windowed fingerprint power table and the stacked
-        # bucket-hash coefficient matrix (shared-seed stacks only).
-        self._pow_table: np.ndarray | None = None
-        self._bucket_coeffs: np.ndarray | None = None
-        self._bound = 0
+        # Materialized rows per group (lazy storage only).
+        self._resident = np.zeros(self.num_groups, dtype=np.int64) if self.lazy else None
+        self._bounds = np.zeros(self.num_groups, dtype=np.int64)
         self._spilled: dict[int, SparseRecoverySketch] | None = None
 
     # ------------------------------------------------------------------
-    # Seed / randomness plumbing (pure functions of the logical row)
+    # Seed / randomness plumbing (pure functions of the logical key)
     # ------------------------------------------------------------------
 
-    def _seed_key_of(self, row: int) -> int:
-        return self._seed_key if self.shared_seed else self._seed_keys[row]
-
-    def _z_of(self, row: int) -> int:
-        return self._z if self.shared_seed else int(self._zs[row])
+    def _unit(self, key: int) -> int:
+        """Seed unit of storage key ``key``: its group, or its row."""
+        return key // self.num_rows if self.shared_seed else key
 
     def _seed_signature(self):
         if self.shared_seed:
-            return ("shared", self._seed_key, self.num_rows)
+            return ("shared", tuple(self._seed_keys), self.num_rows)
         return ("per-row", tuple(self._seed_keys))
 
-    def _row_hashes_of(self, row: int) -> list[KWiseHash]:
-        return self._hash_objs if self.shared_seed else self._hash_objs[row]
+    def _check_group(self, group: int) -> None:
+        if not 0 <= group < self.num_groups:
+            raise IndexError(f"group {group} out of [0, {self.num_groups})")
+
+    def _key(self, row: int, group: int) -> int:
+        """Storage key of logical row ``row`` in group ``group`` (both
+        range-checked: an out-of-range row must not alias the next
+        group's rows)."""
+        self._check_group(group)
+        if not 0 <= row < self.num_rows:
+            raise IndexError(f"row {row} out of [0, {self.num_rows})")
+        return group * self.num_rows + row
 
     # ------------------------------------------------------------------
     # Lazy slot management
     # ------------------------------------------------------------------
+
+    def _used_rows(self) -> int:
+        return len(self._slot_keys) if self.lazy else self._totals.shape[0]
 
     def _grow_storage(self, needed: int) -> None:
         capacity = self._totals.shape[0]
@@ -312,122 +368,145 @@ class SketchStack:
             grown[:capacity] = old
             setattr(self, name, grown)
 
-    def _slot(self, row: int, create: bool) -> int | None:
-        """Storage row of logical ``row`` (dense: identity; lazy: interned)."""
+    def _slot(self, key: int, create: bool) -> int | None:
+        """Storage row of ``key`` (dense: identity; lazy: interned)."""
         if not self.lazy:
-            return row
-        slot = self._slot_of.get(row)
+            return key
+        slot = self._slot_of.get(key)
         if slot is None and create:
-            slot = len(self._slot_rows)
+            slot = len(self._slot_keys)
             self._grow_storage(slot + 1)
-            self._slot_of[row] = slot
-            self._slot_rows.append(row)
-            self._sorted_rows = None  # lookup snapshot is stale
+            self._slot_of[key] = slot
+            self._slot_keys.append(key)
+            self._resident[key // self.num_rows] += 1
+            self._sorted_keys = None  # lookup snapshot is stale
         return slot
 
-    def _slots_for_batch(self, unique_rows: np.ndarray) -> np.ndarray:
-        """Vectorized intern of a batch's distinct logical rows.
-
-        Known rows resolve through a sorted snapshot of the intern map
-        with one ``searchsorted`` (the touched set saturates quickly, so
-        steady-state chunks pay no per-row Python); only genuinely new
-        rows take the scalar intern path.
-        """
-        if self._sorted_rows is None:
-            self._sorted_rows = np.array(
-                sorted(self._slot_of), dtype=np.int64
-            )
+    def _snapshot(self) -> np.ndarray:
+        """Sorted resident keys (lazy storage), with their slots."""
+        if self._sorted_keys is None:
+            self._sorted_keys = np.array(sorted(self._slot_of), dtype=np.int64)
             self._sorted_slots = np.array(
-                [self._slot_of[row] for row in self._sorted_rows.tolist()],
+                [self._slot_of[key] for key in self._sorted_keys.tolist()],
                 dtype=np.int64,
             )
-        known_rows = self._sorted_rows
-        positions = np.searchsorted(known_rows, unique_rows)
-        positions = np.minimum(positions, max(known_rows.size - 1, 0))
-        if known_rows.size:
-            hit = known_rows[positions] == unique_rows
-        else:
-            hit = np.zeros(unique_rows.shape, dtype=bool)
-        slots = np.empty(unique_rows.shape, dtype=np.int64)
-        slots[hit] = self._sorted_slots[positions[hit]]
-        missing = np.flatnonzero(~hit)
+        return self._sorted_keys
+
+    def _lookup_slots(self, keys: np.ndarray) -> np.ndarray:
+        """Storage rows of ``keys`` without interning; ``-1`` if absent."""
+        if not self.lazy:
+            return keys
+        known = self._snapshot()
+        if known.size == 0:
+            return np.full(keys.shape, -1, dtype=np.int64)
+        positions = np.minimum(np.searchsorted(known, keys), known.size - 1)
+        return np.where(known[positions] == keys, self._sorted_slots[positions], -1)
+
+    def _slots_for_batch(self, unique_keys: np.ndarray) -> np.ndarray:
+        """Vectorized intern of a batch's distinct (sorted) keys.
+
+        Known keys resolve through a sorted snapshot of the intern map
+        with one ``searchsorted`` (the touched set saturates quickly, so
+        steady-state chunks pay no per-row Python); genuinely new keys
+        are bulk-interned: one storage grow, one dict update, and a
+        sorted merge into the lookup snapshot.  ``unique_keys`` is
+        sorted, so slot order matches the scalar intern path
+        bit-for-bit.
+        """
+        known = self._snapshot()
+        slots = self._lookup_slots(unique_keys)
+        missing = np.flatnonzero(slots < 0)
         if missing.size:
-            # Bulk-intern the new rows: one storage grow, one dict update,
-            # and a sorted merge into the lookup snapshot.  ``unique_rows``
-            # is sorted, so slot order matches the scalar intern path
-            # bit-for-bit while growth-heavy streams (every batch touching
-            # fresh rows) stay vectorized instead of paying a per-row
-            # Python intern plus a full snapshot rebuild each chunk.
-            new_rows = unique_rows[missing]
-            base = len(self._slot_rows)
+            new_keys = unique_keys[missing]
+            base = len(self._slot_keys)
             new_slots = np.arange(base, base + missing.size, dtype=np.int64)
             self._grow_storage(base + missing.size)
-            self._slot_of.update(
-                zip(new_rows.tolist(), range(base, base + missing.size))
-            )
-            self._slot_rows.extend(new_rows.tolist())
+            new_list = new_keys.tolist()
+            self._slot_of.update(zip(new_list, range(base, base + missing.size)))
+            self._slot_keys.extend(new_list)
+            np.add.at(self._resident, new_keys // self.num_rows, 1)
             slots[missing] = new_slots
-            insert_at = np.searchsorted(known_rows, new_rows)
-            self._sorted_rows = np.insert(known_rows, insert_at, new_rows)
+            insert_at = np.searchsorted(known, new_keys)
+            self._sorted_keys = np.insert(known, insert_at, new_keys)
             self._sorted_slots = np.insert(self._sorted_slots, insert_at, new_slots)
         return slots
 
-    def resident_rows(self) -> int:
-        """Rows holding allocated state (lazy: touched; dense: all)."""
-        if self._spilled is not None:
-            return len(self._spilled)
-        if self.lazy:
-            return len(self._slot_rows)
-        return self.num_rows
-
-    def touched_row_ids(self) -> list[int]:
-        """Sorted logical ids of resident rows (dense: every row)."""
+    def _touched_keys(self) -> list[int]:
+        """Sorted keys holding allocated state (dense: every key)."""
         if self._spilled is not None:
             return sorted(self._spilled)
         if self.lazy:
             return sorted(self._slot_of)
+        return list(range(self.num_groups * self.num_rows))
+
+    def resident_rows(self, group: int | None = None) -> int:
+        """Storage rows holding allocated state, in all groups or in one
+        (lazy: touched; dense: all)."""
+        if self._spilled is not None:
+            if group is None:
+                return len(self._spilled)
+            low = group * self.num_rows
+            return sum(1 for key in self._spilled if low <= key < low + self.num_rows)
+        if self.lazy:
+            return len(self._slot_keys) if group is None else int(self._resident[group])
+        return self.num_rows if group is not None else self.num_groups * self.num_rows
+
+    def touched_row_ids(self, group: int = 0) -> list[int]:
+        """Sorted logical ids of group ``group``'s resident rows (dense:
+        every row)."""
+        low = group * self.num_rows
+        if self._spilled is not None:
+            return sorted(
+                key - low for key in self._spilled if low <= key < low + self.num_rows
+            )
+        if self.lazy:
+            known = self._snapshot()
+            begin, end = np.searchsorted(known, [low, low + self.num_rows])
+            return (known[begin:end] - low).tolist()
         return list(range(self.num_rows))
 
     def state_digest(self, hasher) -> None:
         """Feed the stack's resident state into ``hasher`` canonically.
 
-        Rows are visited in sorted logical order regardless of intern
-        order, so two same-engine stacks holding the same cell values
-        digest identically even when their streams materialized rows in
-        different sequences.  At memory bandwidth (a sorted gather plus
-        ``tobytes``), this is the cheap way to compare million-row
-        states where :meth:`row_state_ints` per row would take minutes.
-        Digests are only comparable between like engines: a dense stack
-        hashes every row while a lazy one hashes the touched set, so an
-        absent row and a resident all-zero row differ by design.
+        Storage rows are visited in sorted key order regardless of
+        intern order, so two same-engine stacks holding the same cell
+        values digest identically even when their streams materialized
+        rows in different sequences.  At memory bandwidth (a sorted
+        gather plus ``tobytes``), this is the cheap way to compare
+        million-row states where :meth:`row_state_ints` per row would
+        take minutes.  Digests are only comparable between like engines:
+        a dense stack hashes every row while a lazy one hashes the
+        touched set, so an absent row and a resident all-zero row differ
+        by design.
         """
         if self._spilled is not None:
-            for row in sorted(self._spilled):
-                sketch = self._spilled[row]
-                hasher.update(np.int64(row).tobytes())
+            for key in sorted(self._spilled):
+                sketch = self._spilled[key]
+                hasher.update(np.int64(key).tobytes())
                 hasher.update(np.asarray(sketch._totals, dtype=np.int64).tobytes())
                 hasher.update(np.asarray(sketch._index_sums, dtype=np.int64).tobytes())
                 hasher.update(
                     np.asarray(sketch._fingerprints, dtype=np.uint64).tobytes()
                 )
             return
+        planes = (self._totals, self._index_sums, self._fingerprints)
         if self.lazy:
-            rows = np.asarray(self._slot_rows, dtype=np.int64)
-            used = rows.size
-            if used and np.any(rows[1:] < rows[:-1]):
-                order = np.argsort(rows)
-                hasher.update(rows[order].tobytes())
-                for array in (self._totals, self._index_sums, self._fingerprints):
+            keys = np.asarray(self._slot_keys, dtype=np.int64)
+            used = keys.size
+            if used and np.any(keys[1:] < keys[:-1]):
+                order = np.argsort(keys)
+                hasher.update(keys[order].tobytes())
+                for array in planes:
                     hasher.update(np.ascontiguousarray(array[:used][order]).tobytes())
                 return
             # Intern order was already ascending (append-ordered streams):
             # hash the storage slices in place, no gather copy.
-            hasher.update(rows.tobytes())
-            for array in (self._totals, self._index_sums, self._fingerprints):
+            hasher.update(keys.tobytes())
+            for array in planes:
                 hasher.update(np.ascontiguousarray(array[:used]).tobytes())
             return
-        for array in (self._totals, self._index_sums, self._fingerprints):
-            hasher.update(np.ascontiguousarray(array[: self.num_rows]).tobytes())
+        for array in planes:
+            hasher.update(np.ascontiguousarray(array).tobytes())
 
     # ------------------------------------------------------------------
     # Exactness bookkeeping
@@ -435,33 +514,37 @@ class SketchStack:
 
     @property
     def cell_bound(self) -> int:
-        """Conservative bound on any cell's ``|total|`` / ``|index sum|``."""
-        return self._bound
+        """Conservative bound on any cell's ``|total|`` / ``|index sum|``
+        (the maximum of the per-group bounds)."""
+        return int(self._bounds.max())
 
     def is_spilled(self) -> bool:
         """Whether the stack fell back to per-row exact sketches."""
         return self._spilled is not None
 
-    def _zero_row_sketch(self, row: int) -> SparseRecoverySketch:
+    def _row_sketch_of(self, key: int, totals=None, index_sums=None, fingerprints=None):
+        """Standalone sketch of ``key``'s seeds, holding the given cell
+        lists (all-zero where omitted)."""
+        unit = self._unit(key)
         sketch = object.__new__(SparseRecoverySketch)
         sketch.domain_size = self.domain_size
         sketch.budget = self.budget
         sketch.rows = self.rows
         sketch.buckets = self.buckets
-        sketch._seed_key = self._seed_key_of(row)
-        sketch._z = self._z_of(row)
-        sketch._row_hashes = list(self._row_hashes_of(row))
-        sketch._totals = [0] * self.cells
-        sketch._index_sums = [0] * self.cells
-        sketch._fingerprints = [0] * self.cells
+        sketch._seed_key = self._seed_keys[unit]
+        sketch._z = int(self._zs[unit])
+        sketch._row_hashes = list(self._hash_objs[unit])
+        sketch._totals = [0] * self.cells if totals is None else totals
+        sketch._index_sums = [0] * self.cells if index_sums is None else index_sums
+        sketch._fingerprints = [0] * self.cells if fingerprints is None else fingerprints
         return sketch
 
-    def _spilled_sketch(self, row: int, create: bool) -> SparseRecoverySketch:
-        sketch = self._spilled.get(row)
+    def _spilled_sketch(self, key: int, create: bool) -> SparseRecoverySketch:
+        sketch = self._spilled.get(key)
         if sketch is None:
-            sketch = self._zero_row_sketch(row)
+            sketch = self._row_sketch_of(key)
             if create:
-                self._spilled[row] = sketch
+                self._spilled[key] = sketch
         return sketch
 
     def _spill(self) -> None:
@@ -477,41 +560,45 @@ class SketchStack:
         if self._spilled is not None:
             return
         obs.TRACER.count("sketch.spill")
-        self._spilled = {
-            row: self._materialize_row(row) for row in self.touched_row_ids()
-        }
+        self._spilled = {key: self._materialize(key) for key in self._touched_keys()}
         self._totals = self._index_sums = self._fingerprints = None
-        self._slot_of = self._slot_rows = None
-        self._sorted_rows = self._sorted_slots = None
+        self._slot_of = self._slot_keys = self._resident = None
+        self._sorted_keys = self._sorted_slots = None
 
-    def _tighten_bound(self) -> None:
-        """Replace the running conservative bound by the actual maximum
-        cell magnitude (cheap relative to how rarely it is needed)."""
-        if self._spilled is not None:
+    def _tighten_bounds(self) -> None:
+        """Replace every group's running conservative bound by the actual
+        maximum cell magnitude in that group (cheap relative to how
+        rarely it is needed)."""
+        self._bounds[:] = 0
+        used = self._used_rows()
+        if used == 0:
             return
-        used = len(self._slot_rows) if self.lazy else self.num_rows
-        totals = self._totals[:used]
-        index_sums = self._index_sums[:used]
-        if totals.size == 0:
-            self._bound = 0
-            return
-        self._bound = max(
-            abs(int(totals.min())), abs(int(totals.max())),
-            abs(int(index_sums.min())), abs(int(index_sums.max())),
+        magnitude = np.maximum(
+            np.abs(self._totals[:used]).max(axis=1),
+            np.abs(self._index_sums[:used]).max(axis=1),
         )
+        if self.lazy:
+            groups = np.asarray(self._slot_keys, dtype=np.int64) // self.num_rows
+        else:
+            groups = np.arange(used, dtype=np.int64) // self.num_rows
+        np.maximum.at(self._bounds, groups, magnitude)
 
-    def _admit(self, amount: int) -> bool:
-        """Reserve headroom for a batch adding at most ``amount`` to any
-        single cell.  Returns ``False`` after spilling (the caller must
-        take the exact scalar route)."""
+    def _admit(self, groups: list[int], amounts: list[int]) -> bool:
+        """Reserve headroom for a batch adding at most ``amounts[i]`` to
+        any single cell of group ``groups[i]`` (distinct groups).
+        Returns ``False`` after spilling (the caller must take the exact
+        scalar route).  Plain Python over the touched groups: the scalar
+        ``update_row`` path calls this once per update."""
         if self._spilled is not None:
             return False
-        if self._bound + amount < _INT64_SAFE_BOUND:
-            self._bound += amount
-            return True
-        self._tighten_bound()
-        if self._bound + amount < _INT64_SAFE_BOUND:
-            self._bound += amount
+        bounds = self._bounds
+        fresh = [int(bounds[g]) + a for g, a in zip(groups, amounts)]
+        if max(fresh) >= _INT64_SAFE_BOUND and max(amounts) < _INT64_SAFE_BOUND:
+            self._tighten_bounds()  # in place: ``bounds`` stays current
+            fresh = [int(bounds[g]) + a for g, a in zip(groups, amounts)]
+        if max(fresh) < _INT64_SAFE_BOUND:
+            for g, bound in zip(groups, fresh):
+                bounds[g] = bound
             return True
         self._spill()
         return False
@@ -520,25 +607,23 @@ class SketchStack:
     # Updates
     # ------------------------------------------------------------------
 
-    def update_row(self, row: int, index: int, delta: int) -> None:
-        """Scalar ``x_row[index] += delta`` — bit-identical to
-        :meth:`SparseRecoverySketch.update` on the row's sketch."""
+    def update_row(self, row: int, index: int, delta: int, group: int = 0) -> None:
+        """Scalar ``x_(group, row)[index] += delta`` — bit-identical to
+        :meth:`SparseRecoverySketch.update` on that row's sketch."""
         if delta == 0:
             return
-        if not 0 <= row < self.num_rows:
-            raise IndexError(f"row {row} out of [0, {self.num_rows})")
+        key = self._key(row, group)
         if not 0 <= index < self.domain_size:
             raise IndexError(f"index {index} out of domain [0, {self.domain_size})")
-        if not self._admit(abs(delta) * max(index, 1)):
-            self._spilled_sketch(row, create=True).update(index, delta)
+        if not self._admit([group], [abs(delta) * max(index, 1)]):
+            self._spilled_sketch(key, create=True).update(index, delta)
             return
-        slot = self._slot(row, create=True)
-        z = self._z_of(row)
-        power = pow(z, index, MERSENNE_61)
+        slot = self._slot(key, create=True)
+        unit = self._unit(key)
+        power = pow(int(self._zs[unit]), index, MERSENNE_61)
         fingerprint_delta = delta * power
         index_delta = delta * index
-        hashes = self._row_hashes_of(row)
-        for r, row_hash in enumerate(hashes):
+        for r, row_hash in enumerate(self._hash_objs[unit]):
             cell = r * self.buckets + row_hash.bucket(index, self.buckets)
             self._totals[slot, cell] += delta
             self._index_sums[slot, cell] += index_delta
@@ -546,114 +631,178 @@ class SketchStack:
                 (int(self._fingerprints[slot, cell]) + fingerprint_delta) % MERSENNE_61
             )
 
-    def scatter(self, row_ids: np.ndarray, indices: np.ndarray, deltas: np.ndarray) -> None:
-        """Apply a whole incidence batch: ``x_{row_ids[t]}[indices[t]] +=
-        deltas[t]`` for every ``t``, in one vectorized pass.
+    def _batch_headroom(self, groups, indices: np.ndarray, deltas: np.ndarray):
+        """``(touched groups, per-group single-cell headroom)`` of a batch.
 
-        The polynomial bucket hashes and the fingerprint powers are
-        evaluated once per incidence (once per *coordinate* when the
-        caller deduplicates, which the graph layers do), shared across
-        all affected rows; contributions land via one flattened
-        ``(row, cell)`` scatter per counter plane.  Bit-identical to the
-        equivalent sequence of per-row scalar updates — including under
-        lazy storage, where only the touched rows materialize.
+        Every update of a group could land in one of that group's cells,
+        each contributing at most ``|delta| * index`` to the index-sum
+        plane (and less to the totals plane), so a group's headroom is
+        its ``|delta|`` volume times its largest index — never the batch
+        total, which would overstate a many-group batch by the group
+        count.  The volumes must be computed without ``int64``
+        wraparound: only when ``length * max|delta|`` provably fits is
+        the vectorized ``|delta|`` sum exact; otherwise per-group counts
+        times ``max|delta|`` (Python ints) are valid conservative
+        volumes.
         """
-        row_ids = np.ascontiguousarray(row_ids, dtype=np.int64)
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
-        deltas = np.ascontiguousarray(deltas, dtype=np.int64)
-        if not (row_ids.shape == indices.shape == deltas.shape) or row_ids.ndim != 1:
-            raise ValueError("row_ids, indices, deltas must be 1-D of equal length")
+        max_abs_delta = max_abs_int64(deltas)
+        exact = deltas.size * max_abs_delta < _INT64_SAFE_BOUND
+        if groups is None:
+            touched = np.zeros(1, dtype=np.int64)
+            volumes = [
+                int(np.sum(np.abs(deltas), dtype=np.int64))
+                if exact
+                else deltas.size * max_abs_delta
+            ]
+            tops = [int(indices.max())]
+        else:
+            counts = np.bincount(groups, minlength=self.num_groups)
+            touched = np.flatnonzero(counts)
+            if exact:
+                volume = np.zeros(self.num_groups, dtype=np.int64)
+                np.add.at(volume, groups, np.abs(deltas))
+                volumes = volume[touched].tolist()
+            else:
+                volumes = [int(c) * max_abs_delta for c in counts[touched].tolist()]
+            top = np.zeros(self.num_groups, dtype=np.int64)
+            np.maximum.at(top, groups, indices)
+            tops = top[touched].tolist()
+        return touched, [v * max(t, 1) for v, t in zip(volumes, tops)]
+
+    def _ensure_pow_tables(self, groups: np.ndarray) -> None:
+        """Build the fingerprint power tables of ``groups`` not built yet
+        (vectorized over the groups, once per group for the stack's
+        lifetime and its clones)."""
+        if self._pow_built is not None:
+            groups = groups[~self._pow_built[groups]]
+            if groups.size == 0:
+                return
+        tables = build_pow_table(self._zs[groups], self.domain_size - 1)
+        if self._pow_table is None:
+            # Untouched groups' pages are never written, so never resident.
+            self._pow_table = np.zeros(
+                (self.num_groups,) + tables.shape[1:], dtype=np.uint64
+            )
+            self._pow_built = np.zeros(self.num_groups, dtype=bool)
+        self._pow_table[groups] = tables
+        self._pow_built[groups] = True
+
+    def scatter(
+        self,
+        row_ids: np.ndarray,
+        indices: np.ndarray,
+        deltas: np.ndarray,
+        groups: np.ndarray | None = None,
+    ) -> None:
+        """Apply a whole incidence batch: ``x_(groups[t], row_ids[t])
+        [indices[t]] += deltas[t]`` for every ``t``, in one vectorized
+        pass.
+
+        ``groups`` may be omitted on a single-group stack.  The
+        polynomial bucket hashes and the fingerprint powers are
+        evaluated once per incidence with each incidence's own group
+        coefficients and power table; contributions land via one row
+        intern and a flattened ``(storage row, cell)`` scatter per
+        counter plane (in blocks of ``_LAND_BLOCK`` incidences).
+        Bit-identical to the equivalent sequence of
+        per-row scalar updates — including under lazy storage, where
+        only the touched rows materialize.
+        """
+        row_ids = as_index_array(row_ids)
+        indices = as_index_array(indices)
+        deltas = as_index_array(deltas)
+        if groups is not None:
+            groups = as_index_array(groups)
+        if not (
+            row_ids.shape == indices.shape == deltas.shape
+            and (groups is None or groups.shape == row_ids.shape)
+        ):
+            raise ValueError("row_ids, indices, deltas, groups must be of equal length")
+        if groups is None and self.num_groups > 1:
+            raise ValueError("a multi-group stack needs a group id per incidence")
         if row_ids.size == 0:
             return
         nonzero = deltas != 0
         if not nonzero.all():
             row_ids, indices, deltas = row_ids[nonzero], indices[nonzero], deltas[nonzero]
+            if groups is not None:
+                groups = groups[nonzero]
             if row_ids.size == 0:
                 return
         if int(indices.min()) < 0 or int(indices.max()) >= self.domain_size:
             raise IndexError(f"index batch leaves domain [0, {self.domain_size})")
         if int(row_ids.min()) < 0 or int(row_ids.max()) >= self.num_rows:
             raise IndexError(f"row batch leaves [0, {self.num_rows})")
+        if groups is not None and (
+            int(groups.min()) < 0 or int(groups.max()) >= self.num_groups
+        ):
+            raise IndexError(f"group batch leaves [0, {self.num_groups})")
         obs.TRACER.observe("sketch.scatter.batch", row_ids.size)
-        # Conservative single-cell headroom for this batch: every update
-        # could land in one cell, each contributing at most |delta|*index
-        # to the index-sum plane (and less to the totals plane).  The
-        # volume itself must be computed without int64 wraparound: only
-        # when length * max|delta| provably fits is the vectorized
-        # |delta| sum exact; otherwise that product (a Python int) is
-        # itself a valid conservative volume.
-        max_abs_delta = max_abs_int64(deltas)
-        if deltas.size * max_abs_delta < _INT64_SAFE_BOUND:
-            volume = int(np.sum(np.abs(deltas), dtype=np.int64))
-        else:
-            volume = deltas.size * max_abs_delta
-        batch_bound = volume * max(int(indices.max()), 1)
-        if not self._admit(batch_bound):
-            order = np.argsort(row_ids, kind="stable")
-            sorted_rows = row_ids[order]
-            boundaries = np.flatnonzero(np.diff(sorted_rows)) + 1
+        keys = row_ids if groups is None else groups * np.int64(self.num_rows) + row_ids
+        touched, headroom = self._batch_headroom(groups, indices, deltas)
+        if not self._admit(touched.tolist(), headroom):
+            order = np.argsort(keys, kind="stable")
+            boundaries = np.flatnonzero(np.diff(keys[order])) + 1
             for chunk in np.split(order, boundaries):
-                row = int(row_ids[chunk[0]])
-                self._spilled_sketch(row, create=True).update_batch(
+                self._spilled_sketch(int(keys[chunk[0]]), create=True).update_batch(
                     indices[chunk], deltas[chunk]
                 )
             return
 
         if self.lazy:
-            unique_rows, inverse = np.unique(row_ids, return_inverse=True)
-            slots = self._slots_for_batch(unique_rows)[inverse]
+            unique_keys, inverse = np.unique(keys, return_inverse=True)
+            slots = self._slots_for_batch(unique_keys)[inverse]
         else:
-            slots = row_ids
+            slots = keys
 
         residues = np.remainder(deltas, MERSENNE_61).astype(np.uint64)
         if self.shared_seed:
-            if self._pow_table is None:
-                self._pow_table = build_pow_table(self._z, self.domain_size - 1)
-                self._bucket_coeffs = np.array(
-                    [row_hash.coefficients for row_hash in self._hash_objs],
-                    dtype=np.uint64,
-                )
-            # The fused dispatch entry: polyhash → fold → fingerprint
-            # weighting in one backend call (the hot per-chunk path).
-            stacked, terms = stack_positions_terms(
-                self._bucket_coeffs, self._pow_table, indices, residues, self.buckets
+            self._ensure_pow_tables(touched)
+            # The fused dispatch entry: gathered polyhash → fold →
+            # fingerprint weighting in one backend call (the hot
+            # per-chunk path).
+            positions, terms = stack_positions_terms(
+                self._bucket_coeffs,
+                self._pow_table,
+                indices,
+                residues,
+                self.buckets,
+                np.zeros(indices.size, dtype=np.int64) if groups is None else groups,
             )
-            positions = [stacked[r] for r in range(self.rows)]
         else:
-            powers = powmod61_bases(self._zs[row_ids], indices)
-            positions = [
-                (polyhash61_rows(self._coeff_mats[r], row_ids, indices)
-                 % np.uint64(self.buckets)).astype(np.int64)
-                for r in range(self.rows)
-            ]
-            terms = mulmod61(residues, powers)
+            positions = np.empty((self.rows, indices.size), dtype=np.int64)
+            for r in range(self.rows):
+                hashed = polyhash61_rows(self._coeff_mats[r], row_ids, indices)
+                positions[r] = hashed % np.uint64(self.buckets)
+            terms = mulmod61(residues, powmod61_bases(self._zs[row_ids], indices))
+        for start in range(0, slots.size, _LAND_BLOCK):
+            block = slice(start, start + _LAND_BLOCK)
+            self._land(
+                slots[block], positions[:, block], deltas[block], indices[block], terms[block]
+            )
 
+    def _land(self, slots, positions, deltas, indices, terms) -> None:
+        """Add one block of precomputed incidences into the counter
+        planes: one flattened ``(storage row, cell)`` scatter per plane."""
         flat_base = slots * np.int64(self.cells)
         flat = np.concatenate(
             [flat_base + np.int64(r * self.buckets) + positions[r] for r in range(self.rows)]
         )
-        tiled_deltas = np.tile(deltas, self.rows)
-        totals_flat = self._totals.reshape(-1)
-        index_flat = self._index_sums.reshape(-1)
-        np.add.at(totals_flat, flat, tiled_deltas)
-        np.add.at(index_flat, flat, np.tile(deltas * indices, self.rows))
+        np.add.at(self._totals.reshape(-1), flat, np.tile(deltas, self.rows))
+        np.add.at(self._index_sums.reshape(-1), flat, np.tile(deltas * indices, self.rows))
         tiled_terms = np.tile(terms, self.rows)
         stored_cells = self._totals.shape[0] * self.cells
         if self.lazy or stored_cells > 4 * flat.size:
-            # Aggregate over the batch's *distinct* cells only: lazy
-            # stacks (and wide eager stacks fed small batches, e.g. the
-            # spanner's per-root cut stacks) hold far more resident cells
-            # than a chunk touches, and a full-width modular pass per
-            # chunk would dwarf the batch.  Cells outside the batch
-            # receive an exact +0, so this is bit-identical to the
-            # full-array form.
+            # Aggregate over the block's *distinct* cells only: a lazy or
+            # grouped store holds far more cells than one block touches,
+            # and cells outside the block receive an exact +0.
             unique_flat, inverse_flat = np.unique(flat, return_inverse=True)
             agg = scatter_sum_mod61(unique_flat.size, inverse_flat, tiled_terms)
             fingerprints_flat = self._fingerprints.reshape(-1)
-            fingerprints_flat[unique_flat] = addmod61(
-                fingerprints_flat[unique_flat], agg
-            )
+            fingerprints_flat[unique_flat] = addmod61(fingerprints_flat[unique_flat], agg)
         else:
+            # A small dense store fed a large block: one full-width pass
+            # is cheaper than sorting the block's cells.
             agg = scatter_sum_mod61(stored_cells, flat, tiled_terms)
             self._fingerprints = addmod61(
                 self._fingerprints.reshape(-1), agg
@@ -663,73 +812,95 @@ class SketchStack:
     # Row materialization / decode support
     # ------------------------------------------------------------------
 
-    def _materialize_row(self, row: int) -> SparseRecoverySketch:
-        slot = self._slot(row, create=False)
-        sketch = self._zero_row_sketch(row)
+    def _materialize(self, key: int) -> SparseRecoverySketch:
+        slot = self._slot(key, create=False)
+        sketch = self._row_sketch_of(key)
         if slot is not None:
             sketch._totals = self._totals[slot].tolist()
             sketch._index_sums = self._index_sums[slot].tolist()
             sketch._fingerprints = self._fingerprints[slot].tolist()
         return sketch
 
-    def row_sketch(self, row: int) -> SparseRecoverySketch:
-        """A standalone sketch holding row ``row``'s exact current state.
+    def _key_sketch(self, key: int) -> SparseRecoverySketch:
+        if self._spilled is not None:
+            return self._spilled_sketch(key, create=False).copy()
+        return self._materialize(key)
+
+    def row_sketch(self, row: int, group: int = 0) -> SparseRecoverySketch:
+        """A standalone sketch holding row ``row``'s exact current state
+        in group ``group``.
 
         Cheap view: hash families are shared (immutable), cells copied;
         mutating the returned sketch never touches the stack.  Reading a
         never-touched lazy row yields an exact zero state without
         materializing it.
         """
-        if self._spilled is not None:
-            return self._spilled_sketch(row, create=False).copy()
-        return self._materialize_row(row)
+        return self._key_sketch(self._key(row, group))
 
-    def rows_sum_sketch(self, row_ids) -> SparseRecoverySketch:
-        """One sketch holding the exact cell-wise sum of the selected rows.
+    def rows_sum_sketch(self, row_ids, group: int = 0) -> SparseRecoverySketch:
+        """One sketch holding the exact cell-wise sum of the selected rows
+        of group ``group`` (see :meth:`rows_sum_sketches`)."""
+        return self.rows_sum_sketches(row_ids, [group])[0]
 
-        Linearity makes this the sketch of the summed vectors — the
+    def rows_sum_sketches(self, row_ids, groups) -> list[SparseRecoverySketch]:
+        """Per group in ``groups``, one sketch summing the selected rows.
+
+        Linearity makes each the sketch of the summed vectors — the
         Borůvka component sum and the spanner's ``Q`` sums, computed as
         vectorized column reductions instead of pairwise ``combine``
-        loops (identical resulting state).  The integer planes are summed
-        with limb splitting, so the reduction is exact for any row count
-        even near the per-cell ``int64`` guard.
+        loops (identical resulting state).  All groups are read with one
+        gather per counter plane and summed segment-wise.  The integer planes are summed with
+        limb splitting, so the reduction is exact for any row count even
+        near the per-cell ``int64`` guard.
         """
         rows = np.asarray(list(row_ids), dtype=np.int64)
         if rows.size == 0:
-            raise ValueError("rows_sum_sketch needs at least one row")
+            raise ValueError("rows_sum_sketches needs at least one row")
+        if int(rows.min()) < 0 or int(rows.max()) >= self.num_rows:
+            raise IndexError(f"row selection leaves [0, {self.num_rows})")
+        groups = np.asarray(groups, dtype=np.int64)
+        if int(groups.min()) < 0 or int(groups.max()) >= self.num_groups:
+            raise IndexError(f"group selection leaves [0, {self.num_groups})")
+        keys = groups[:, None] * np.int64(self.num_rows) + rows[None, :]
         if self._spilled is not None:
-            combined = self._spilled_sketch(int(rows[0]), create=False).copy()
-            for row in rows[1:]:
-                combined.combine(self._spilled_sketch(int(row), create=False))
-            return combined
-        sketch = self._zero_row_sketch(int(rows[0]))
-        if self.lazy:
-            slots = [self._slot_of.get(int(row)) for row in rows]
-            present = np.array(
-                [slot for slot in slots if slot is not None], dtype=np.int64
+            sums = []
+            for group_keys in keys.tolist():
+                combined = self._spilled_sketch(group_keys[0], create=False).copy()
+                for key in group_keys[1:]:
+                    combined.combine(self._spilled_sketch(key, create=False))
+                sums.append(combined)
+            return sums
+        first_keys = keys[:, 0].tolist()
+        slots = self._lookup_slots(keys.reshape(-1))
+        present = np.flatnonzero(slots >= 0)
+        cells = [(None, None, None)] * len(first_keys)
+        if present.size:
+            # Absent lazy rows are zero: sum only the present (group, row)
+            # pairs, which come group-major — one segment per group.
+            owner = present // rows.size
+            starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+            taken = slots[present]
+            totals = _segment_sum_exact(self._totals[taken], starts)
+            index_sums = _segment_sum_exact(self._index_sums[taken], starts)
+            fingerprints = self._fingerprints[taken]
+            # Borůvka sums many components whose high sample levels hold
+            # no contributions at all — skip the modular sum for those.
+            fingerprint_sums = (
+                _segment_sum_mod61(fingerprints, starts)
+                if fingerprints.any()
+                else [None] * starts.size
             )
-            if present.size == 0:
-                return sketch
-            totals = self._totals[present]
-            index_sums = self._index_sums[present]
-            selected = self._fingerprints[present]
-        else:
-            totals = self._totals[rows]
-            index_sums = self._index_sums[rows]
-            selected = self._fingerprints[rows]
-        sketch._totals = _colsum_exact(totals)
-        sketch._index_sums = _colsum_exact(index_sums)
-        # Borůvka sums many components whose high sample levels hold no
-        # contributions at all — skip the modular column sum for those.
-        if selected.any():
-            sketch._fingerprints = _colsum_mod61(selected).tolist()
-        return sketch
+            for seg, i in enumerate(owner[starts].tolist()):
+                cells[i] = (totals[seg], index_sums[seg], fingerprint_sums[seg])
+        return [self._row_sketch_of(key, *cells[i]) for i, key in enumerate(first_keys)]
 
-    def is_row_zero(self, row: int) -> bool:
-        """Whether row ``row``'s summarized vector is (whp) zero."""
+    def is_row_zero(self, row: int, group: int = 0) -> bool:
+        """Whether row ``row``'s summarized vector in group ``group`` is
+        (whp) zero."""
+        key = self._key(row, group)
         if self._spilled is not None:
-            return self._spilled_sketch(row, create=False).is_zero()
-        slot = self._slot(row, create=False)
+            return self._spilled_sketch(key, create=False).is_zero()
+        slot = self._slot(key, create=False)
         if slot is None:
             return True
         return (
@@ -738,30 +909,29 @@ class SketchStack:
             and not self._fingerprints[slot].any()
         )
 
-    def nonzero_row_ids(self) -> list[int]:
-        """Sorted logical ids of rows with any nonzero cell.
+    def _nonzero_keys(self) -> np.ndarray:
+        """Sorted keys of storage rows with any nonzero cell.
 
         A pure function of the summarized vectors (independent of
         materialization and batch chunking), which is why the sparse
         wire format below is deterministic across engines.
         """
         if self._spilled is not None:
-            return sorted(
-                row for row, sketch in self._spilled.items() if not sketch.is_zero()
+            return np.array(
+                sorted(key for key, sketch in self._spilled.items() if not sketch.is_zero()),
+                dtype=np.int64,
             )
-        used = len(self._slot_rows) if self.lazy else self.num_rows
+        used = self._used_rows()
         if used == 0:
-            return []
+            return np.zeros(0, dtype=np.int64)
         alive = (
             self._totals[:used].any(axis=1)
             | self._index_sums[:used].any(axis=1)
             | self._fingerprints[:used].any(axis=1)
         )
         if self.lazy:
-            return sorted(
-                self._slot_rows[slot] for slot in np.flatnonzero(alive)
-            )
-        return [int(row) for row in np.flatnonzero(alive)]
+            return np.sort(np.asarray(self._slot_keys, dtype=np.int64)[alive])
+        return np.flatnonzero(alive)
 
     # ------------------------------------------------------------------
     # Serialization (per-row, matching SparseRecoverySketch layout)
@@ -771,12 +941,13 @@ class SketchStack:
         """Length of one row's :meth:`row_state_ints`."""
         return 3 * self.cells
 
-    def row_state_ints(self, row: int) -> list[int]:
-        """Row ``row``'s dynamic state, exactly as the standalone
-        sketch's ``state_ints()`` would serialize it."""
+    def row_state_ints(self, row: int, group: int = 0) -> list[int]:
+        """Row ``row``'s dynamic state in group ``group``, exactly as the
+        standalone sketch's ``state_ints()`` would serialize it."""
+        key = self._key(row, group)
         if self._spilled is not None:
-            return self._spilled_sketch(row, create=False).state_ints()
-        slot = self._slot(row, create=False)
+            return self._spilled_sketch(key, create=False).state_ints()
+        slot = self._slot(key, create=False)
         if slot is None:
             return [0] * (3 * self.cells)
         return (
@@ -785,8 +956,9 @@ class SketchStack:
             + self._fingerprints[slot].tolist()
         )
 
-    def load_row_state(self, row: int, values: list[int]) -> None:
-        """Inverse of :meth:`row_state_ints` for row ``row``.
+    def load_row_state(self, row: int, values: list[int], group: int = 0) -> None:
+        """Inverse of :meth:`row_state_ints` for row ``row`` of group
+        ``group``.
 
         Loading an all-zero state into a never-touched lazy row is a
         no-op, so restoring a sparse checkpoint materializes exactly the
@@ -794,18 +966,25 @@ class SketchStack:
         """
         if len(values) != 3 * self.cells:
             raise ValueError(f"expected {3 * self.cells} state ints, got {len(values)}")
-        magnitude = max((abs(int(v)) for v in values), default=0)
+        key = self._key(row, group)
         if (
-            magnitude == 0
+            not any(values)
             and self.lazy
             and self._spilled is None
-            and self._slot(row, create=False) is None
+            and self._slot(key, create=False) is None
         ):
             return
-        if not self._admit(magnitude):
-            self._spilled_sketch(row, create=True).from_state_ints(values)
+        # The bound covers the int64 counter planes (fingerprints are
+        # residues); loading overwrites the row, so the group's bound
+        # only has to cover the larger of its old and the loaded cells.
+        counters = values[: 2 * self.cells]
+        magnitude = max(max(counters), -min(counters))
+        if self._spilled is not None or magnitude >= _INT64_SAFE_BOUND:
+            self._spill()
+            self._spilled_sketch(key, create=True).from_state_ints(values)
             return
-        slot = self._slot(row, create=True)
+        self._bounds[group] = max(int(self._bounds[group]), magnitude)
+        slot = self._slot(key, create=True)
         cells = self.cells
         self._totals[slot] = np.array(values[:cells], dtype=np.int64)
         self._index_sums[slot] = np.array(values[cells : 2 * cells], dtype=np.int64)
@@ -820,41 +999,59 @@ class SketchStack:
         possibly non-fresh stack from a wire block must clear resident
         state first — rows absent from the message are zero by contract.
         """
-        stored = 0 if self.lazy else self.num_rows
-        self._totals = np.zeros((stored, self.cells), dtype=np.int64)
-        self._index_sums = np.zeros((stored, self.cells), dtype=np.int64)
-        self._fingerprints = np.zeros((stored, self.cells), dtype=np.uint64)
-        self._slot_of = {} if self.lazy else None
-        self._slot_rows = [] if self.lazy else None
-        self._sorted_rows = self._sorted_slots = None
-        self._bound = 0
-        self._spilled = None
+        self._reset_storage()
 
     def sparse_state_ints(self) -> list[int]:
-        """Self-delimiting nonzero-rows block: ``[count, (row id, row
-        state) ...]`` in ascending logical row order.
+        """Self-delimiting nonzero-rows blocks, one per group in group
+        order: ``[count, (row id, row state) ...]`` in ascending logical
+        row order.
 
         Dense and lazy stacks fed the same updates emit identical
         blocks — the storage-independent wire format that checkpoints
         and shard messages use to carry logical row ids.
         """
-        rows = self.nonzero_row_ids()
-        flat: list[int] = [len(rows)]
-        for row in rows:
-            flat.append(row)
-            flat.extend(self.row_state_ints(row))
+        keys = self._nonzero_keys()
+        key_groups = keys // self.num_rows
+        counts = np.bincount(key_groups, minlength=self.num_groups)
+        if self._spilled is not None:
+            flat: list[int] = []
+            cursor = 0
+            for count in counts.tolist():
+                flat.append(count)
+                for key in keys[cursor : cursor + count].tolist():
+                    flat.append(key % self.num_rows)
+                    flat.extend(self._spilled[key].state_ints())
+                cursor += count
+            return flat
+        # Each group's rows as one int64 block (fingerprints are below
+        # p < 2^63, so the cast is exact): (row id, totals, index sums,
+        # fingerprints) per row, converted group by group.
+        slots = self._lookup_slots(keys)
+        cells = self.cells
+        flat: list[int] = []
+        first = 0
+        for count in counts.tolist():
+            flat.append(count)
+            if count:
+                taken = slots[first : first + count]
+                block = np.empty((count, 1 + 3 * cells), dtype=np.int64)
+                block[:, 0] = keys[first : first + count] % self.num_rows
+                block[:, 1 : 1 + cells] = self._totals[taken]
+                block[:, 1 + cells : 1 + 2 * cells] = self._index_sums[taken]
+                block[:, 1 + 2 * cells :] = self._fingerprints[taken]
+                flat.extend(block.reshape(-1).tolist())
+                first += count
         return flat
 
     def load_sparse_state(self, values: list[int], cursor: int = 0) -> int:
         """Inverse of :meth:`sparse_state_ints`; returns the new cursor."""
-        count = int(values[cursor])
-        cursor += 1
-        per_row = self.row_state_len()
-        for _ in range(count):
-            row = int(values[cursor])
+        width = 1 + self.row_state_len()
+        for group in range(self.num_groups):
+            count = int(values[cursor])
             cursor += 1
-            self.load_row_state(row, values[cursor : cursor + per_row])
-            cursor += per_row
+            for _ in range(count):
+                self.load_row_state(int(values[cursor]), values[cursor + 1 : cursor + width], group)
+                cursor += width
         return cursor
 
     # ------------------------------------------------------------------
@@ -874,7 +1071,7 @@ class SketchStack:
             raise ValueError("cannot combine stacks with different shapes")
         if self._spilled is None and other._spilled is None:
             if not self.lazy and not other.lazy:
-                if self._admit(other._bound):
+                if self._admit(list(range(self.num_groups)), other._bounds.tolist()):
                     self._totals += sign * other._totals
                     self._index_sums += sign * other._index_sums
                     if sign == 1:
@@ -883,16 +1080,13 @@ class SketchStack:
                         self._fingerprints = submod61(self._fingerprints, other._fingerprints)
                     return
             else:
-                rows = other.nonzero_row_ids()
-                if not rows:
+                keys = other._nonzero_keys()
+                if keys.size == 0:
                     return
-                if self._admit(other._bound):
-                    other_slots = np.array(
-                        [other._slot(row, create=False) for row in rows], dtype=np.int64
-                    )
-                    my_slots = np.array(
-                        [self._slot(row, create=True) for row in rows], dtype=np.int64
-                    )
+                groups = np.unique(keys // self.num_rows).tolist()
+                if self._admit(groups, other._bounds[groups].tolist()):
+                    other_slots = other._lookup_slots(keys)
+                    my_slots = self._slots_for_batch(keys) if self.lazy else keys
                     self._totals[my_slots] += sign * other._totals[other_slots]
                     self._index_sums[my_slots] += sign * other._index_sums[other_slots]
                     theirs = other._fingerprints[other_slots]
@@ -906,48 +1100,40 @@ class SketchStack:
                         )
                     return
         self._spill()
-        for row in other.touched_row_ids():
-            self._spilled_sketch(row, create=True).combine(other.row_sketch(row), sign)
+        for key in other._touched_keys():
+            self._spilled_sketch(key, create=True).combine(other._key_sketch(key), sign)
 
     def clone(self) -> "SketchStack":
         """Independent copy with the same state and seeds."""
         clone = object.__new__(SketchStack)
-        clone.num_rows = self.num_rows
-        clone.domain_size = self.domain_size
-        clone.budget = self.budget
-        clone.rows = self.rows
-        clone.buckets = self.buckets
-        clone.cells = self.cells
-        clone.shared_seed = self.shared_seed
-        clone.lazy = self.lazy
-        clone._seed_key = self._seed_key
-        clone._seed_keys = self._seed_keys
-        clone._z = self._z
-        clone._zs = self._zs
-        clone._hash_objs = self._hash_objs
-        clone._coeff_mats = self._coeff_mats
-        clone._pow_table = self._pow_table
-        clone._bucket_coeffs = self._bucket_coeffs
-        clone._bound = self._bound
-        clone._sorted_rows = clone._sorted_slots = None
+        for name in (
+            "num_rows", "domain_size", "budget", "rows", "buckets", "cells",
+            "num_groups", "shared_seed", "lazy",
+            # Derived, immutable (or fill-once) randomness: shared.
+            "_seed_keys", "_zs", "_hash_objs", "_coeff_mats", "_bucket_coeffs",
+            "_pow_table", "_pow_built",
+        ):
+            setattr(clone, name, getattr(self, name))
+        clone._bounds = self._bounds.copy()
+        clone._sorted_keys = clone._sorted_slots = None
         if self._spilled is not None:
             clone._totals = clone._index_sums = clone._fingerprints = None
-            clone._slot_of = clone._slot_rows = None
-            clone._spilled = {row: sketch.copy() for row, sketch in self._spilled.items()}
+            clone._slot_of = clone._slot_keys = clone._resident = None
+            clone._spilled = {key: sketch.copy() for key, sketch in self._spilled.items()}
         else:
             clone._totals = self._totals.copy()
             clone._index_sums = self._index_sums.copy()
             clone._fingerprints = self._fingerprints.copy()
             clone._slot_of = None if self._slot_of is None else dict(self._slot_of)
-            clone._slot_rows = None if self._slot_rows is None else list(self._slot_rows)
+            clone._slot_keys = None if self._slot_keys is None else list(self._slot_keys)
+            clone._resident = None if self._resident is None else self._resident.copy()
             clone._spilled = None
         return clone
 
     def row_space_words(self) -> int:
         """Per-row persistent state in machine words — same accounting as
         the standalone sketch's ``space_words()``."""
-        hashes = self._hash_objs if self.shared_seed else self._hash_objs[0]
-        return 3 * self.cells + sum(h.space_words() for h in hashes) + 1
+        return 3 * self.cells + sum(h.space_words() for h in self._hash_objs[0]) + 1
 
     def resident_space_words(self) -> int:
         """Words actually held: resident rows only (dense: all rows)."""
@@ -955,131 +1141,164 @@ class SketchStack:
 
     def universe_space_words(self) -> int:
         """Words a fully dense allocation over the universe would hold."""
-        return self.num_rows * self.row_space_words()
+        return self.num_groups * self.num_rows * self.row_space_words()
 
     def __repr__(self) -> str:
         return (
             f"SketchStack(num_rows={self.num_rows}, domain_size={self.domain_size}, "
             f"budget={self.budget}, rows={self.rows}, buckets={self.buckets}, "
-            f"shared_seed={self.shared_seed}, lazy={self.lazy}, "
-            f"resident={self.resident_rows()}, spilled={self.is_spilled()})"
+            f"groups={self.num_groups}, shared_seed={self.shared_seed}, "
+            f"lazy={self.lazy}, resident={self.resident_rows()}, "
+            f"spilled={self.is_spilled()})"
         )
 
 
 class L0SamplerStack:
-    """Columnar state of ``num_rows`` same-seeded L0-samplers.
+    """Columnar state of ``num_rows`` L0-samplers per seed family.
 
-    One shared :class:`~repro.sketch.hashing.NestedSampler` membership
+    ``seed`` names one family, or a list names several independent
+    families (AGM rounds); every scatter and ``update_row`` reaches
+    every family, since all AGM rounds see the same incidences.  One
+    stacked :func:`~repro.sketch.kernels.polyhash61_multi` membership
     evaluation per coordinate routes each incidence to its geometric
-    levels; every level is a shared-seed :class:`SketchStack`.  This is
-    the storage behind :class:`~repro.agm.spanning_forest.AgmSketch`:
-    rows are vertices, and all rows of one AGM round hash the same edge
-    coordinates — the structure the columnar layout exploits.  With
-    ``lazy=True`` every level materializes rows on first touch, so a
-    huge-universe round stack holds state for touched vertices only.
+    levels in every family, and all ``(family, level)`` sketches live in
+    one seed-grouped :class:`SketchStack` (group ``family * levels +
+    level``) — one scatter per batch.  This is the storage behind
+    :class:`~repro.agm.spanning_forest.AgmSketch`: rows are vertices.
+    With ``lazy=True`` storage rows materialize on first touch, so a
+    huge-universe stack holds state for touched vertices only.
     """
 
-    __slots__ = ("num_rows", "domain_size", "levels", "lazy", "_seed_key", "_membership", "_level_stacks", "_tiebreak")
+    __slots__ = (
+        "num_rows",
+        "domain_size",
+        "levels",
+        "families",
+        "lazy",
+        "_seed_keys",
+        "_memberships",
+        "_membership_coeffs",
+        "_tiebreaks",
+        "_store",
+    )
 
     def __init__(self, num_rows: int, domain_size: int, seed, budget: int = 4, lazy: bool = False):
-        template = L0Sampler(domain_size, seed, budget=budget)
+        family_seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+        templates = [L0Sampler(domain_size, s, budget=budget) for s in family_seeds]
         self.num_rows = num_rows
         self.domain_size = domain_size
-        self.levels = template.levels
+        self.levels = templates[0].levels
+        self.families = len(templates)
         self.lazy = bool(lazy)
-        self._seed_key = template._seed_key
-        self._membership = template._membership
-        self._tiebreak = template._tiebreak
-        self._level_stacks = [
-            SketchStack(
-                num_rows,
-                domain_size,
-                budget,
-                derive_seed(self._seed_key, "level", j),
-                rows=3,
-                lazy=self.lazy,
-            )
-            for j in range(self.levels)
-        ]
+        self._seed_keys = [t._seed_key for t in templates]
+        self._memberships = [t._membership for t in templates]
+        self._tiebreaks = [t._tiebreak for t in templates]
+        self._membership_coeffs = np.array(
+            [m.coefficients for m in self._memberships], dtype=np.uint64
+        )
+        self._store = SketchStack(
+            num_rows,
+            domain_size,
+            budget,
+            None,
+            rows=3,
+            lazy=self.lazy,
+            group_seeds=[
+                derive_seed(key, "level", j)
+                for key in self._seed_keys
+                for j in range(self.levels)
+            ],
+        )
 
     def update_row(self, row: int, index: int, delta: int) -> None:
-        """Scalar ``x_row[index] += delta`` — bit-identical to
-        :meth:`L0Sampler.update` on the row's sampler."""
+        """Scalar ``x_row[index] += delta`` in every family —
+        bit-identical to :meth:`L0Sampler.update` on each family's
+        sampler of the row."""
         if delta == 0:
             return
-        deepest = self._membership.level(index)
-        for j in range(deepest + 1):
-            self._level_stacks[j].update_row(row, index, delta)
+        for family, membership in enumerate(self._memberships):
+            first = family * self.levels
+            for j in range(membership.level(index) + 1):
+                self._store.update_row(row, index, delta, first + j)
 
     def scatter(self, row_ids: np.ndarray, indices: np.ndarray, deltas: np.ndarray) -> None:
-        """Vectorized incidence batch: one membership evaluation per
-        coordinate, then one :meth:`SketchStack.scatter` per level."""
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
-        if indices.size == 0:
+        """Vectorized incidence batch into every family: one stacked
+        membership evaluation per coordinate, then exactly one
+        :meth:`SketchStack.scatter` of the ``(family, level)``
+        incidences."""
+        row_ids = as_index_array(row_ids)
+        indices = as_index_array(indices)
+        deltas = as_index_array(deltas)
+        if not row_ids.shape == indices.shape == deltas.shape:
+            raise ValueError("row_ids, indices, deltas must be of equal length")
+        n = indices.size
+        if n == 0:
             return
-        levels = self._membership.level_array(indices)
-        row_ids = np.ascontiguousarray(row_ids, dtype=np.int64)
-        deltas = np.ascontiguousarray(deltas, dtype=np.int64)
-        for j in range(int(levels.max()) + 1):
-            surviving = levels >= j
-            self._level_stacks[j].scatter(
-                row_ids[surviving], indices[surviving], deltas[surviving]
-            )
+        levels = self._memberships[0].levels_of_values(
+            polyhash61_multi(self._membership_coeffs, indices)
+        )  # (families, n): every family shares max_level
+        # Expand each (family, incidence) into its levels 0..deepest.
+        counts = (levels + 1).reshape(-1)
+        source = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+        starts = np.cumsum(counts) - counts
+        depth = np.arange(source.size, dtype=np.int64) - np.repeat(starts, counts)
+        incidence = source % n
+        groups = (source // n) * np.int64(self.levels) + depth
+        self._store.scatter(row_ids[incidence], indices[incidence], deltas[incidence], groups)
 
     # ------------------------------------------------------------------
     # Row materialization / decode support
     # ------------------------------------------------------------------
 
-    def _sampler_from_sketches(self, sketches: list[SparseRecoverySketch]) -> L0Sampler:
+    def _family_groups(self, family: int) -> np.ndarray:
+        if not 0 <= family < self.families:
+            raise IndexError(f"family {family} out of [0, {self.families})")
+        first = family * self.levels
+        return np.arange(first, first + self.levels, dtype=np.int64)
+
+    def _sampler(self, family: int, sketches: list[SparseRecoverySketch]) -> L0Sampler:
         sampler = object.__new__(L0Sampler)
         sampler.domain_size = self.domain_size
         sampler.levels = self.levels
-        sampler._seed_key = self._seed_key
-        sampler._membership = self._membership
+        sampler._seed_key = self._seed_keys[family]
+        sampler._membership = self._memberships[family]
         sampler._level_sketches = sketches
-        sampler._tiebreak = self._tiebreak
+        sampler._tiebreak = self._tiebreaks[family]
         return sampler
 
-    def row_sampler(self, row: int) -> L0Sampler:
-        """A standalone sampler holding row ``row``'s exact state."""
-        return self._sampler_from_sketches(
-            [stack.row_sketch(row) for stack in self._level_stacks]
-        )
+    def row_sampler(self, row: int, family: int = 0) -> L0Sampler:
+        """A standalone sampler holding row ``row``'s exact state in
+        family ``family`` (all levels read with one gather)."""
+        return self.rows_sum_sampler([row], family)
 
-    def rows_sum_sampler(self, row_ids) -> L0Sampler:
-        """One sampler summarizing the exact sum of the selected rows —
-        the Borůvka component sum, as column reductions."""
-        rows = list(row_ids)
-        return self._sampler_from_sketches(
-            [stack.rows_sum_sketch(rows) for stack in self._level_stacks]
-        )
-
-    def is_row_zero(self, row: int) -> bool:
-        """Whether row ``row``'s vector is (whp) identically zero."""
-        return self._level_stacks[0].is_row_zero(row)
+    def rows_sum_sampler(self, row_ids, family: int = 0) -> L0Sampler:
+        """One sampler summarizing the exact sum of the selected rows in
+        family ``family`` — the Borůvka component sum, as one gathered
+        column reduction over all levels."""
+        groups = self._family_groups(family)
+        return self._sampler(family, self._store.rows_sum_sketches(row_ids, groups))
 
     def touched_row_ids(self) -> list[int]:
         """Sorted logical ids of rows ever updated (every update reaches
-        level 0, so the level-0 stack carries the full touched set)."""
-        return self._level_stacks[0].touched_row_ids()
+        level 0 of every family, so group 0 carries the full touched
+        set)."""
+        return self._store.touched_row_ids(0)
 
     def resident_rows(self) -> int:
-        """Materialized ``(level, row)`` slots across all level stacks."""
-        return sum(stack.resident_rows() for stack in self._level_stacks)
+        """Materialized ``(family, level, row)`` storage rows."""
+        return self._store.resident_rows()
 
     def num_touched_rows(self) -> int:
-        """Number of rows ever updated, in O(1) (the level-0 stack's
-        resident count — every update reaches level 0).  The cheap
-        cardinality twin of :meth:`touched_row_ids`, which sorts."""
-        return self._level_stacks[0].resident_rows()
+        """Number of rows ever updated, in O(1) (group 0's resident count
+        — every update reaches level 0).  The cheap cardinality twin of
+        :meth:`touched_row_ids`, which sorts."""
+        return self._store.resident_rows(0)
 
     def state_digest(self, hasher) -> None:
-        """Feed every level stack's resident state into ``hasher``
-        (see :meth:`SketchStack.state_digest` for the canonical order
-        and the like-engine comparability caveat)."""
-        for level, stack in enumerate(self._level_stacks):
-            hasher.update(np.int64(level).tobytes())
-            stack.state_digest(hasher)
+        """Feed the grouped store's resident state into ``hasher`` (see
+        :meth:`SketchStack.state_digest` for the canonical order and the
+        like-engine comparability caveat)."""
+        self._store.state_digest(hasher)
 
     # ------------------------------------------------------------------
     # Serialization (per-row, matching L0Sampler layout)
@@ -1087,43 +1306,35 @@ class L0SamplerStack:
 
     def row_state_len(self) -> int:
         """Length of one row's :meth:`row_state_ints`."""
-        return sum(stack.row_state_len() for stack in self._level_stacks)
+        return self.levels * self._store.row_state_len()
 
-    def row_state_ints(self, row: int) -> list[int]:
+    def row_state_ints(self, row: int, family: int = 0) -> list[int]:
         """Row ``row``'s state, exactly as ``L0Sampler.state_ints()``."""
         flat: list[int] = []
-        for stack in self._level_stacks:
-            flat.extend(stack.row_state_ints(row))
+        for group in self._family_groups(family).tolist():
+            flat.extend(self._store.row_state_ints(row, group))
         return flat
 
-    def load_row_state(self, row: int, values: list[int]) -> None:
+    def load_row_state(self, row: int, values: list[int], family: int = 0) -> None:
         """Inverse of :meth:`row_state_ints` for row ``row``."""
-        cursor = 0
-        for stack in self._level_stacks:
-            need = stack.row_state_len()
-            stack.load_row_state(row, values[cursor : cursor + need])
-            cursor += need
-        if cursor != len(values):
-            raise ValueError(f"expected {cursor} state ints, got {len(values)}")
+        if len(values) != self.row_state_len():
+            raise ValueError(f"expected {self.row_state_len()} state ints, got {len(values)}")
+        need = self._store.row_state_len()
+        for j, group in enumerate(self._family_groups(family).tolist()):
+            self._store.load_row_state(row, values[j * need : (j + 1) * need], group)
 
     def reset_state(self) -> None:
-        """Drop every level stack back to the all-zero state."""
-        for stack in self._level_stacks:
-            stack.reset_state()
+        """Drop every row back to the all-zero state."""
+        self._store.reset_state()
 
     def sparse_state_ints(self) -> list[int]:
-        """Concatenated per-level nonzero-row blocks (see
+        """Per-level nonzero-row blocks, family-major (see
         :meth:`SketchStack.sparse_state_ints`) — storage-independent."""
-        flat: list[int] = []
-        for stack in self._level_stacks:
-            flat.extend(stack.sparse_state_ints())
-        return flat
+        return self._store.sparse_state_ints()
 
     def load_sparse_state(self, values: list[int], cursor: int = 0) -> int:
         """Inverse of :meth:`sparse_state_ints`; returns the new cursor."""
-        for stack in self._level_stacks:
-            cursor = stack.load_sparse_state(values, cursor)
-        return cursor
+        return self._store.load_sparse_state(values, cursor)
 
     # ------------------------------------------------------------------
     # Linearity / copying
@@ -1131,55 +1342,51 @@ class L0SamplerStack:
 
     def combine(self, other: "L0SamplerStack", sign: int = 1) -> None:
         """In-place ``self += sign * other``; seeds must match (mixed
-        dense/lazy storage is handled level-wise)."""
-        if self._seed_key != other._seed_key:
+        dense/lazy storage is handled by the store)."""
+        if self._seed_keys != other._seed_keys:
             raise ValueError("cannot combine stacks with different seeds")
-        for mine, theirs in zip(self._level_stacks, other._level_stacks):
-            mine.combine(theirs, sign)
+        self._store.combine(other._store, sign)
 
     def clone(self) -> "L0SamplerStack":
-        """Independent copy with the same state and seed."""
+        """Independent copy with the same state and seeds."""
         clone = object.__new__(L0SamplerStack)
-        clone.num_rows = self.num_rows
-        clone.domain_size = self.domain_size
-        clone.levels = self.levels
-        clone.lazy = self.lazy
-        clone._seed_key = self._seed_key
-        clone._membership = self._membership
-        clone._tiebreak = self._tiebreak
-        clone._level_stacks = [stack.clone() for stack in self._level_stacks]
+        for name in (
+            "num_rows", "domain_size", "levels", "families", "lazy",
+            "_seed_keys", "_memberships", "_membership_coeffs", "_tiebreaks",
+        ):
+            setattr(clone, name, getattr(self, name))
+        clone._store = self._store.clone()
         return clone
 
+    def _seed_words(self) -> int:
+        return self._memberships[0].space_words() + self._tiebreaks[0].space_words()
+
     def row_space_words(self) -> int:
-        """Per-row persistent state in machine words — same accounting as
-        the standalone sampler's ``space_words()``."""
-        return (
-            self._membership.space_words()
-            + self._tiebreak.space_words()
-            + sum(stack.row_space_words() for stack in self._level_stacks)
-        )
+        """Per-row, per-family persistent state in machine words — same
+        accounting as the standalone sampler's ``space_words()``."""
+        return self._seed_words() + self.levels * self._store.row_space_words()
 
     def resident_space_words(self) -> int:
         """Words actually held by materialized rows.
 
         Mirrors the historical per-sampler accounting (each row charges
-        its own membership/tiebreak seeds), so a dense stack reports
-        exactly ``num_rows * row_space_words()`` while a lazy stack
-        charges touched rows only.
+        its own membership/tiebreak seeds once per family), so a dense
+        stack reports exactly ``families * num_rows * row_space_words()``
+        while a lazy stack charges touched rows only.
         """
-        seed_words = self._membership.space_words() + self._tiebreak.space_words()
-        return (
-            self._level_stacks[0].resident_rows() * seed_words
-            + sum(stack.resident_space_words() for stack in self._level_stacks)
+        level0_rows = sum(
+            self._store.resident_rows(family * self.levels)
+            for family in range(self.families)
         )
+        return level0_rows * self._seed_words() + self._store.resident_space_words()
 
     def universe_space_words(self) -> int:
         """Words a fully dense universe allocation would hold."""
-        return self.num_rows * self.row_space_words()
+        return self.families * self.num_rows * self.row_space_words()
 
     def __repr__(self) -> str:
         return (
             f"L0SamplerStack(num_rows={self.num_rows}, "
             f"domain_size={self.domain_size}, levels={self.levels}, "
-            f"lazy={self.lazy})"
+            f"families={self.families}, lazy={self.lazy})"
         )

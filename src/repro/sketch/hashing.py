@@ -157,6 +157,13 @@ class NestedSampler:
     def __deepcopy__(self, memo) -> "NestedSampler":
         return self
 
+    @property
+    def coefficients(self) -> tuple[int, ...]:
+        """The membership polynomial's coefficients (for stacked
+        evaluation of several samplers' memberships at once — see
+        :func:`repro.sketch.kernels.polyhash61_multi`)."""
+        return self._hash.coefficients
+
     def level(self, x: int) -> int:
         """Deepest ``j`` (capped at ``max_level``) with ``x`` in ``S_j``."""
         value = self._hash(x)
@@ -180,7 +187,15 @@ class NestedSampler:
         lets the columnar stacks route each coordinate to exactly the
         same per-level rows the scalar path would touch.
         """
-        values = self._hash.values_array(xs)
+        return self.levels_of_values(self._hash.values_array(xs))
+
+    def levels_of_values(self, values: "_np.ndarray") -> "_np.ndarray":
+        """Deepest levels from precomputed membership hash values.
+
+        The second half of :meth:`level_array`, for callers that
+        evaluate several samplers' hashes in one stacked pass (any
+        array shape; samplers must share ``max_level``).
+        """
         # x in S_j  <=>  value < 2^(61-j); thresholds ascending in j's
         # reverse order so searchsorted counts the failed levels.
         depth = min(self.max_level, 61)

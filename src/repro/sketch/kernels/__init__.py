@@ -52,7 +52,6 @@ __all__ = [
     "polyhash61_rows",
     "powmod61",
     "powmod61_bases",
-    "powmod61_windowed",
     "scatter_sum_mod61",
     "stack_positions_terms",
     "submod61",
@@ -69,7 +68,6 @@ KERNEL_NAMES = (
     "polyhash61_multi",
     "powmod61",
     "powmod61_bases",
-    "powmod61_windowed",
     "build_pow_table",
     "scatter_sum_mod61",
     "stack_positions_terms",
@@ -211,14 +209,9 @@ def powmod61_bases(bases, exponents):
     return _ACTIVE.powmod61_bases(bases, exponents)
 
 
-def powmod61_windowed(exponents, table):
-    """Byte-windowed vectorized ``pow`` via the active backend."""
-    return _ACTIVE.powmod61_windowed(exponents, table)
-
-
-def build_pow_table(base, max_exponent):
-    """Byte-windowed power table for :func:`powmod61_windowed`."""
-    return _ACTIVE.build_pow_table(base, max_exponent)
+def build_pow_table(bases, max_exponent):
+    """Per-base byte-windowed power tables, shape ``(len(bases), windows, 256)``."""
+    return _ACTIVE.build_pow_table(bases, max_exponent)
 
 
 def scatter_sum_mod61(cells, positions, terms):
@@ -226,6 +219,8 @@ def scatter_sum_mod61(cells, positions, terms):
     return _ACTIVE.scatter_sum_mod61(cells, positions, terms)
 
 
-def stack_positions_terms(bucket_coeffs, pow_table, indices, residues, buckets):
-    """Fused shared-seed scatter precompute via the active backend."""
-    return _ACTIVE.stack_positions_terms(bucket_coeffs, pow_table, indices, residues, buckets)
+def stack_positions_terms(bucket_coeffs, pow_table, indices, residues, buckets, groups):
+    """Fused seed-grouped scatter precompute via the active backend."""
+    return _ACTIVE.stack_positions_terms(
+        bucket_coeffs, pow_table, indices, residues, buckets, groups
+    )

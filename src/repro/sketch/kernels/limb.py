@@ -33,11 +33,11 @@ from repro.sketch.kernels import reference as _ref
 from repro.util import sanitize as _sanitize
 
 __all__ = [
+    "build_pow_table",
     "mulmod61",
     "polyhash61",
     "polyhash61_multi",
     "polyhash61_rows",
-    "powmod61_windowed",
     "scatter_sum_mod61",
     "stack_positions_terms",
 ]
@@ -223,30 +223,32 @@ def polyhash61_rows(coeff_matrix: np.ndarray, row_ids: np.ndarray, xs: np.ndarra
     return acc
 
 
-def powmod61_windowed(exponents: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Byte-windowed vectorized ``pow``, one in-place multiply per byte."""
-    exponents = np.asarray(exponents)
-    if exponents.ndim != 1 or exponents.size == 0:
-        return _ref.powmod61_windowed(exponents, table)
-    if np.any(exponents < 0):
-        raise ValueError("exponents must be non-negative")
-    n = exponents.size
-    exp = exponents.astype(np.uint64)
-    window = _ibuf("pw.w", n)
-    np.bitwise_and(exp, _BYTE, out=window)
-    result = table[0][window]
-    tbuf = _buf("pw.t", n)
-    t_hi, t_lo = _buf("pw.thi", n), _buf("pw.tlo", n)
-    s1, s2, s3 = _buf("pw.s1", n), _buf("pw.s2", n), _buf("pw.s3", n)
-    for i in range(1, table.shape[0]):
-        np.right_shift(exp, np.uint64(8 * i), out=window)
-        np.bitwise_and(window, _BYTE_I64, out=window)
-        if window.any():  # base^0 = 1: all-zero windows multiply by one
-            np.take(table[i], window, out=tbuf)
-            np.right_shift(tbuf, _U32, out=t_hi)
-            np.bitwise_and(tbuf, _MASK32, out=t_lo)
-            _mul_into(result, t_hi, t_lo, result, s1, s2, s3)
-    return result
+def build_pow_table(bases, max_exponent: int) -> np.ndarray:
+    """Per-base byte-windowed power tables, built by doubling.
+
+    Column block ``[s, 2s)`` of every ``(base, window)`` row is block
+    ``[0, s)`` times ``step^s``, so eight :func:`mulmod61` passes per
+    window over ``G * s`` elements fill all ``G`` tables at once; the
+    ``step^s`` multipliers are the repeated squares ``base^(2^m)``.
+    Bit-identical to the reference's scalar loop.
+    """
+    bases = np.remainder(np.ravel(np.asarray(bases, dtype=np.uint64)), _M61)
+    windows = _ref.pow_table_windows(max_exponent)
+    count = bases.size
+    # squares[m] = base^(2^m): window i's step^(2^b) is squares[8i + b].
+    squares = np.empty((8 * windows, count), dtype=np.uint64)
+    squares[0] = bases
+    for m in range(1, 8 * windows):
+        squares[m] = mulmod61(squares[m - 1], squares[m - 1])
+    table = np.empty((count, windows, 256), dtype=np.uint64)
+    table[:, :, 0] = 1
+    for i in range(windows):  # one window at a time bounds the pooled scratch
+        for b in range(8):
+            span = 1 << b
+            table[:, i, span : 2 * span] = mulmod61(
+                table[:, i, :span].reshape(-1), np.repeat(squares[8 * i + b], span)
+            ).reshape(count, span)
+    return table
 
 
 def scatter_sum_mod61(cells: int, positions: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -284,21 +286,115 @@ def scatter_sum_mod61(cells: int, positions: np.ndarray, terms: np.ndarray) -> n
     return out
 
 
+#: Incidences per pass of :func:`stack_positions_terms`: bounds the
+#: pooled scratch (about 30 words per incidence) however large the
+#: fused batch.
+_BLOCK = 1 << 14
+
+
 def stack_positions_terms(
     bucket_coeffs: np.ndarray,
     pow_table: np.ndarray,
     indices: np.ndarray,
     residues: np.ndarray,
     buckets: int,
+    groups: np.ndarray,
 ):
-    """Fused shared-seed scatter precompute (see the reference oracle).
+    """Seed-grouped scatter precompute (see the reference oracle).
 
-    Runs the windowed power, fingerprint weighting, and multi-row bucket
-    hash through the scratch-pooled kernels above; bit-identical to the
+    One pass per block of incidences whatever the group count: the
+    windowed power gathers each incidence's byte entries from its
+    group's table, and the ``d`` bucket hashes run one ``(d, n)`` Horner
+    whose coefficients are gathered per incidence.  Bit-identical to the
     reference composition.
     """
-    powers = powmod61_windowed(indices, pow_table)
-    terms = mulmod61(residues, powers)
-    stacked = polyhash61_multi(bucket_coeffs, indices)
-    np.remainder(stacked, np.uint64(buckets), out=stacked)
-    return stacked.astype(np.int64), terms
+    indices = np.asarray(indices)
+    if indices.ndim != 1 or indices.size == 0:
+        return _ref.stack_positions_terms(
+            bucket_coeffs, pow_table, indices, residues, buckets, groups
+        )
+    if np.any(indices < 0):
+        raise ValueError("exponents must be non-negative")
+    residues = np.asarray(residues, dtype=np.uint64)
+    if _sanitize.ENABLED:
+        _sanitize.require_canonical(residues, MERSENNE_61, "stack_positions_terms residues")
+    num_groups, d, k = bucket_coeffs.shape
+    n = indices.size
+    groups = np.asarray(groups, dtype=np.int64)
+    # coeff_rows[t] is coefficient t of every (group, hash row);
+    # incidence j of hash row r reads entry groups[j] * d + r.
+    coeff_rows = np.ascontiguousarray(
+        bucket_coeffs.transpose(2, 0, 1).reshape(k, num_groups * d)
+    )
+    positions = np.empty((d, n), dtype=np.int64)
+    terms = np.empty(n, dtype=np.uint64)
+    for start in range(0, n, _BLOCK):
+        block = slice(start, min(start + _BLOCK, n))
+        _positions_terms_into(
+            coeff_rows,
+            pow_table,
+            indices[block],
+            residues[block],
+            buckets,
+            groups[block],
+            positions[:, block],
+            terms[block],
+        )
+    return positions, terms
+
+
+def _positions_terms_into(
+    coeff_rows, pow_table, indices, residues, buckets, groups, positions, terms
+) -> None:
+    """One block of :func:`stack_positions_terms`, written into the
+    caller's ``positions`` / ``terms`` slices."""
+    n = indices.size
+    k = coeff_rows.shape[0]
+    d = positions.shape[0]
+    windows = pow_table.shape[1]
+    s1, s2, s3 = _buf("spt.s1", n), _buf("spt.s2", n), _buf("spt.s3", n)
+    t_hi, t_lo = _buf("spt.thi", n), _buf("spt.tlo", n)
+
+    # Fingerprint powers: one gather + one multiply per byte window.
+    flat_table = pow_table.reshape(-1)
+    exp = _buf("spt.exp", n)
+    np.copyto(exp, indices, casting="unsafe")  # non-negative int64
+    window = _ibuf("spt.w", n)
+    first = _ibuf("spt.first", n)
+    np.multiply(groups, np.int64(windows * 256), out=first)
+    np.bitwise_and(exp, _BYTE, out=window)
+    np.add(window, first, out=window)
+    powers = _buf("spt.p", n)
+    np.take(flat_table, window, out=powers)
+    tbuf = _buf("spt.t", n)
+    for i in range(1, windows):
+        np.right_shift(exp, np.uint64(8 * i), out=window)
+        np.bitwise_and(window, _BYTE_I64, out=window)
+        if window.any():  # base^0 = 1: all-zero windows multiply by one
+            np.add(window, np.int64(i * 256), out=window)
+            np.add(window, first, out=window)
+            np.take(flat_table, window, out=tbuf)
+            np.right_shift(tbuf, _U32, out=t_hi)
+            np.bitwise_and(tbuf, _MASK32, out=t_lo)
+            _mul_into(powers, t_hi, t_lo, powers, s1, s2, s3)
+    np.right_shift(powers, _U32, out=t_hi)
+    np.bitwise_and(powers, _MASK32, out=t_lo)
+    _mul_into(residues, t_hi, t_lo, terms, s1, s2, s3)
+
+    # Bucket hashes: one (d, n) Horner over the key limbs.
+    keys = _canonical_keys(indices, "spt")
+    x_hi, x_lo = _split_keys(keys, "spt")
+    acc = _buf2("spt.acc", d, n)
+    h1, h2, h3 = _buf2("spt.h1", d, n), _buf2("spt.h2", d, n), _buf2("spt.h3", d, n)
+    gather = _ibuf("spt.gather", d * n).reshape(d, n)
+    np.multiply(groups, np.int64(d), out=gather[0])
+    for r in range(1, d):
+        np.add(gather[0], np.int64(r), out=gather[r])
+    np.take(coeff_rows[0], gather, out=acc)
+    cbuf = _buf2("spt.c", d, n)
+    for t in range(1, k):
+        _mul_into(acc, x_hi, x_lo, acc, h1, h2, h3)
+        np.take(coeff_rows[t], gather, out=cbuf)
+        _add_canonical(acc, cbuf, h1)
+    np.remainder(acc, np.uint64(buckets), out=acc)
+    positions[...] = acc

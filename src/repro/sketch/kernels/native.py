@@ -72,19 +72,6 @@ void repro_polyhash_multi(const uint64_t *coeffs, int64_t d, int64_t k,
     for (int64_t r = 0; r < d; r++)
         repro_polyhash(coeffs + r * k, k, xs, n, out + r * n);
 }
-
-void repro_pow_windowed(const uint64_t *table, int64_t windows,
-                        const uint64_t *exps, int64_t n, uint64_t *out) {
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t e = exps[i];
-        uint64_t r = table[e & 0xFF];
-        for (int64_t w = 1; w < windows; w++) {
-            uint64_t idx = (e >> (8 * w)) & 0xFF;
-            if (idx) r = mulmod(r, table[w * 256 + idx]);
-        }
-        out[i] = r;
-    }
-}
 """
 
 _U64P = ctypes.POINTER(ctypes.c_uint64)
@@ -135,9 +122,6 @@ def _build_library():
     handle.repro_polyhash.argtypes = [_U64P, ctypes.c_int64, _U64P, ctypes.c_int64, _U64P]
     handle.repro_polyhash_multi.argtypes = [
         _U64P, ctypes.c_int64, ctypes.c_int64, _U64P, ctypes.c_int64, _U64P,
-    ]
-    handle.repro_pow_windowed.argtypes = [
-        _U64P, ctypes.c_int64, _U64P, ctypes.c_int64, _U64P,
     ]
     return handle, None
 
@@ -191,33 +175,10 @@ def _make_table(lib) -> SimpleNamespace:
         lib.repro_polyhash_multi(_ptr(coeffs), d, k, _ptr(keys), keys.size, _ptr(out))
         return out
 
-    def powmod61_windowed(exponents, table) -> np.ndarray:
-        """Byte-windowed vectorized ``pow`` in C."""
-        exponents = np.asarray(exponents)
-        if exponents.ndim != 1 or exponents.size == 0:
-            return _limb.powmod61_windowed(exponents, table)
-        if np.any(exponents < 0):
-            raise ValueError("exponents must be non-negative")
-        exp = np.ascontiguousarray(exponents, dtype=np.uint64)
-        table = np.ascontiguousarray(table, dtype=np.uint64)
-        out = np.empty(exp.size, dtype=np.uint64)
-        lib.repro_pow_windowed(_ptr(table), table.shape[0], _ptr(exp), exp.size, _ptr(out))
-        return out
-
-    def stack_positions_terms(bucket_coeffs, pow_table, indices, residues, buckets):
-        """Fused shared-seed scatter precompute over the C kernels."""
-        powers = powmod61_windowed(indices, pow_table)
-        terms = mulmod61(residues, powers)
-        stacked = polyhash61_multi(bucket_coeffs, indices)
-        np.remainder(stacked, np.uint64(buckets), out=stacked)
-        return stacked.astype(np.int64), terms
-
     return SimpleNamespace(
         mulmod61=mulmod61,
         polyhash61=polyhash61,
         polyhash61_multi=polyhash61_multi,
-        powmod61_windowed=powmod61_windowed,
-        stack_positions_terms=stack_positions_terms,
     )
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "polyhash61_rows",
     "powmod61",
     "powmod61_bases",
-    "powmod61_windowed",
     "scatter_sum_mod61",
     "stack_positions_terms",
     "submod61",
@@ -160,46 +159,55 @@ def polyhash61_multi(coeff_matrix: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return acc
 
 
-def build_pow_table(base: int, max_exponent: int) -> np.ndarray:
-    """Byte-windowed power table for :func:`powmod61_windowed`.
+def pow_table_windows(max_exponent: int) -> int:
+    """Byte windows a power table needs to cover exponents up to ``max_exponent``."""
+    return max(1, (max(max_exponent, 1).bit_length() + 7) // 8)
 
-    ``table[i][j] = base^(j * 256^i) mod p`` for every byte value ``j``
-    and every byte position of ``max_exponent``.  Built once per
-    fingerprint base (a few hundred scalar multiplications) and reused
-    for every batch — the square-and-multiply loop of :func:`powmod61`
-    costs ``bit_length(max exponent)`` vectorized rounds per call, which
-    dominates huge-coordinate domains (``n^2 ~ 10^14`` exponents), while
-    the windowed form costs one table gather plus one multiply per byte.
+
+def build_pow_table(bases, max_exponent: int) -> np.ndarray:
+    """Byte-windowed power tables, one per fingerprint base.
+
+    ``table[g][i][j] = bases[g]^(j * 256^i) mod p`` for every byte value
+    ``j`` and every byte position ``i`` of ``max_exponent``; the result
+    has shape ``(len(bases), windows, 256)``.  Built once per base (a few
+    hundred scalar multiplications — this scalar loop is the oracle the
+    vectorized backends are held to) and reused for every batch: a
+    square-and-multiply :func:`powmod61` costs ``bit_length(max exponent)``
+    vectorized rounds per call, which dominates huge-coordinate domains
+    (``n^2 ~ 10^14`` exponents), while the windowed gather in
+    :func:`stack_positions_terms` costs one multiply per byte.
     """
-    windows = max(1, (max(max_exponent, 1).bit_length() + 7) // 8)
-    table = np.empty((windows, 256), dtype=np.uint64)
-    for i in range(windows):
-        step = pow(base % MERSENNE_61, 256 ** i, MERSENNE_61)
-        value = 1
-        row = table[i]
-        for j in range(256):
-            row[j] = value
-            value = value * step % MERSENNE_61
+    bases = [int(base) % MERSENNE_61 for base in np.ravel(np.asarray(bases, dtype=object))]
+    windows = pow_table_windows(max_exponent)
+    table = np.empty((len(bases), windows, 256), dtype=np.uint64)
+    for g, base in enumerate(bases):
+        for i in range(windows):
+            step = pow(base, 256 ** i, MERSENNE_61)
+            value = 1
+            row = table[g, i]
+            for j in range(256):
+                row[j] = value
+                value = value * step % MERSENNE_61
     return table
 
 
-def powmod61_windowed(exponents: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Vectorized ``pow(base, e, p)`` through a precomputed byte table.
+def _pow_windowed_grouped(pow_table: np.ndarray, groups: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """``bases[groups[t]]^exponents[t] mod p`` through per-group byte tables.
 
-    Exactly :func:`powmod61` in value (integer-exact, so downstream
-    sketch cells are bit-identical), at one gather + one
-    :func:`mulmod61` per exponent byte instead of one masked multiply
-    per exponent *bit*.
+    One gather + one :func:`mulmod61` per exponent byte; all-zero byte
+    windows are skipped (``base^0 = 1``).
     """
-    exponents = np.asarray(exponents)
     if np.any(exponents < 0):
         raise ValueError("exponents must be non-negative")
     exp = exponents.astype(np.uint64)
-    result = table[0][exp & np.uint64(0xFF)]
-    for i in range(1, table.shape[0]):
+    windows = pow_table.shape[1]
+    rows = pow_table.reshape(-1, 256)
+    first_row = groups * windows
+    result = rows[first_row, exp & np.uint64(0xFF)]
+    for i in range(1, windows):
         window = (exp >> np.uint64(8 * i)) & np.uint64(0xFF)
-        if window.any():  # base^0 = 1: all-zero windows multiply by one
-            result = mulmod61(result, table[i][window])
+        if window.any():
+            result = mulmod61(result, rows[first_row + i, window])
     return result
 
 
@@ -284,19 +292,29 @@ def stack_positions_terms(
     indices: np.ndarray,
     residues: np.ndarray,
     buckets: int,
+    groups: np.ndarray,
 ):
-    """Shared-seed scatter precompute: bucket positions + fingerprint terms.
+    """Seed-grouped scatter precompute: bucket positions + fingerprint terms.
 
-    The hot per-chunk path of :meth:`repro.sketch.columnar.SketchStack.scatter`
-    for same-seeded stacks: hash the chunk's coordinates with every
-    bucket row (``polyhash61_multi``), raise the shared fingerprint base
-    to each coordinate (``powmod61_windowed``), and weight by the field
-    residues.  Returns ``(positions, terms)`` where ``positions`` is an
-    ``int64`` array of shape ``(rows, len(indices))`` and ``terms`` is
-    ``uint64`` of shape ``(len(indices),)``.  Backends may fuse the three
+    The hot per-chunk path of :meth:`repro.sketch.columnar.SketchStack.scatter`.
+    A stack holds ``G`` seed groups; incidence ``t`` belongs to group
+    ``groups[t]``, whose ``d`` bucket-hash polynomials are
+    ``bucket_coeffs[groups[t]]`` (shape ``(G, d, k)``) and whose
+    fingerprint base is tabulated in ``pow_table[groups[t]]`` (shape
+    ``(G, windows, 256)``, from :func:`build_pow_table`).  Hash every
+    coordinate with its group's rows (gathered-coefficient
+    ``polyhash61_rows``), raise its group's base to it, and weight by the
+    field residues.  Returns ``(positions, terms)``: ``int64`` of shape
+    ``(d, len(indices))`` and ``uint64`` of shape ``(len(indices),)``.
+    A shared-seed stack is the ``G = 1`` case.  Backends may fuse the
     stages; the values must stay bit-identical to this composition.
     """
-    powers = powmod61_windowed(indices, pow_table)
+    indices = np.asarray(indices)
+    groups = np.asarray(groups, dtype=np.int64)
+    powers = _pow_windowed_grouped(pow_table, groups, indices)
     terms = mulmod61(residues, powers)
-    stacked = polyhash61_multi(bucket_coeffs, indices) % np.uint64(buckets)
-    return stacked.astype(np.int64), terms
+    positions = np.empty((bucket_coeffs.shape[1], indices.size), dtype=np.int64)
+    for r in range(bucket_coeffs.shape[1]):
+        hashed = polyhash61_rows(bucket_coeffs[:, r, :], groups, indices)
+        positions[r] = hashed % np.uint64(buckets)
+    return positions, terms

@@ -52,7 +52,9 @@ class SanitizeError(AssertionError):
 #: design — hash-family coefficient matrices and power tables interned
 #: across clones on purpose (``KWiseHash.__deepcopy__`` returns self).
 #: Everything else reachable from a clone must be a distinct buffer.
-SHARED_ATTRS = frozenset({"_zs", "_coeff_mats", "_pow_table", "_bucket_coeffs"})
+SHARED_ATTRS = frozenset(
+    {"_zs", "_coeff_mats", "_pow_table", "_pow_built", "_bucket_coeffs"}
+)
 
 
 def require_canonical(values, modulus: int, label: str = "operand") -> None:

@@ -14,6 +14,8 @@ anyway to measure the speedup it gates.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -23,12 +25,13 @@ from repro.agm.spanning_forest import AgmSketch
 from repro.core.parameters import SparsifierParams
 from repro.core.sparsify import StreamingSparsifier, StreamingWeightedSparsifier
 from repro.core.two_pass_spanner import TwoPassSpannerBuilder
+from repro.graph.vertex_space import VertexSpace
 from repro.service import GraphSession, load_session
 from repro.sketch.columnar import L0SamplerStack, SketchStack
 from repro.sketch.l0sampler import L0Sampler
 from repro.sketch.sparse_recovery import SparseRecoverySketch
 from repro.stream.batching import aggregate_updates, updates_to_arrays
-from repro.stream.generators import mixed_workload_stream
+from repro.stream.generators import mixed_workload_stream, power_law_universe_stream
 from repro.util.rng import rng_from_seed
 
 SLIM = SparsifierParams(estimate_levels=2, sampling_levels=2, sampling_rounds_factor=0.01)
@@ -142,6 +145,32 @@ class TestSketchStack:
             other.load_row_state(row, stack.row_state_ints(row))
             assert other.row_state_ints(row) == stack.row_state_ints(row)
 
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_grouped_rows_out_of_range_raise(self, lazy):
+        # Row num_rows of group 0 would be row 0 of group 1: every reader
+        # must refuse it rather than decode the next group's state.
+        stack = SketchStack(3, 100, 4, None, rows=3, lazy=lazy, group_seeds=["g0", "g1"])
+        stack.scatter([0, 1], [5, 7], [1, 2], [1, 1])
+        readers = [
+            lambda: stack.row_sketch(3, 0),
+            lambda: stack.row_state_ints(3, 0),
+            lambda: stack.is_row_zero(3, 0),
+            lambda: stack.rows_sum_sketches([0, 3], [0]),
+            lambda: stack.rows_sum_sketches([-1], [1]),
+            lambda: stack.rows_sum_sketches([0], [2]),
+            lambda: stack.update_row(3, 5, 1, group=0),
+            lambda: stack.load_row_state(3, [0] * stack.row_state_len(), group=0),
+        ]
+        for read in readers:
+            with pytest.raises(IndexError):
+                read()
+        samplers = L0SamplerStack(3, 100, ["f0", "f1"], lazy=lazy)
+        samplers.scatter([0], [5], [1])
+        with pytest.raises(IndexError):
+            samplers.row_sampler(3, family=0)
+        with pytest.raises(IndexError):
+            samplers.row_state_ints(3, family=0)
+
     def test_spill_preserves_state_and_interop(self, monkeypatch):
         """Past the int64-safety bound the stack falls back to exact
         per-row sketches; every contract keeps working unchanged.
@@ -183,6 +212,68 @@ class TestSketchStack:
         summed = references[0].copy()
         summed.combine(references[1])
         assert stack.rows_sum_sketch([0, 1]).state_ints() == summed.state_ints()
+
+        # The seed-grouped store spills as a whole, from a fused batch,
+        # and keeps every group's rows bit-identical to standalone
+        # sketches of that group's seed.
+        seeds = ["spill-g0", "spill-g1", "spill-g2"]
+        grouped = SketchStack(num_rows, domain, 4, None, rows=3, group_seeds=seeds)
+        group_refs = {
+            (g, row): SparseRecoverySketch(domain, 4, seeds[g], rows=3)
+            for g in range(3) for row in range(num_rows)
+        }
+        for step in range(6):
+            rows, idxs, ds = random_incidences(
+                ("grouped-spill", step), 120, num_rows, domain, deltas=(-40, 40)
+            )
+            groups = np.array([(7 * t + step) % 3 for t in range(rows.size)], dtype=np.int64)
+            grouped.scatter(rows, idxs, ds, groups)
+            for g, row, index, delta in zip(groups, rows, idxs, ds):
+                group_refs[(int(g), int(row))].update(int(index), int(delta))
+        assert grouped.is_spilled()
+
+        def assert_grouped(target):
+            for (g, row), reference in group_refs.items():
+                assert target.row_state_ints(row, g) == reference.state_ints()
+
+        assert_grouped(grouped)
+        fresh = SketchStack(num_rows, domain, 4, None, rows=3, group_seeds=seeds)
+        fresh.update_row(1, 9, 3, group=2)
+        grouped.combine(fresh)
+        group_refs[(2, 1)].update(9, 3)
+        assert_grouped(grouped.clone())
+        summed = group_refs[(1, 0)].copy()
+        summed.combine(group_refs[(1, 2)])
+        assert grouped.rows_sum_sketches([0, 2], [1])[0].state_ints() == summed.state_ints()
+        # The sparse wire of the spilled store loads into a columnar one.
+        monkeypatch.setattr(columnar_module, "_INT64_SAFE_BOUND", 1 << 61)
+        restored = SketchStack(num_rows, domain, 4, None, rows=3, group_seeds=seeds)
+        restored.load_sparse_state(grouped.sparse_state_ints())
+        assert not restored.is_spilled()
+        assert restored.sparse_state_ints() == grouped.sparse_state_ints()
+        assert_grouped(restored)
+
+
+class TestBatchIntegerCoercion:
+    """Float input must raise, never truncate: ``int64`` casting would
+    turn a 1.9 delta into 1 and a 0.5 delta into an empty sketch."""
+
+    @pytest.mark.parametrize("entry", ["sketch_stack", "l0_stack", "agm"])
+    @pytest.mark.parametrize("bad", ["delta", "row", "index"])
+    def test_float_batches_raise(self, entry, bad):
+        rows = [0.7] if bad == "row" else [0]
+        indices = [3.2] if bad == "index" else [3]
+        deltas = [1.9] if bad == "delta" else [1]
+        with pytest.raises(TypeError):
+            if entry == "sketch_stack":
+                SketchStack(4, 100, 4, "x").scatter(rows, indices, deltas)
+            elif entry == "l0_stack":
+                L0SamplerStack(4, 100, "x").scatter(rows, indices, deltas)
+            else:
+                us = [0.5] * 60 if bad == "row" else [0] * 60
+                vs = [2.5] * 60 if bad == "index" else [1] * 60
+                ds = [0.5] * 60 if bad == "delta" else [1] * 60
+                AgmSketch(10, "x").update_batch(us, vs, ds)
 
 
 class TestL0SamplerStack:
@@ -256,6 +347,16 @@ class TestAgmColumnarIdentity:
             batched.process_batch(chunk, 0)
         assert _shard_states(scalar) == _shard_states(batched)
         assert scalar.finalize() == batched.finalize()
+        # Tiny batches take the same columnar path (no scalar cutoff).
+        tokens = list(stream)
+        for size in (1, 47, 48, 49):
+            scalar = ConnectivityChecker(n, "agm-id")
+            batched = ConnectivityChecker(n, "agm-id")
+            for update in tokens[: 3 * size]:
+                scalar.process(update, 0)
+            for start in range(0, 3 * size, size):
+                batched.process_batch(tokens[start : start + size], 0)
+            assert _shard_states(scalar) == _shard_states(batched), size
 
     def test_sketch_rows_equal_standalone_samplers(self):
         """The true cross-engine probe: columnar rows decode through (and
@@ -281,6 +382,54 @@ class TestAgmColumnarIdentity:
                     sketch.sampler_view(vertex, r).state_ints()
                     == references[vertex].state_ints()
                 )
+
+
+def _feed(sketch, tokens, chunk):
+    for start in range(0, len(tokens), chunk):
+        sketch.update_batch(*updates_to_arrays(tokens[start : start + chunk]))
+
+
+def _wire_sha256(sketch):
+    return hashlib.sha256(",".join(map(str, sketch.state_ints())).encode()).hexdigest()
+
+
+def _agm_spilled(sketch):
+    return sketch._samplers._store.is_spilled()
+
+
+class TestAgmWirePins:
+    """The AGM wire is a checkpoint and shard format: its bytes are pinned
+    as sha256 constants, so any change to ``state_ints`` (order, row ids,
+    cell layout) fails here rather than in a restore."""
+
+    def test_dense_churn_wire_is_pinned(self):
+        sketch = AgmSketch(16, "wire-pin-dense")
+        _feed(sketch, list(mixed_workload_stream(16, 4000, "wire-pin-churn")), 512)
+        assert _wire_sha256(sketch) == (
+            "54938affaff60d871f06d231427f944fbf0b8f9227dfa4899a28a7fbea9d643b"
+        )
+
+    def test_lazy_powerlaw_wire_is_pinned(self):
+        sketch = AgmSketch(VertexSpace.sparse(10**7), "wire-pin-lazy", rounds=6)
+        tokens = list(power_law_universe_stream(
+            10**7, 200, 3000, "wire-pin-powerlaw", exponent=1.2
+        ))
+        _feed(sketch, tokens, 500)
+        assert _wire_sha256(sketch) == (
+            "67592c43fa7986b9100b1d9cba65d4828f14b7868a20ed2296a88b72e7bfbac1"
+        )
+
+    def test_powerlaw_500_stream_never_spills(self):
+        """Coordinates near 10^14 make every chunk's single-cell headroom
+        large; the exactness guard must still admit a powerlaw-500-shaped
+        stream (10^7 ids, 500 touched, 1,000-token chunks, 11 rounds)
+        without falling back to scalar sketches."""
+        sketch = AgmSketch(VertexSpace.sparse(10**7), "spill-pin", rounds=11)
+        tokens = list(power_law_universe_stream(
+            10**7, 500, 15_000, "spill-pin/stream", exponent=1.2
+        ))
+        _feed(sketch, tokens, 1000)
+        assert not _agm_spilled(sketch)
 
 
 class TestSpannerColumnarIdentity:

@@ -51,8 +51,13 @@ if _NATIVE_TABLE is not None:
 
 
 def impl(backend, name):
-    """Backend's kernel, falling back to reference (the layering rule)."""
-    return getattr(backend, name, None) or getattr(ref_mod, name)
+    """Backend's kernel, falling back through limb to reference (the
+    layering rule: native inherits what it does not override)."""
+    return (
+        getattr(backend, name, None)
+        or getattr(limb_mod, name, None)
+        or getattr(ref_mod, name)
+    )
 
 
 def uint64s(min_size=0, max_size=64):
@@ -154,23 +159,22 @@ def test_polyhash61_rows_matches_reference(backend, matrix, data):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @given(
-    base=st.integers(min_value=0, max_value=P - 1),
-    exponents=st.lists(st.integers(min_value=0, max_value=1 << 40), max_size=48),
+    bases=st.lists(st.integers(min_value=0, max_value=P - 1), max_size=4),
+    max_exponent=st.sampled_from([0, 255, 256, 10**14, 1 << 61]),
 )
-@settings(max_examples=50, deadline=None)
-def test_powmod61_windowed_matches_reference(backend, base, exponents):
-    exponents = exponents + [0, 1, 255, 256, 65535, 1 << 24]
-    exp = np.array(exponents, dtype=np.int64)
-    table = ref_mod.build_pow_table(base, int(exp.max()))
-    assert_same(
-        ref_mod.powmod61_windowed(exp, table),
-        impl(backend, "powmod61_windowed")(exp, table),
-    )
-    # The windowed path must agree with the scalar-pow path too.
-    assert_same(
-        as_u64([pow(base, int(e), P) for e in exponents]),
-        impl(backend, "powmod61_windowed")(exp, table),
-    )
+@settings(max_examples=30, deadline=None)
+def test_build_pow_table_matches_reference(backend, bases, max_exponent):
+    bases = bases + [1, 2, P - 1]
+    want = ref_mod.build_pow_table(bases, max_exponent)
+    got = impl(backend, "build_pow_table")(as_u64(bases), max_exponent)
+    assert_same(want, got)
+    windows = got.shape[1]
+    assert got.shape == (len(bases), windows, 256)
+    assert 256 ** windows > max_exponent
+    # Spot-check the table's meaning against scalar pow.
+    for g, base in enumerate(bases):
+        for i, j in [(0, 0), (0, 1), (0, 255), (windows - 1, 17), (windows - 1, 255)]:
+            assert int(got[g, i, j]) == pow(base, j * 256**i, P)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -205,32 +209,50 @@ def test_scatter_sum_mod61_matches_reference(backend, cells, data):
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_stack_positions_terms_matches_reference(backend, data):
+    num_groups = data.draw(st.integers(min_value=1, max_value=4))
     rows = data.draw(st.integers(min_value=1, max_value=4))
     buckets = data.draw(st.integers(min_value=1, max_value=32))
-    coeff_matrix = as_u64([
-        [data.draw(st.integers(min_value=0, max_value=P - 1)) for _ in range(4)]
-        for _ in range(rows)
+    field = st.integers(min_value=0, max_value=P - 1)
+    bucket_coeffs = as_u64([
+        [[data.draw(field) for _ in range(4)] for _ in range(rows)]
+        for _ in range(num_groups)
     ])
     n = data.draw(st.integers(min_value=0, max_value=48))
     indices = np.array(
         data.draw(st.lists(
-            st.integers(min_value=0, max_value=1 << 20), min_size=n, max_size=n,
+            st.integers(min_value=0, max_value=1 << 40), min_size=n, max_size=n,
         )),
         dtype=np.int64,
     )
-    residues = as_u64(data.draw(st.lists(
-        st.integers(min_value=0, max_value=P - 1), min_size=n, max_size=n,
-    )))
-    base = data.draw(st.integers(min_value=2, max_value=P - 1))
-    table = ref_mod.build_pow_table(base, 1 << 20)
+    groups = np.array(
+        data.draw(st.lists(
+            st.integers(min_value=0, max_value=num_groups - 1), min_size=n, max_size=n,
+        )),
+        dtype=np.int64,
+    )
+    residues = as_u64(data.draw(st.lists(field, min_size=n, max_size=n)))
+    bases = [data.draw(st.integers(min_value=2, max_value=P - 1)) for _ in range(num_groups)]
+    table = ref_mod.build_pow_table(bases, 1 << 40)
     want_pos, want_terms = ref_mod.stack_positions_terms(
-        coeff_matrix, table, indices, residues, buckets
+        bucket_coeffs, table, indices, residues, buckets, groups
     )
     got_pos, got_terms = impl(backend, "stack_positions_terms")(
-        coeff_matrix, table, indices, residues, buckets
+        bucket_coeffs, table, indices, residues, buckets, groups
     )
     assert_same(want_pos, got_pos)
     assert_same(want_terms, got_terms)
+    # The oracle itself: each incidence hashed and powered with its
+    # own group's seeds.
+    for t in range(n):
+        g, x = int(groups[t]), int(indices[t])
+        term = int(residues[t]) * pow(bases[g], x, P) % P
+        assert int(want_terms[t]) == term
+        for r in range(rows):
+            coefficients = [int(c) for c in bucket_coeffs[g, r]]
+            acc = 0
+            for c in coefficients:
+                acc = (acc * x + c) % P
+            assert int(want_pos[r, t]) == acc % buckets
 
 
 # -- negative deltas through the caller-facing coercion ----------------

@@ -49,7 +49,6 @@ class Config:
             "polyhash61_multi",
             "powmod61",
             "powmod61_bases",
-            "powmod61_windowed",
             "build_pow_table",
             "scatter_sum_mod61",
             "stack_positions_terms",
