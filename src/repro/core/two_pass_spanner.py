@@ -20,16 +20,16 @@ Pass 2 (Algorithm 2 — CONSTRUCTSPANNER)
 Columnar storage
 ----------------
 The pass-1 sketches of one ``(r, j)`` slot are seeded independently of
-the vertex — sketches of different vertices must be summable — so all
-``n`` of them live in one :class:`~repro.sketch.columnar.SketchStack`
-(rows = vertices); likewise every terminal root's pass-2 *cut* sketch
-joins a per-shape mixed-seed stack (rows = roots).  A stream chunk is
-first collapsed to its net delta per distinct edge pair
-(:func:`~repro.stream.batching.aggregate_updates`), hashes are evaluated
-once per (pair, stack), and one flattened scatter lands every row's
-contribution — bit-identical to the historical per-sketch state,
-including the lazy-allocation bookkeeping (``shard_state_ints`` still
-ships exactly the ``(vertex, r, j)`` rows the scalar path would have
+the vertex — sketches of different vertices must be summable — so each
+``(r, j)`` is one seed group of a single
+:class:`~repro.sketch.columnar.SketchStack` (rows = vertices).  Every
+terminal root's pass-2 *cut* sketch is its own seed group (one row) of a
+per-budget store.  A stream chunk is first collapsed to its net delta
+per distinct edge pair (:func:`~repro.stream.batching.aggregate_updates`),
+fanned out to its ``(vertex, r, j)`` incidences, and landed with one
+scatter — bit-identical to the historical per-sketch state, including
+the lazy-allocation bookkeeping (``shard_state_ints`` still ships
+exactly the ``(vertex, r, j)`` rows the scalar path would have
 allocated).
 
 The class is linear-sketch-based throughout: all pass-1/pass-2 state
@@ -56,7 +56,7 @@ from repro.core.offline_spanner import SpannerOutput
 from repro.core.parameters import SpannerParams
 from repro.graph.graph import Graph, edge_from_index, edge_index
 from repro.graph.vertex_space import VertexSpace, as_vertex_space
-from repro.sketch.columnar import SketchStack
+from repro.sketch.columnar import SketchStack, fan_out_levels
 from repro.sketch.hashing import NestedSampler
 from repro.sketch.linear_hash_table import NeighborhoodHashTable
 from repro.sketch.onesparse import DecodeStatus
@@ -132,18 +132,36 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
             for stack in range(self.params.table_stacks)
         ]
 
-        # Pass-1 columnar stacks, allocated lazily: (r, j) -> stack with
-        # one (logical) row per vertex, plus the per-row liveness sets
-        # that reproduce the historical per-(vertex, r, j) lazy
-        # allocation.  Every stream endpoint also lands in ``_touched``
+        # Pass-1 sketches S^r_j(u): one store with a seed group per
+        # (r >= 1, j) (see _cluster_group) and a row per vertex; k = 1
+        # has no target level and no store.  ``_cluster_live`` maps a
+        # group to the vertices it saw, zero-delta tokens included: the
+        # historical per-(vertex, r, j) allocation the pass-0 wire
+        # ships.  Every stream endpoint also lands in ``_touched``
         # (chunking-independent: canceled tokens count too), which is
         # what the forest registers copies from — the dense engine
         # registered every universe vertex, but untouched vertices can
         # only ever form empty singleton trees, so restricting to the
         # touched set leaves the spanner output unchanged while keeping
         # the forest/table layout proportional to touched vertices.
-        self._cluster_stacks: dict[tuple[int, int], SketchStack] = {}
-        self._cluster_live: dict[tuple[int, int], set[int]] = {}
+        self._cluster_store = (
+            SketchStack(
+                num_vertices,
+                num_vertices * num_vertices,
+                self.params.cluster_budget,
+                None,
+                rows=self.params.cluster_rows,
+                lazy=self.space.lazy,
+                group_seeds=[
+                    derive_seed(self._seed, "cluster-sketch", r, j)
+                    for r in range(1, k)
+                    for j in range(self._edge_levels + 1)
+                ],
+            )
+            if k > 1
+            else None
+        )
+        self._cluster_live: dict[int, set[int]] = {}
         self._touched: set[int] = set()
         # Pass-2 table layout bound: vertex-sample levels actually
         # allocated, derived from the *touched* count once the forest is
@@ -164,8 +182,8 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         # eagerly allocated ones and shards may allocate different sets.
         self._tables: dict[tuple[Copy, int, int], NeighborhoodHashTable] = {}
         self._table_effective_n: int | None = None
-        # Pass-2 repair sketches: per-shape mixed-seed stacks whose rows
-        # are terminal roots; root -> (stack index, row).
+        # Pass-2 repair sketches: per-budget stores with one seed group
+        # (of one row) per terminal root; root -> (store index, group).
         self._cut_stacks: list[SketchStack] = []
         self._cut_rows: dict[Copy, tuple[int, int]] = {}
 
@@ -276,16 +294,12 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         stream — so the forest built afterwards is exactly the
         single-machine forest.
         """
-        if other._seed != self._seed:
-            raise ValueError("builders must share a seed to merge")
+        self._check_mergeable(other)
+        if self._cluster_store is not None:
+            self._cluster_store.combine(other._cluster_store)
         self._touched |= other._touched
-        for key, stack in other._cluster_stacks.items():
-            mine = self._cluster_stacks.get(key)
-            if mine is None:
-                self._ensure_cluster_stack(*key)
-                mine = self._cluster_stacks[key]
-            mine.combine(stack)
-            self._cluster_live[key] |= other._cluster_live[key]
+        for group, live in other._cluster_live.items():
+            self._cluster_live.setdefault(group, set()).update(live)
 
     def adopt_forest_from(self, other: "TwoPassSpannerBuilder") -> None:
         """Take the between-pass state (forest + table layout) from a
@@ -300,12 +314,18 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         """Add another same-seeded builder's pass-2 tables into ours
         (tables the other shard touched but we did not materialize on
         demand — same seeds, so the sum is exact)."""
-        if other._seed != self._seed:
-            raise ValueError("builders must share a seed to merge")
+        self._check_mergeable(other)
         for (root, stack, j), table in other._tables.items():
             self._ensure_table(root, stack, j).combine(table)
         for mine, theirs in zip(self._cut_stacks, other._cut_stacks):
             mine.combine(theirs)
+
+    def _check_mergeable(self, other: "TwoPassSpannerBuilder") -> None:
+        """Refuse, before any state changes, a builder whose sketches
+        were drawn from different randomness, levels or shapes."""
+        shape = (self._seed, self.num_vertices, self.k, self.params)
+        if shape != (other._seed, other.num_vertices, other.k, other.params):
+            raise ValueError("builders must share seed, num_vertices, k, params to merge")
 
     def clone(self) -> "TwoPassSpannerBuilder":
         """Cheap structural copy of the builder's dynamic state.
@@ -332,11 +352,11 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         clone._edge_sampler = self._edge_sampler
         clone._vertex_levels = self._vertex_levels
         clone._y_samplers = self._y_samplers
-        clone._cluster_stacks = {
-            key: stack.clone() for key, stack in self._cluster_stacks.items()
-        }
+        clone._cluster_store = (
+            None if self._cluster_store is None else self._cluster_store.clone()
+        )
         clone._cluster_live = {
-            key: set(live) for key, live in self._cluster_live.items()
+            group: set(live) for group, live in self._cluster_live.items()
         }
         clone._touched = set(self._touched)
         clone._active_vertex_levels = self._active_vertex_levels
@@ -368,18 +388,20 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         determined by the (broadcast) forest, so only cell values travel.
         """
         if pass_index == 0:
-            keys: list[tuple[int, int, int]] = []
-            for (r, j), live in self._cluster_live.items():
-                for vertex in live:
-                    keys.append((int(vertex), r, j))
-            keys.sort()
+            # Group order is (r, j) order, so keys sort as (vertex, r, j).
+            keys = sorted(
+                (int(vertex), group)
+                for group, live in self._cluster_live.items()
+                for vertex in live
+            )
             touched = sorted(self._touched)
             flat: list[int] = [len(touched)]
             flat.extend(touched)
             flat.append(len(keys))
-            for vertex, r, j in keys:
-                flat.extend((vertex, r, j))
-                flat.extend(self._cluster_stacks[(r, j)].row_state_ints(vertex))
+            for vertex, group in keys:
+                r, j = divmod(group, self._edge_levels + 1)
+                flat.extend((vertex, r + 1, j))
+                flat.extend(self._cluster_store.row_state_ints(vertex, group))
             return flat
         # Nonzero tables only: materialization depends on chunk
         # boundaries (canceled-in-chunk tokens), nonzero-ness does not —
@@ -392,8 +414,8 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
             flat.extend((root[0], root[1], stack, j))
             flat.extend(self._tables[(root, stack, j)].state_ints())
         for root in sorted(self._cut_rows):
-            stack_index, row = self._cut_rows[root]
-            flat.extend(self._cut_stacks[stack_index].row_state_ints(row))
+            stack_index, group = self._cut_rows[root]
+            flat.extend(self._cut_stacks[stack_index].row_state_ints(0, group))
         return flat
 
     def load_shard_state_ints(self, pass_index: int, values: list[int]) -> None:
@@ -412,10 +434,15 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
             for _ in range(count):
                 vertex, r, j = (int(v) for v in values[cursor : cursor + 3])
                 cursor += 3
-                stack = self._ensure_cluster_stack(r, j)
-                self._cluster_live[(r, j)].add(vertex)
-                need = stack.row_state_len()
-                stack.load_row_state(vertex, values[cursor : cursor + need])
+                if not (1 <= r < self.k and 0 <= j <= self._edge_levels):
+                    # Out of range, (r, j) would alias another slot's group.
+                    raise ValueError(f"cluster sketch key (r={r}, j={j}) out of range")
+                group = self._cluster_group(r, j)
+                self._cluster_live.setdefault(group, set()).add(vertex)
+                need = self._cluster_store.row_state_len()
+                self._cluster_store.load_row_state(
+                    vertex, values[cursor : cursor + need], group
+                )
                 cursor += need
             if cursor != len(values):
                 raise ValueError(f"expected {cursor} state ints, got {len(values)}")
@@ -432,10 +459,10 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
             table.from_state_ints(values[cursor : cursor + need])
             cursor += need
         for root in sorted(self._cut_rows):
-            stack_index, row = self._cut_rows[root]
+            stack_index, group = self._cut_rows[root]
             stack = self._cut_stacks[stack_index]
             need = stack.row_state_len()
-            stack.load_row_state(row, values[cursor : cursor + need])
+            stack.load_row_state(0, values[cursor : cursor + need], group)
             cursor += need
         if cursor != len(values):
             raise ValueError(f"expected {cursor} state ints, got {len(values)}")
@@ -471,27 +498,14 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
             self._allocate_tables()
 
     # ------------------------------------------------------------------
-    # Pass 1: cluster sketch stacks
+    # Pass 1: cluster sketches
     # ------------------------------------------------------------------
 
-    def _ensure_cluster_stack(self, r: int, j: int) -> SketchStack:
-        key = (r, j)
-        stack = self._cluster_stacks.get(key)
-        if stack is None:
-            # Seeds depend on (r, j) only: sketches of different vertices
-            # are summable, which _build_forest relies on — and which
-            # lets all n of them share one columnar stack.
-            stack = SketchStack(
-                self.num_vertices,
-                self.num_vertices * self.num_vertices,
-                self.params.cluster_budget,
-                derive_seed(self._seed, "cluster-sketch", r, j),
-                rows=self.params.cluster_rows,
-                lazy=self.space.lazy,
-            )
-            self._cluster_stacks[key] = stack
-            self._cluster_live[key] = set()
-        return stack
+    def _cluster_group(self, r: int, j: int) -> int:
+        """Seed group of ``S^r_j`` in the cluster store.  Seeds depend on
+        ``(r, j)`` only: sketches of different vertices are summable,
+        which _build_forest relies on."""
+        return (r - 1) * (self._edge_levels + 1) + j
 
     def _vertex_levels_of(self, vertex: int) -> list[int]:
         """Nonzero sample levels of ``vertex`` (hash-derived, memoized)."""
@@ -508,22 +522,21 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         deepest_j = min(self._edge_sampler.level(pair), self._edge_levels)
         for endpoint, other in ((update.u, update.v), (update.v, update.u)):
             for r in self._vertex_levels_of(other):
-                for j in range(deepest_j + 1):
-                    stack = self._ensure_cluster_stack(r, j)
-                    self._cluster_live[(r, j)].add(endpoint)
-                    stack.update_row(endpoint, pair, update.sign)
+                first = self._cluster_group(r, 0)
+                for group in range(first, first + deepest_j + 1):
+                    self._cluster_live.setdefault(group, set()).add(endpoint)
+                    self._cluster_store.update_row(endpoint, pair, update.sign, group)
 
     def _first_pass_pairs(
         self, us: np.ndarray, vs: np.ndarray, pairs: np.ndarray, deltas: np.ndarray
     ) -> None:
         """Columnar Algorithm 1 updates over a chunk's distinct pairs.
 
-        The nested sample levels ``E_j`` are computed in one vectorized
-        pass over the distinct pairs; the (vertex-sample) routing fans
-        each pair out to its ``(endpoint, r)`` incidences, and each
-        ``(r, j)`` stack absorbs its incidence list in one scatter —
-        hashes evaluated once per (pair, stack) instead of once per
-        (pair, vertex, stack).  Zero-delta pairs still mark their rows
+        The (vertex-sample) routing fans each distinct pair out to its
+        ``(endpoint, r)`` incidences, the nested sample levels ``E_j``
+        (one vectorized pass over the pairs) fan each of those out to
+        its ``(r, j)`` groups, and the cluster store lands the whole
+        chunk in one scatter.  Zero-delta pairs still mark their rows
         live (the scalar path allocates their sketches too) but
         contribute no cell changes.
         """
@@ -531,32 +544,26 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
             return
         self._touched.update(us.tolist())
         self._touched.update(vs.tolist())
-        deepest = np.minimum(
-            self._edge_sampler.level_array(pairs), self._edge_levels
-        )
-        # Fan distinct pairs out to their (endpoint, r) incidences.
-        rows_of_r: dict[int, list[int]] = defaultdict(list)
-        take_of_r: dict[int, list[int]] = defaultdict(list)
-        for position in range(pairs.size):
-            u = int(us[position])
-            v = int(vs[position])
+        rows: list[int] = []
+        take: list[int] = []
+        first_groups: list[int] = []
+        for position, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
             for endpoint, other in ((u, v), (v, u)):
                 for r in self._vertex_levels_of(other):
-                    rows_of_r[r].append(endpoint)
-                    take_of_r[r].append(position)
-        for r, row_list in rows_of_r.items():
-            rows = np.array(row_list, dtype=np.int64)
-            take = np.array(take_of_r[r], dtype=np.intp)
-            group_pairs = pairs[take]
-            group_deltas = deltas[take]
-            group_deepest = deepest[take]
-            for j in range(int(group_deepest.max()) + 1):
-                surviving = group_deepest >= j
-                stack = self._ensure_cluster_stack(r, j)
-                self._cluster_live[(r, j)].update(rows[surviving].tolist())
-                stack.scatter(
-                    rows[surviving], group_pairs[surviving], group_deltas[surviving]
-                )
+                    rows.append(endpoint)
+                    take.append(position)
+                    first_groups.append(self._cluster_group(r, 0))
+        if not rows:
+            return
+        take = np.array(take, dtype=np.intp)
+        deepest = np.minimum(self._edge_sampler.level_array(pairs), self._edge_levels)
+        source, depth = fan_out_levels(deepest[take])
+        row_ids = np.array(rows, dtype=np.int64)[source]
+        groups = np.array(first_groups, dtype=np.int64)[source] + depth
+        take = take[source]
+        for group, row in set(zip(groups.tolist(), row_ids.tolist())):
+            self._cluster_live.setdefault(group, set()).add(row)
+        self._cluster_store.scatter(row_ids, pairs[take], deltas[take], groups)
 
     def _build_forest(self) -> None:
         """Between-pass forest construction (lines 8-20 of Algorithm 1).
@@ -601,14 +608,12 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         """Decode ``Q^{target}_j = sum_{v in tree} S^{target}_j(v)`` from
         the sparsest level down; attach on the first usable edge."""
         for j in range(self._edge_levels, -1, -1):
-            stack = self._cluster_stacks.get((target, j))
-            if stack is None:
-                continue
-            live = self._cluster_live[(target, j)]
+            group = self._cluster_group(target, j)
+            live = self._cluster_live.get(group, ())
             members = [v for v in tree if v in live]
             if not members:
                 continue  # no member saw any edge at this level
-            combined = stack.rows_sum_sketch(members)
+            combined = self._cluster_store.rows_sum_sketch(members, group)
             decoded = combined.decode()
             if decoded is None:
                 self.diagnostics["pass1_decode_failures"] += 1
@@ -684,10 +689,10 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
             self._vertex_levels, self.params.vertex_levels(effective_n)
         )
         if self.params.repair_budget_factor > 0:
-            # Group the per-root cut sketches into mixed-seed stacks by
-            # shape (the budget depends only on the root's level); the
-            # grouping is seed-determined, so every same-forest builder
-            # forms identical stacks and they merge stack-wise.
+            # One store per sketch shape (the budget depends only on the
+            # root's level), one seed group per root; the grouping is
+            # seed-determined, so every same-forest builder forms
+            # identical stores and they merge store-wise.
             by_budget: dict[int, list[Copy]] = {}
             for root in sorted(self._terminal_trees):
                 capacity = self.params.table_capacity(
@@ -695,22 +700,22 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
                 )
                 budget = max(8, math.ceil(self.params.repair_budget_factor * capacity))
                 by_budget.setdefault(budget, []).append(root)
-            for budget, group in by_budget.items():
-                seeds = [
-                    derive_seed(self._seed, "cut-sketch", root[0], root[1])
-                    for root in group
-                ]
+            for budget, roots in by_budget.items():
                 stack = SketchStack(
-                    len(group),
+                    1,
                     self.num_vertices * self.num_vertices,
                     budget,
-                    seeds,
+                    None,
                     rows=3,
+                    group_seeds=[
+                        derive_seed(self._seed, "cut-sketch", root[0], root[1])
+                        for root in roots
+                    ],
                 )
                 stack_index = len(self._cut_stacks)
                 self._cut_stacks.append(stack)
-                for row, root in enumerate(group):
-                    self._cut_rows[root] = (stack_index, row)
+                for group, root in enumerate(roots):
+                    self._cut_rows[root] = (stack_index, group)
 
     def _process_second_pass(self, update: EdgeUpdate) -> None:
         if self.forest is None:
@@ -722,8 +727,8 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
                     continue
                 cut_entry = self._cut_rows.get(root)
                 if cut_entry is not None:
-                    stack_index, row = cut_entry
-                    self._cut_stacks[stack_index].update_row(row, pair, update.sign)
+                    stack_index, group = cut_entry
+                    self._cut_stacks[stack_index].update_row(0, pair, update.sign, group)
                 for stack, sampler in enumerate(self._y_samplers):
                     deepest = min(sampler.level(inside), self._active_vertex_levels)
                     for j in range(deepest + 1):
@@ -737,7 +742,7 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         """Columnar Algorithm 2 updates over a chunk's distinct pairs.
 
         Routing (which terminal trees a pair crosses into) runs once per
-        *distinct* pair; cut contributions group per columnar stack (one
+        *distinct* pair; cut contributions group per cut store (one
         scatter each), and the per-(root, stack) hash tables absorb
         their groups through their vectorized batch paths.  The ``Y_j``
         level of each inside endpoint is memoized per stack, mirroring
@@ -747,7 +752,7 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
             raise RuntimeError("second pass before the forest was built")
         if pairs.size == 0:
             return
-        # (stack index) -> rows / coords / deltas of cut contributions.
+        # (store index) -> groups / coords / deltas of cut contributions.
         cut_groups: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
         # (root, stack) -> (keys, neighbors, deltas, deepest levels)
         table_groups: dict[tuple[Copy, int], list[tuple[int, int, int, int]]] = (
@@ -765,8 +770,8 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
                         continue
                     cut_entry = self._cut_rows.get(root)
                     if cut_entry is not None:
-                        stack_index, row = cut_entry
-                        cut_groups[stack_index].append((row, pair, delta))
+                        stack_index, group = cut_entry
+                        cut_groups[stack_index].append((group, pair, delta))
                     for stack, sampler in enumerate(self._y_samplers):
                         deepest = y_levels[stack].get(inside)
                         if deepest is None:
@@ -776,10 +781,9 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
                             (outside, inside, delta, deepest)
                         )
         for stack_index, entries in cut_groups.items():
+            groups, coords, values = np.array(entries, dtype=np.int64).T
             self._cut_stacks[stack_index].scatter(
-                np.array([row for row, _, _ in entries], dtype=np.int64),
-                np.array([pair for _, pair, _ in entries], dtype=np.int64),
-                np.array([delta for _, _, delta in entries], dtype=np.int64),
+                np.zeros(groups.size, dtype=np.int64), coords, values, groups
             )
         for (root, stack), entries in table_groups.items():
             deepest = np.array([entry[3] for entry in entries], dtype=np.int64)
@@ -868,8 +872,8 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         cut_entry = self._cut_rows.get(root)
         if cut_entry is None:
             return 0
-        stack_index, row = cut_entry
-        decoded = self._cut_stacks[stack_index].row_sketch(row).decode()
+        stack_index, group = cut_entry
+        decoded = self._cut_stacks[stack_index].row_sketch(0, group).decode()
         if decoded is None:
             return 0
         best_neighbor: dict[int, int] = {}
@@ -909,12 +913,12 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         report.add("edge-sample seeds", self._edge_sampler.space_words())
         for sampler in self._y_samplers:
             report.add("vertex-sample seeds", sampler.space_words())
-        for key, stack in self._cluster_stacks.items():
-            live_rows = len(self._cluster_live[key])
+        for live in self._cluster_live.values():
+            row_words = self._cluster_store.row_space_words()
             report.add(
                 "pass1 cluster sketches",
-                live_rows * stack.row_space_words(),
-                universe_words=self.num_vertices * stack.row_space_words(),
+                len(live) * row_words,
+                universe_words=self.num_vertices * row_words,
             )
         for table in self._tables.values():
             report.add("pass2 hash tables", table.space_words())

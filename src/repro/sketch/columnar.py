@@ -5,34 +5,30 @@ algorithms fan a stream chunk out across ``n x O(log n)`` AGM vertex
 sketches or ``(endpoint, r, j)`` spanner stacks before any single
 sketch sees a vectorizable sub-batch — so a per-sketch engine mostly
 falls back to its scalar loops.  The structural fact that rescues
-vectorization is that those sketches are *same-seeded stacks*: every
-vertex row of an AGM round hashes the same edge coordinates with the
-same hash family.  This module stores such stacks as one 2-D array
-(storage rows = sketches, columns = counter cells), evaluates each
-chunk's polynomial hashes and fingerprint powers in one vectorized pass,
-and lands every contribution with a single flattened ``(row, cell)``
-scatter — bit-identical to updating each row's standalone sketch (the
-property ``tests/sketch/test_columnar.py`` pins).
+vectorization is that those sketches are same-shaped and come in
+*seed groups*: every vertex row of an AGM ``(round, level)`` sampler
+hashes the same edge coordinates with the same hash family.  This module
+stores the groups as one 2-D array (storage rows = ``(group, row)``
+pairs, columns = counter cells), evaluates each chunk's polynomial
+hashes and fingerprint powers in one vectorized pass, and lands every
+contribution with a single flattened ``(row, cell)`` scatter —
+bit-identical to updating each row's standalone sketch (the property
+``tests/sketch/test_columnar.py`` pins).
 
 Two stack flavors:
 
 :class:`SketchStack`
     Same-shaped :class:`~repro.sketch.sparse_recovery.SparseRecoverySketch`
-    states over ``num_rows`` logical rows, in one of two seed layouts:
-
-    * **seed groups** — ``G`` independent seed families, each shared by
-      all rows (AGM's ``(round, level)`` samplers, the spanner's
-      ``(r, j)`` cluster stacks as ``G = 1``).  A storage row is a
-      ``(group, row)`` pair; one :meth:`~SketchStack.scatter` takes a
-      per-incidence group id, gathers each incidence's bucket-hash
-      coefficients and fingerprint-power table from its group, and
-      lands the whole batch with one row intern and one flat scatter
-      per counter plane — however many groups the batch touches;
-    * **per-row seeds** (the spanner's per-root cut sketches), where the
-      gathered-coefficient kernels
-      :func:`~repro.sketch.kernels.polyhash61_rows` /
-      :func:`~repro.sketch.kernels.powmod61_bases` evaluate the whole
-      incidence list in one pass.
+    states over ``num_rows`` logical rows in each of ``G`` seed groups,
+    each group one independent seed shared by all its rows (one shared
+    seed is the ``G = 1`` case).  The groups are AGM's ``(round,
+    level)`` samplers, the spanner's ``(r, j)`` cluster sketches (rows =
+    vertices) and its per-root cut sketches (one row per group).  One
+    :meth:`~SketchStack.scatter` takes a per-incidence group id, gathers
+    each incidence's bucket-hash coefficients and fingerprint-power
+    table from its group, and lands the whole batch with one row intern
+    and one flat scatter per counter plane — however many groups the
+    batch touches.
 
 :class:`L0SamplerStack`
     ``num_rows`` rows of :class:`~repro.sketch.l0sampler.L0Sampler`
@@ -93,8 +89,6 @@ from repro.sketch.kernels import (
     build_pow_table,
     mulmod61,
     polyhash61_multi,
-    polyhash61_rows,
-    powmod61_bases,
     scatter_sum_mod61,
     stack_positions_terms,
     submod61,
@@ -110,7 +104,7 @@ from repro.sketch.sparse_recovery import (
 )
 from repro.util.rng import derive_seed
 
-__all__ = ["SketchStack", "L0SamplerStack"]
+__all__ = ["SketchStack", "L0SamplerStack", "fan_out_levels"]
 
 #: Spill threshold for the running per-cell magnitude bound: while the
 #: bound stays below this, every ``int64`` accumulation of one more
@@ -124,6 +118,17 @@ _LAND_BLOCK = 1 << 14
 
 #: Signed-int64 low-limb mask for the exact cross-row column sums.
 _MASK32_I64 = np.int64((1 << 32) - 1)
+
+
+def fan_out_levels(deepest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nested-sample fan-out: ``(source, depth)`` lists every element
+    ``t`` of ``deepest`` once per level ``0 .. deepest[t]``, as its index
+    and that level (an incidence reaches every level of a nested sample
+    up to its deepest)."""
+    counts = deepest + 1
+    source = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    starts = np.cumsum(counts) - counts
+    return source, np.arange(source.size, dtype=np.int64) - np.repeat(starts, counts)
 
 
 def _segment_sum_mod61(selected: np.ndarray, starts: np.ndarray) -> list[list[int]]:
@@ -178,22 +183,21 @@ class SketchStack:
     Parameters
     ----------
     num_rows:
-        Logical rows per group (AGM: vertices; spanner cluster stacks:
-        vertices; cut stacks: terminal roots).  With ``lazy=True`` this
-        is a purely logical universe size.
+        Logical rows per group (AGM and spanner cluster sketches:
+        vertices; cut sketches: one).  With ``lazy=True`` this is a
+        purely logical universe size.
     domain_size, budget, rows, bucket_factor:
         Per-row sketch shape, exactly as
         :class:`~repro.sketch.sparse_recovery.SparseRecoverySketch`.
     seed:
         One shared randomness name (all rows identically seeded, hence
-        summable across rows — the AGM requirement), **or** a list of
-        ``num_rows`` per-row seeds for heterogeneous stacks, **or**
-        ``None`` when ``group_seeds`` is given.
+        summable across rows — the AGM requirement), or ``None`` when
+        ``group_seeds`` is given.  A list is refused: per-sketch seeds
+        are groups.
     lazy:
         Materialize storage rows on first touch instead of allocating
-        ``groups x num_rows x cells`` eagerly.  Requires shared seeds
-        (per-row seed lists are inherently O(num_rows) state).  Touched
-        rows are bit-identical to the same rows of an eager stack.
+        ``groups x num_rows x cells`` eagerly.  Touched rows are
+        bit-identical to the same rows of an eager stack.
     group_seeds:
         One randomness name per seed group: ``G`` independent families,
         each shared by every row, over one storage array.  Group ``g``'s
@@ -209,12 +213,10 @@ class SketchStack:
         "buckets",
         "cells",
         "num_groups",
-        "shared_seed",
         "lazy",
         "_seed_keys",
         "_zs",
         "_hash_objs",
-        "_coeff_mats",
         "_bucket_coeffs",
         "_pow_table",
         "_pow_built",
@@ -243,25 +245,18 @@ class SketchStack:
     ):
         if num_rows <= 0:
             raise ValueError(f"num_rows must be positive, got {num_rows}")
-        per_row = isinstance(seed, (list, tuple))
-        if group_seeds is not None:
-            if seed is not None:
-                raise ValueError("pass either seed or group_seeds, not both")
-            unit_seeds = list(group_seeds)
-            if not unit_seeds:
-                raise ValueError("group_seeds must name at least one group")
-        elif per_row:
-            if len(seed) != num_rows:
-                raise ValueError(
-                    f"need one seed per row: {num_rows} rows, {len(seed)} seeds"
-                )
-            if lazy:
-                raise ValueError("lazy stacks require a shared seed")
-            unit_seeds = list(seed)
-        else:
-            unit_seeds = [seed]
+        if isinstance(seed, (list, tuple)):
+            # Hashed as one name, a list would seed every row identically.
+            raise TypeError("seed is one shared name; pass per-sketch seeds as group_seeds=")
+        if group_seeds is None:
+            group_seeds = [seed]
+        elif seed is not None:
+            raise ValueError("pass either seed or group_seeds, not both")
+        group_seeds = list(group_seeds)
+        if not group_seeds:
+            raise ValueError("group_seeds must name at least one group")
         template = SparseRecoverySketch(
-            domain_size, budget, unit_seeds[0], rows=rows, bucket_factor=bucket_factor
+            domain_size, budget, group_seeds[0], rows=rows, bucket_factor=bucket_factor
         )
         self.num_rows = num_rows
         self.domain_size = domain_size
@@ -270,13 +265,11 @@ class SketchStack:
         self.buckets = template.buckets
         self.cells = rows * self.buckets
         self.lazy = bool(lazy)
-        self.shared_seed = not per_row
-        self.num_groups = len(unit_seeds) if self.shared_seed else 1
-        # One seed unit per group (shared seeds) or per row (per-row
-        # seeds): the same derivation as the standalone sketch.
+        self.num_groups = len(group_seeds)
+        # One seed key per group: the same derivation as the standalone sketch.
         self._seed_keys = [
             derive_seed(s, "sparse-recovery", domain_size, budget, rows)
-            for s in unit_seeds
+            for s in group_seeds
         ]
         self._hash_objs = [
             [
@@ -288,20 +281,10 @@ class SketchStack:
         self._zs = np.array(
             [1 + key % (MERSENNE_61 - 1) for key in self._seed_keys], dtype=np.uint64
         )
-        coefficients = np.array(
+        self._bucket_coeffs = np.array(
             [[h.coefficients for h in hashes] for hashes in self._hash_objs],
             dtype=np.uint64,
-        )  # (units, rows, k)
-        if self.shared_seed:
-            self._bucket_coeffs = coefficients
-            self._coeff_mats = None
-        else:
-            self._bucket_coeffs = None
-            # One (num_rows, k) coefficient matrix per hash row, for the
-            # gathered-coefficient vectorized evaluation.
-            self._coeff_mats = [
-                np.ascontiguousarray(coefficients[:, r, :]) for r in range(rows)
-            ]
+        )  # (groups, rows, k)
         # Per-group byte-windowed fingerprint power tables, built the first
         # time a group is touched (derived, shared across clones).
         self._pow_table: np.ndarray | None = None
@@ -327,15 +310,6 @@ class SketchStack:
     # ------------------------------------------------------------------
     # Seed / randomness plumbing (pure functions of the logical key)
     # ------------------------------------------------------------------
-
-    def _unit(self, key: int) -> int:
-        """Seed unit of storage key ``key``: its group, or its row."""
-        return key // self.num_rows if self.shared_seed else key
-
-    def _seed_signature(self):
-        if self.shared_seed:
-            return ("shared", tuple(self._seed_keys), self.num_rows)
-        return ("per-row", tuple(self._seed_keys))
 
     def _check_group(self, group: int) -> None:
         if not 0 <= group < self.num_groups:
@@ -525,15 +499,15 @@ class SketchStack:
     def _row_sketch_of(self, key: int, totals=None, index_sums=None, fingerprints=None):
         """Standalone sketch of ``key``'s seeds, holding the given cell
         lists (all-zero where omitted)."""
-        unit = self._unit(key)
+        group = key // self.num_rows
         sketch = object.__new__(SparseRecoverySketch)
         sketch.domain_size = self.domain_size
         sketch.budget = self.budget
         sketch.rows = self.rows
         sketch.buckets = self.buckets
-        sketch._seed_key = self._seed_keys[unit]
-        sketch._z = int(self._zs[unit])
-        sketch._row_hashes = list(self._hash_objs[unit])
+        sketch._seed_key = self._seed_keys[group]
+        sketch._z = int(self._zs[group])
+        sketch._row_hashes = list(self._hash_objs[group])
         sketch._totals = [0] * self.cells if totals is None else totals
         sketch._index_sums = [0] * self.cells if index_sums is None else index_sums
         sketch._fingerprints = [0] * self.cells if fingerprints is None else fingerprints
@@ -619,11 +593,10 @@ class SketchStack:
             self._spilled_sketch(key, create=True).update(index, delta)
             return
         slot = self._slot(key, create=True)
-        unit = self._unit(key)
-        power = pow(int(self._zs[unit]), index, MERSENNE_61)
+        power = pow(int(self._zs[group]), index, MERSENNE_61)
         fingerprint_delta = delta * power
         index_delta = delta * index
-        for r, row_hash in enumerate(self._hash_objs[unit]):
+        for r, row_hash in enumerate(self._hash_objs[group]):
             cell = r * self.buckets + row_hash.bucket(index, self.buckets)
             self._totals[slot, cell] += delta
             self._index_sums[slot, cell] += index_delta
@@ -756,25 +729,17 @@ class SketchStack:
             slots = keys
 
         residues = np.remainder(deltas, MERSENNE_61).astype(np.uint64)
-        if self.shared_seed:
-            self._ensure_pow_tables(touched)
-            # The fused dispatch entry: gathered polyhash → fold →
-            # fingerprint weighting in one backend call (the hot
-            # per-chunk path).
-            positions, terms = stack_positions_terms(
-                self._bucket_coeffs,
-                self._pow_table,
-                indices,
-                residues,
-                self.buckets,
-                np.zeros(indices.size, dtype=np.int64) if groups is None else groups,
-            )
-        else:
-            positions = np.empty((self.rows, indices.size), dtype=np.int64)
-            for r in range(self.rows):
-                hashed = polyhash61_rows(self._coeff_mats[r], row_ids, indices)
-                positions[r] = hashed % np.uint64(self.buckets)
-            terms = mulmod61(residues, powmod61_bases(self._zs[row_ids], indices))
+        self._ensure_pow_tables(touched)
+        # The fused dispatch entry: gathered polyhash → fold → fingerprint
+        # weighting in one backend call (the hot per-chunk path).
+        positions, terms = stack_positions_terms(
+            self._bucket_coeffs,
+            self._pow_table,
+            indices,
+            residues,
+            self.buckets,
+            np.zeros(indices.size, dtype=np.int64) if groups is None else groups,
+        )
         for start in range(0, slots.size, _LAND_BLOCK):
             block = slice(start, start + _LAND_BLOCK)
             self._land(
@@ -1065,7 +1030,7 @@ class SketchStack:
         operand's storage."""
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
-        if self._seed_signature() != other._seed_signature():
+        if self._seed_keys != other._seed_keys:
             raise ValueError("cannot combine stacks with different seeds")
         if self.num_rows != other.num_rows or self.cells != other.cells:
             raise ValueError("cannot combine stacks with different shapes")
@@ -1108,10 +1073,10 @@ class SketchStack:
         clone = object.__new__(SketchStack)
         for name in (
             "num_rows", "domain_size", "budget", "rows", "buckets", "cells",
-            "num_groups", "shared_seed", "lazy",
+            "num_groups", "lazy",
             # Derived, immutable (or fill-once) randomness: shared.
-            "_seed_keys", "_zs", "_hash_objs", "_coeff_mats", "_bucket_coeffs",
-            "_pow_table", "_pow_built",
+            "_seed_keys", "_zs", "_hash_objs", "_bucket_coeffs", "_pow_table",
+            "_pow_built",
         ):
             setattr(clone, name, getattr(self, name))
         clone._bounds = self._bounds.copy()
@@ -1147,8 +1112,7 @@ class SketchStack:
         return (
             f"SketchStack(num_rows={self.num_rows}, domain_size={self.domain_size}, "
             f"budget={self.budget}, rows={self.rows}, buckets={self.buckets}, "
-            f"groups={self.num_groups}, shared_seed={self.shared_seed}, "
-            f"lazy={self.lazy}, resident={self.resident_rows()}, "
+            f"groups={self.num_groups}, lazy={self.lazy}, resident={self.resident_rows()}, "
             f"spilled={self.is_spilled()})"
         )
 
@@ -1238,10 +1202,7 @@ class L0SamplerStack:
             polyhash61_multi(self._membership_coeffs, indices)
         )  # (families, n): every family shares max_level
         # Expand each (family, incidence) into its levels 0..deepest.
-        counts = (levels + 1).reshape(-1)
-        source = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-        starts = np.cumsum(counts) - counts
-        depth = np.arange(source.size, dtype=np.int64) - np.repeat(starts, counts)
+        source, depth = fan_out_levels(levels.reshape(-1))
         incidence = source % n
         groups = (source // n) * np.int64(self.levels) + depth
         self._store.scatter(row_ids[incidence], indices[incidence], deltas[incidence], groups)

@@ -51,7 +51,6 @@ __all__ = [
     "polyhash61_multi",
     "polyhash61_rows",
     "powmod61",
-    "powmod61_bases",
     "scatter_sum_mod61",
     "stack_positions_terms",
     "submod61",
@@ -67,7 +66,6 @@ KERNEL_NAMES = (
     "polyhash61_rows",
     "polyhash61_multi",
     "powmod61",
-    "powmod61_bases",
     "build_pow_table",
     "scatter_sum_mod61",
     "stack_positions_terms",
@@ -202,11 +200,6 @@ def polyhash61_multi(coeff_matrix, xs):
 def powmod61(base, exponents):
     """Vectorized ``pow(base, e, p)`` via the active backend."""
     return _ACTIVE.powmod61(base, exponents)
-
-
-def powmod61_bases(bases, exponents):
-    """Per-element-base vectorized ``pow`` via the active backend."""
-    return _ACTIVE.powmod61_bases(bases, exponents)
 
 
 def build_pow_table(bases, max_exponent):

@@ -32,7 +32,6 @@ __all__ = [
     "polyhash61_multi",
     "polyhash61_rows",
     "powmod61",
-    "powmod61_bases",
     "scatter_sum_mod61",
     "stack_positions_terms",
     "submod61",
@@ -122,9 +121,8 @@ def polyhash61_rows(coeff_matrix: np.ndarray, row_ids: np.ndarray, xs: np.ndarra
     ``coeff_matrix`` has shape ``(num_rows, k)`` (``uint64``, reduced mod
     ``p``); element ``t`` is hashed with the polynomial of row
     ``row_ids[t]``.  This is the heterogeneous-seed form of
-    :func:`polyhash61`, used by sketch stacks whose rows hold
-    *different*-seeded sketches (e.g. the spanner's per-root cut
-    sketches): one vectorized pass evaluates every row's hash at once.
+    :func:`polyhash61`: :func:`stack_positions_terms` evaluates every
+    incidence's seed-group bucket hash with it in one vectorized pass.
     Bit-identical to evaluating each row's scalar hash element-wise.
     """
     xs = np.asarray(xs)
@@ -235,32 +233,6 @@ def powmod61(base: int, exponents: np.ndarray) -> np.ndarray:
         if int(exp.max()) == 0:
             break
         square = square * square % MERSENNE_61
-    return result
-
-
-def powmod61_bases(bases: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """Vectorized ``pow(bases[t], exponents[t], p)`` with per-element bases.
-
-    The heterogeneous-seed form of :func:`powmod61`: each element raises
-    its *own* fingerprint base (rows of a mixed-seed sketch stack hold
-    different ``z``).  Runs ``bit_length(max exponent)`` vectorized
-    square-and-multiply rounds.
-    """
-    exponents = np.asarray(exponents)
-    if np.any(exponents < 0):
-        raise ValueError("exponents must be non-negative")
-    exp = exponents.astype(np.uint64)
-    square = np.asarray(bases, dtype=np.uint64)
-    square = np.where(square >= _M61, square - _M61, square)
-    result = np.ones(exp.shape, dtype=np.uint64)
-    while exp.size and int(exp.max()) != 0:
-        odd = (exp & np.uint64(1)).astype(bool)
-        if odd.any():
-            result[odd] = mulmod61(result[odd], square[odd])
-        exp = exp >> np.uint64(1)
-        if int(exp.max()) == 0:
-            break
-        square = mulmod61(square, square)
     return result
 
 

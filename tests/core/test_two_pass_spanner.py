@@ -106,6 +106,45 @@ class TestStructure:
             TwoPassSpannerBuilder(8, 0, seed=1)
 
 
+class TestMerge:
+    @pytest.mark.parametrize(
+        "other_k, other_params",
+        [(2, None), (3, SpannerParams(cluster_budget=4))],
+        ids=["k", "params"],
+    )
+    def test_mismatched_builder_is_refused_before_any_change(self, other_k, other_params):
+        """Same seed, different levels or sketch shapes: summing would mix
+        sketches drawn under different randomness, so both merges raise
+        and the target's pass-0 state is untouched."""
+        stream = stream_from_graph(connected_gnp(16, 0.3, seed=4), seed=4, churn=0.2)
+        target = TwoPassSpannerBuilder(16, 3, "merge")
+        other = TwoPassSpannerBuilder(16, other_k, "merge", params=other_params)
+        for update in stream:
+            # ``other`` also touches vertices 8..15: a merge that changed
+            # anything before refusing would show in the target's wire.
+            if max(update.u, update.v) < 8:
+                target.process(update, 0)
+            other.process(update, 0)
+        before = target.shard_state_ints(0)
+        with pytest.raises(ValueError, match="num_vertices, k, params"):
+            target.merge_first_pass(other)
+        with pytest.raises(ValueError, match="num_vertices, k, params"):
+            target.merge_second_pass(other)
+        assert target.shard_state_ints(0) == before
+
+    def test_out_of_range_cluster_key_in_wire_raises(self):
+        """A pass-0 wire key (r, j) past the edge levels would alias the
+        next target level's seed group; loading it must fail instead."""
+        builder = TwoPassSpannerBuilder(16, 3, "wire-keys")
+        builder.process_batch(list(stream_from_graph(complete_graph(16), seed=2)), 0)
+        wire = builder.shard_state_ints(0)
+        key_at = 2 + wire[0]  # after the touched list and the key count
+        assert wire[key_at + 1] == 1  # a level-1 key: r = 1
+        wire[key_at + 2] = builder._edge_levels + 1
+        with pytest.raises(ValueError, match="out of range"):
+            TwoPassSpannerBuilder(16, 3, "wire-keys").load_shard_state_ints(0, wire)
+
+
 class TestSizeAndSpace:
     def test_size_bound(self):
         n, k = 64, 2

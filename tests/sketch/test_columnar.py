@@ -73,19 +73,23 @@ class TestSketchStack:
             assert scalar.row_state_ints(row) == batched.row_state_ints(row)
 
     def test_per_row_seeds_match_scalar_sketches(self):
-        num_rows, domain = 5, 250
-        seeds = [("root", r) for r in range(num_rows)]
-        stack = SketchStack(num_rows, domain, 6, [str(s) for s in seeds], rows=3)
-        references = [
-            SparseRecoverySketch(domain, 6, str(seeds[r]), rows=3)
-            for r in range(num_rows)
-        ]
-        rows, idxs, ds = random_incidences("multi", 3000, num_rows, domain)
-        stack.scatter(rows, idxs, ds)
-        for row, index, delta in zip(rows, idxs, ds):
-            references[row].update(int(index), int(delta))
-        for row in range(num_rows):
-            assert stack.row_state_ints(row) == references[row].state_ints()
+        # Per-sketch seeds are one-row seed groups (the spanner's cut
+        # sketches); a seed list is refused rather than hashed as one name.
+        num_sketches, domain = 5, 250
+        seeds = [str(("root", r)) for r in range(num_sketches)]
+        with pytest.raises(TypeError, match="group_seeds="):
+            SketchStack(num_sketches, domain, 6, seeds, rows=3)
+        with pytest.raises(TypeError, match="group_seeds="):
+            SketchStack(num_sketches, domain, 6, tuple(seeds), rows=3)
+        stack = SketchStack(1, domain, 6, None, rows=3, group_seeds=seeds)
+        references = [SparseRecoverySketch(domain, 6, seed, rows=3) for seed in seeds]
+        groups, idxs, ds = random_incidences("multi", 3000, num_sketches, domain)
+        stack.scatter(np.zeros_like(groups), idxs, ds, groups)
+        for group, index, delta in zip(groups, idxs, ds):
+            references[group].update(int(index), int(delta))
+        for group in range(num_sketches):
+            assert stack.row_state_ints(0, group) == references[group].state_ints()
+            assert stack.row_sketch(0, group).decode() == references[group].decode()
 
     def test_rows_sum_equals_pairwise_combine(self):
         num_rows, domain = 5, 150
@@ -430,6 +434,59 @@ class TestAgmWirePins:
         ))
         _feed(sketch, tokens, 1000)
         assert not _agm_spilled(sketch)
+
+
+def _sha256(values):
+    return hashlib.sha256(",".join(map(str, values)).encode()).hexdigest()
+
+
+def _spanner_pins(builder, tokens, chunk):
+    """sha256 of both passes' shard wires and of the sorted spanner edges,
+    after feeding ``tokens`` in ``chunk``-token batches (a short last
+    batch rides the scalar token loop)."""
+    for pass_index in range(2):
+        for start in range(0, len(tokens), chunk):
+            builder.process_batch(tokens[start : start + chunk], pass_index)
+        builder.end_pass(pass_index)
+    wires = [_sha256(builder.shard_state_ints(p)) for p in range(2)]
+    edges = sorted(builder.finalize().spanner.edge_set())
+    return wires + [_sha256(v for edge in edges for v in edge)]
+
+
+class TestSpannerWirePins:
+    """Both spanner passes' shard wires are checkpoint and shard formats,
+    and the spanner is the slot's answer: their bytes are pinned as
+    sha256 constants (pass-0 wire, pass-1 wire, sorted edge list), so a
+    storage change that moves any cell, row id or edge fails here."""
+
+    def test_dense_n32_k2_is_pinned(self):
+        tokens = list(mixed_workload_stream(32, 3020, "spanner-pin-32"))
+        assert _spanner_pins(TwoPassSpannerBuilder(32, 2, "spanner-pin"), tokens, 500) == [
+            "60c458299939126339fc420f16850d98f95f7346bdf4cf1920b062f18117dab6",
+            "34b8f769360761fcb3c155f2cfee65f3fe30027911d32ae35d26a1e715a10110",
+            "0e145fda1a73c9f07c8eb91f3c1b6a57bdd8011da3dde8cd5e5302675deb2efb",
+        ]
+
+    def test_dense_n16_k3_is_pinned(self):
+        tokens = list(mixed_workload_stream(16, 2020, "spanner-pin-16"))
+        assert _spanner_pins(TwoPassSpannerBuilder(16, 3, "spanner-pin"), tokens, 400) == [
+            "7320e01b80ba78a86b82a34a444574c69a22e8ba63c3a876590ac7f0f2917d23",
+            "f25b1daadb6648c0d22c42e1a2cafcf42b47999826d6dd5ce2df6f445b2be4b5",
+            "91c440b90582de03437580d05c92ca1f54f715589106ddcd43aff54fecfb8827",
+        ]
+
+    def test_lazy_powerlaw_is_pinned(self):
+        # This seed samples a popular vertex into C_1, so ~150 rows of the
+        # lazy cluster store and two cut-sketch budgets carry state.
+        tokens = list(power_law_universe_stream(
+            10**7, 200, 1520, "spanner-pin-powerlaw", exponent=1.2
+        ))
+        builder = TwoPassSpannerBuilder(VertexSpace.sparse(10**7), 3, "spanner-pin-17")
+        assert _spanner_pins(builder, tokens, 500) == [
+            "2a2484b2605d1f4d358511f6348619c8eb56c63e5076b4dac6015f0214f44760",
+            "e381ca7e74bb0d562c673fd7b753839022e3931eea164e30b3739ac616dc1ad7",
+            "c344a8551ce4e12c10f171a2e440cabd0abfafcbac0aa257336f31d543442945",
+        ]
 
 
 class TestSpannerColumnarIdentity:

@@ -309,6 +309,15 @@ def test_live_src_routes_kernels_through_dispatch():
     assert offenders == []
 
 
+def test_dispatch_names_match_the_kernel_table():
+    # SL205 guards the names in the config; the dispatch layer serves
+    # KERNEL_NAMES. A kernel added to or deleted from one list only
+    # would leave it unguarded or guard a name that no longer exists.
+    from repro.sketch.kernels import KERNEL_NAMES
+
+    assert DEFAULT_CONFIG.kernel_dispatch_names == frozenset(KERNEL_NAMES)
+
+
 # -- determinism (SL3xx) -----------------------------------------------
 
 

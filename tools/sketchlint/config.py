@@ -48,7 +48,6 @@ class Config:
             "polyhash61_rows",
             "polyhash61_multi",
             "powmod61",
-            "powmod61_bases",
             "build_pow_table",
             "scatter_sum_mod61",
             "stack_positions_terms",
