@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-sanitize test-chaos chaos lint bench bench-engine bench-lifecycle bench-distributed bench-service bench-columnar bench-sparse bench-kernels docs-check check
+.PHONY: test test-sanitize test-chaos chaos lint bench bench-lifecycle bench-distributed bench-service bench-columnar bench-sparse bench-kernels docs-check check
 
 # Tier-1 verification: the full unit/integration suite, fail-fast.
 test:
@@ -35,16 +35,10 @@ chaos:
 lint:
 	$(PYTHON) -m tools.sketchlint src/
 
-# Paper-claim experiments E1-E8 plus the batch-engine gate; tables are
+# Paper-claim experiments E1-E8 plus the bench gates; tables are
 # printed and written to benchmarks/results/.
 bench:
 	$(PYTHON) -m pytest benchmarks/ -q
-
-# The per-sketch batch path gate: SparseRecoverySketch.update_batch,
-# which the pass-2 hash tables and the columnar spill ride (>=5x over
-# the scalar loop, bit-identical).
-bench-engine:
-	$(PYTHON) -m pytest benchmarks/bench_batch_engine.py -q
 
 # The GraphSession lifecycle benchmark (ingest, snapshot, query,
 # checkpoint) on all three workloads at a fixed seed; every answer is
@@ -108,9 +102,9 @@ docs-check:
 # Everything a PR should pass: the sketchlint invariants, docs gates
 # (docstring coverage), the unit/integration suite (plus the
 # sanitizer-armed sketch/service subset and the fault/recovery pins),
-# the fixed-seed chaos harness, the per-sketch batch path gate, the
-# distributed-engine gates, the live service gates, the columnar-engine
-# speedup/regression gates, the sparse vertex-universe memory/identity
-# gates, the kernel-backend speedup/identity/ladder gates, and the
-# lifecycle benchmark's answer checks.
-check: lint docs-check test test-sanitize test-chaos chaos bench-engine bench-distributed bench-service bench-columnar bench-sparse bench-kernels bench-lifecycle
+# the fixed-seed chaos harness, the distributed-engine gates, the live
+# service gates, the columnar-engine speedup/regression gates, the
+# sparse vertex-universe memory/identity gates, the kernel-backend
+# speedup/identity/ladder gates, and the lifecycle benchmark's answer
+# checks.
+check: lint docs-check test test-sanitize test-chaos chaos bench-distributed bench-service bench-columnar bench-sparse bench-kernels bench-lifecycle

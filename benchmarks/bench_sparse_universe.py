@@ -17,7 +17,13 @@ subgraph.  This bench pins all three claims on seeded streams:
   ``~2x``, not by the universe, and ingest above a conservative
   throughput floor;
 * **dense/lazy identity gate** — on a moderate universe the lazy
-  engine's wire state must equal the dense engine's on a long stream.
+  engine's wire state must equal the dense engine's on a long stream;
+* **snapshot scale-wall gate** — on a power-law session over the same
+  universe, a cold cut at 256 touched ids must grow the process's peak
+  RSS by at most 70 MB (the wall recorded before pass 2 was sized by what
+  it holds was 4.8 s and a 350 MB peak), and a cold spanner-distance at
+  1,000 touched ids is timed and measured the same way (recorded wall:
+  ~3.3 s, ~290 MB).
 
 Measured rates land in ``benchmarks/results/BENCH_sparse.json``;
 ``tools/perf_regress.py`` (run by ``make bench-sparse``) compares them
@@ -28,6 +34,8 @@ reference container has 1 CPU).
 
 from __future__ import annotations
 
+import ctypes
+import gc
 import json
 import pathlib
 import time
@@ -38,7 +46,11 @@ from repro.agm.connectivity import ConnectivityChecker
 from repro.core.parameters import SparsifierParams, SpannerParams
 from repro.graph.vertex_space import VertexSpace
 from repro.service import GraphSession, WorkloadDriver, components_match_ledger
-from repro.stream.generators import sparse_session_ops, sparse_touch_stream
+from repro.stream.generators import (
+    power_law_universe_stream,
+    sparse_session_ops,
+    sparse_touch_stream,
+)
 
 #: The headline universe: ten million logical vertex ids.
 UNIVERSE = 10_000_000
@@ -70,6 +82,13 @@ SLIM_SPARSIFIER = SparsifierParams(
 SLIM_SPANNER = SpannerParams(table_stacks=1, table_capacity_factor=0.75)
 
 RESULTS_JSON = pathlib.Path(__file__).parent / "results" / "BENCH_sparse.json"
+
+#: Touched ids of the cold-cut and cold-spanner snapshot probes.
+WALL_CUT_TOUCHED = 256
+WALL_SPANNER_TOUCHED = 1_000
+
+#: Peak-RSS growth ceiling of the cold cut: 5x under the 350 MB wall.
+WALL_CUT_PEAK_MB = 70
 
 _RATES: dict[str, float] = {}
 
@@ -218,6 +237,69 @@ def test_dense_lazy_identity_long_stream(results):
     ])
     results("bench_sparse_identity", table)
     assert identical, "lazy engine wire state diverged from the dense engine"
+
+
+def _status_kb(field_name: str) -> int:
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith(field_name):
+                return int(line.split()[1])
+    raise RuntimeError(f"/proc/self/status has no {field_name}")
+
+
+def _reset_peak() -> int:
+    """Return freed memory to the OS and reset the peak-RSS mark (kB), so
+    the next peak shows only what is allocated after this call."""
+    gc.collect()
+    ctypes.CDLL(None).malloc_trim(0)
+    with open("/proc/self/clear_refs", "w") as handle:
+        handle.write("5")
+    return _status_kb("VmHWM:")
+
+
+def _cold_snapshot(kind: str, touched: int) -> tuple[int, float, float]:
+    """(live edges, seconds, peak-RSS growth MB) of one cold ``kind``
+    query on a power-law session with ``touched`` ids (30 tokens each)."""
+    seed = f"bench-sparse-wall-{touched}"
+    session = GraphSession(
+        VertexSpace.sparse(UNIVERSE),
+        seed,
+        k=2,
+        sparsifier_k=1,
+        sparsifier_params=SLIM_SPARSIFIER,
+        spanner_params=SLIM_SPANNER,
+        agm_rounds=12,
+    )
+    tokens = list(power_law_universe_stream(UNIVERSE, touched, 30 * touched, seed, exponent=1.2))
+    for start in range(0, len(tokens), 1_000):
+        session.ingest_batch(tokens[start : start + 1_000])
+    pool = sorted({v for update in tokens for v in update.pair})
+    args = (frozenset(pool[::2]),) if kind == "cut" else (pool[0], pool[-1])
+    base = _reset_peak()
+    begin = time.perf_counter()
+    outcome = session.query(kind, *args)
+    seconds = time.perf_counter() - begin
+    grown = (_status_kb("VmHWM:") - base) / 1024
+    assert outcome.ok, f"cold {kind} failed: {outcome}"
+    return session.num_live_edges(), seconds, grown
+
+
+def test_snapshot_scale_wall(results):
+    """Pass 2 sized by what it holds: cold snapshots past the old wall."""
+    cut_edges, cut_s, cut_mb = _cold_snapshot("cut", WALL_CUT_TOUCHED)
+    span_edges, span_s, span_mb = _cold_snapshot("spanner-distance", WALL_SPANNER_TOUCHED)
+    table = "\n".join([
+        f"cold snapshots, {UNIVERSE:,}-id universe, power-law touched ids:",
+        f"  cut              @ {WALL_CUT_TOUCHED:>5} touched ({cut_edges:,} live edges): "
+        f"{cut_s:6.2f} s, peak RSS +{cut_mb:6.1f} MB "
+        f"(ceiling {WALL_CUT_PEAK_MB} MB; recorded wall 4.8 s, 350 MB)",
+        f"  spanner-distance @ {WALL_SPANNER_TOUCHED:>5} touched ({span_edges:,} live edges): "
+        f"{span_s:6.2f} s, peak RSS +{span_mb:6.1f} MB (recorded wall ~3.3 s, ~290 MB)",
+    ])
+    results("bench_sparse_snapshot", table)
+    assert cut_mb <= WALL_CUT_PEAK_MB, (
+        f"cold cut grew peak RSS by {cut_mb:.1f} MB (ceiling {WALL_CUT_PEAK_MB} MB)"
+    )
 
 
 def test_write_rates_json(proportionality_runs, results):

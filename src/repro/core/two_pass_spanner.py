@@ -22,15 +22,26 @@ Columnar storage
 The pass-1 sketches of one ``(r, j)`` slot are seeded independently of
 the vertex — sketches of different vertices must be summable — so each
 ``(r, j)`` is one seed group of a single
-:class:`~repro.sketch.columnar.SketchStack` (rows = vertices).  Every
-terminal root's pass-2 *cut* sketch is its own seed group (one row) of a
-per-budget store.  A stream chunk is first collapsed to its net delta
+:class:`~repro.sketch.columnar.SketchStack` (rows = vertices).  A
+stream chunk is first collapsed to its net delta
 per distinct edge pair (:func:`~repro.stream.batching.aggregate_updates`),
 fanned out to its ``(vertex, r, j)`` incidences, and landed with one
 scatter — bit-identical to the historical per-sketch state, including
 the lazy-allocation bookkeeping (``shard_state_ints`` still ships
 exactly the ``(vertex, r, j)`` rows the scalar path would have
 allocated).
+
+Pass 2 is sized by what it holds.  Every ``(root, stack, j)`` table is a
+seed group of one :class:`~repro.sketch.table_store.NeighborhoodTableStore`
+and every root's cut sketch a group of one
+:class:`~repro.sketch.table_store.SparseRecoveryStore`; both hold
+nonzero cells only.  The forest is turned into routing arrays once
+(:class:`_Routing`), so a chunk's distinct pairs fan out to their
+``(table, key, neighbor, delta)`` incidences in one vectorized step (a
+scalar token is a batch of one); the stores reduce them by cell key on
+the next read, and finalization decodes every table in one batched
+peel.  The pass-2 shard wire renders each nonzero table's dense cells,
+byte-identical to the per-table layout it replaced.
 
 The class is linear-sketch-based throughout: all pass-1/pass-2 state
 supports addition of same-seeded instances, so sketches computed on
@@ -45,7 +56,7 @@ spectral sparsifier's sampler consumes.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,8 +69,8 @@ from repro.graph.graph import Graph, edge_from_index, edge_index
 from repro.graph.vertex_space import VertexSpace, as_vertex_space
 from repro.sketch.columnar import SketchStack, fan_out_levels
 from repro.sketch.hashing import NestedSampler
-from repro.sketch.linear_hash_table import NeighborhoodHashTable
 from repro.sketch.onesparse import DecodeStatus
+from repro.sketch.table_store import NeighborhoodTableStore, SparseRecoveryStore
 from repro.stream.batching import aggregate_updates, updates_to_arrays
 from repro.stream.pipeline import StreamingAlgorithm, run_passes
 from repro.stream.space import SpaceReport
@@ -174,18 +185,18 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         self.forest: ClusterForest | None = None
         self._terminal_trees: dict[Copy, set[int]] = {}
         self._trees_of_vertex: dict[int, list[Copy]] = {}
-        # Pass-2 tables: (root, stack, j) -> table, materialized on first
-        # touch (a root's deep Y_j levels usually never see an inside
-        # vertex, so eager allocation would dominate sparse sessions).
-        # Seeds and capacities are pure functions of (root, stack, j) and
-        # the forest, so lazily allocated tables are bit-identical to
-        # eagerly allocated ones and shards may allocate different sets.
-        self._tables: dict[tuple[Copy, int, int], NeighborhoodHashTable] = {}
+        # Pass-2 tables: every (root, stack, j) table is seed group
+        # ``_table_group(root, stack, j)`` of one store holding nonzero
+        # cells only; seeds and capacities are pure functions of the key
+        # and the forest, so every builder that adopted the same forest
+        # forms the same layout.  ``_routing`` holds the forest as arrays
+        # for the vectorized pass-2 fan-out (see _allocate_tables).
+        self._tables: NeighborhoodTableStore | None = None
+        self._routing: _Routing | None = None
         self._table_effective_n: int | None = None
-        # Pass-2 repair sketches: per-budget stores with one seed group
-        # (of one row) per terminal root; root -> (store index, group).
-        self._cut_stacks: list[SketchStack] = []
-        self._cut_rows: dict[Copy, tuple[int, int]] = {}
+        # Pass-2 repair sketches: one cut sketch per terminal root, the
+        # groups (in sorted root order) of one nonzero-cells store.
+        self._cuts: SparseRecoveryStore | None = None
 
         self.observed_edges: set[tuple[int, int]] = set()
         self.diagnostics: dict[str, int] = {
@@ -312,13 +323,20 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
 
     def merge_second_pass(self, other: "TwoPassSpannerBuilder") -> None:
         """Add another same-seeded builder's pass-2 tables into ours
-        (tables the other shard touched but we did not materialize on
-        demand — same seeds, so the sum is exact)."""
+        (same forest, hence the same table layout and seeds, so the sum
+        is exact table by table)."""
         self._check_mergeable(other)
-        for (root, stack, j), table in other._tables.items():
-            self._ensure_table(root, stack, j).combine(table)
-        for mine, theirs in zip(self._cut_stacks, other._cut_stacks):
-            mine.combine(theirs)
+        if other._tables is None:
+            return
+        if self._tables is None:
+            raise RuntimeError("table layout requested before the forest was built")
+        if (self._routing.roots, self._routing.levels) != (
+            other._routing.roots, other._routing.levels
+        ):
+            raise ValueError("builders must share the forest to merge pass-2 tables")
+        self._tables.combine(other._tables)
+        if self._cuts is not None:
+            self._cuts.combine(other._cuts)
 
     def _check_mergeable(self, other: "TwoPassSpannerBuilder") -> None:
         """Refuse, before any state changes, a builder whose sketches
@@ -365,9 +383,9 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         clone.forest = self.forest
         clone._terminal_trees = self._terminal_trees
         clone._trees_of_vertex = self._trees_of_vertex
-        clone._tables = {key: table.clone() for key, table in self._tables.items()}
-        clone._cut_stacks = [stack.clone() for stack in self._cut_stacks]
-        clone._cut_rows = dict(self._cut_rows)
+        clone._tables = None if self._tables is None else self._tables.clone()
+        clone._routing = self._routing
+        clone._cuts = None if self._cuts is None else self._cuts.clone()
         clone.observed_edges = set(self.observed_edges)
         clone.diagnostics = dict(self.diagnostics)
         return clone
@@ -405,17 +423,18 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
             return flat
         # Nonzero tables only: materialization depends on chunk
         # boundaries (canceled-in-chunk tokens), nonzero-ness does not —
-        # so every engine and chunking emits the identical wire.
-        live_keys = [
-            key for key in sorted(self._tables) if not self._tables[key].is_zero()
-        ]
-        flat = [len(live_keys)]
-        for (root, stack, j) in live_keys:
-            flat.extend((root[0], root[1], stack, j))
-            flat.extend(self._tables[(root, stack, j)].state_ints())
-        for root in sorted(self._cut_rows):
-            stack_index, group = self._cut_rows[root]
-            flat.extend(self._cut_stacks[stack_index].row_state_ints(0, group))
+        # so every engine and chunking emits the identical wire.  Groups
+        # number the tables in sorted (root, stack, j) order, and each
+        # renders its dense cells.
+        live = [] if self._tables is None else self._tables.nonzero_groups()
+        flat = [len(live)]
+        for group in live:
+            (vertex, level), stack, j = self._table_key(group)
+            flat.extend((vertex, level, stack, j))
+            flat.extend(self._tables.state_ints(group))
+        if self._cuts is not None:
+            for root_index in range(self._cuts.num_groups):
+                flat.extend(self._cuts.state_ints(root_index))
         return flat
 
     def load_shard_state_ints(self, pass_index: int, values: list[int]) -> None:
@@ -449,23 +468,38 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
             return
         if self.forest is None:
             raise RuntimeError("adopt the coordinator forest before loading pass-2 state")
-        table_count = int(values[0])
+        # Validate the whole wire before any state changes: every table
+        # key must name a (terminal root, stack, j) of this layout once.
+        blocks: dict[int, list[int]] = {}
         cursor = 1
-        for _ in range(table_count):
-            vertex, level, stack_id, j = (int(v) for v in values[cursor : cursor + 4])
+        for _ in range(int(values[0])):
+            if cursor + 4 > len(values):
+                raise ValueError("pass-2 wire ends inside a table key")
+            vertex, level, stack, j = (int(v) for v in values[cursor : cursor + 4])
             cursor += 4
-            table = self._ensure_table((vertex, level), stack_id, j)
-            need = table.state_len()
-            table.from_state_ints(values[cursor : cursor + need])
+            root_index = self._routing.root_index.get((vertex, level))
+            if root_index is None:
+                raise ValueError(f"pass-2 table root {(vertex, level)} is not a terminal root")
+            if not 0 <= stack < self.params.table_stacks:
+                raise ValueError(f"pass-2 table stack {stack} out of range")
+            if not 0 <= j < self._routing.levels:
+                raise ValueError(f"pass-2 table level j={j} out of range")
+            group = self._table_group(root_index, stack, j)
+            if group in blocks:
+                raise ValueError(f"pass-2 table {(vertex, level, stack, j)} shipped twice")
+            need = self._tables.state_len(group)
+            blocks[group] = values[cursor : cursor + need]
             cursor += need
-        for root in sorted(self._cut_rows):
-            stack_index, group = self._cut_rows[root]
-            stack = self._cut_stacks[stack_index]
-            need = stack.row_state_len()
-            stack.load_row_state(0, values[cursor : cursor + need], group)
+        cut_blocks: dict[int, list[int]] = {}
+        for root_index in range(0 if self._cuts is None else self._cuts.num_groups):
+            need = self._cuts.state_len(root_index)
+            cut_blocks[root_index] = values[cursor : cursor + need]
             cursor += need
         if cursor != len(values):
             raise ValueError(f"expected {cursor} state ints, got {len(values)}")
+        self._tables.from_state_ints(blocks)
+        if self._cuts is not None:
+            self._cuts.from_state_ints(cut_blocks)
 
     def merge_shard(self, other: "TwoPassSpannerBuilder", pass_index: int) -> None:
         """Sum a shard builder's pass state into ours (linearity)."""
@@ -490,10 +524,8 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         self.forest = forest
         self._terminal_trees = terminal_trees
         self._trees_of_vertex = trees_of_vertex
-        # Idempotence keyed on the layout marker, not on the (lazily
-        # populated, possibly still empty) table dict: a repeated
-        # broadcast must not re-run _allocate_tables and duplicate the
-        # cut-sketch stacks.
+        # Idempotence keyed on the layout marker: a repeated broadcast
+        # must not re-run _allocate_tables and drop the stores' state.
         if self._table_effective_n is None:
             self._allocate_tables()
 
@@ -657,144 +689,111 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         """
         return max(1, len(self._trees_of_vertex))
 
-    def _ensure_table(self, root: Copy, stack: int, j: int) -> NeighborhoodHashTable:
-        """The ``H^root_j`` table of one ``Y_j`` stack, materialized on
-        first touch (seed and capacity are pure functions of the key and
-        the forest, never of allocation order)."""
-        key = (root, stack, j)
-        table = self._tables.get(key)
-        if table is None:
-            if self._table_effective_n is None:
-                raise RuntimeError("table layout requested before the forest was built")
-            capacity = self.params.table_capacity(
-                self._table_effective_n, root[1], self.k
-            )
-            table = NeighborhoodHashTable(
-                self.num_vertices,
-                capacity,
-                derive_seed(self._seed, "table", root[0], root[1], stack, j),
-                rows=self.params.table_rows,
-                bucket_factor=self.params.table_bucket_factor,
-            )
-            self._tables[key] = table
-        return table
+    def _table_group(self, root_index, stack, j):
+        """Store group of table ``H^root_j`` of one ``Y_j`` stack (ints or
+        arrays): groups run in sorted ``(root, stack, j)`` order."""
+        return (root_index * self.params.table_stacks + stack) * self._routing.levels + j
+
+    def _table_key(self, group: int) -> tuple[Copy, int, int]:
+        """Inverse of :meth:`_table_group`: ``(root, stack, j)``."""
+        rest, j = divmod(group, self._routing.levels)
+        root_index, stack = divmod(rest, self.params.table_stacks)
+        return self._routing.roots[root_index], stack, j
 
     def _allocate_tables(self) -> None:
-        """Fix the pass-2 layout (capacities, ``Y_j`` depth, cut-sketch
-        stacks) from the built forest; the tables themselves materialize
-        lazily as pass-2 updates touch them."""
+        """Fix the pass-2 layout (capacities, ``Y_j`` depth, the table
+        and cut-sketch stores) and its routing arrays from the built
+        forest; cells appear as pass-2 updates touch them."""
         effective_n = self._effective_n()
         self._table_effective_n = effective_n
         self._active_vertex_levels = min(
             self._vertex_levels, self.params.vertex_levels(effective_n)
         )
+        roots = sorted(self._terminal_trees)
+        capacities = [
+            self.params.table_capacity(effective_n, root[1], self.k) for root in roots
+        ]
         if self.params.repair_budget_factor > 0:
-            # One store per sketch shape (the budget depends only on the
-            # root's level), one seed group per root; the grouping is
-            # seed-determined, so every same-forest builder forms
-            # identical stores and they merge store-wise.
-            by_budget: dict[int, list[Copy]] = {}
-            for root in sorted(self._terminal_trees):
-                capacity = self.params.table_capacity(
-                    effective_n, root[1], self.k
-                )
-                budget = max(8, math.ceil(self.params.repair_budget_factor * capacity))
-                by_budget.setdefault(budget, []).append(root)
-            for budget, roots in by_budget.items():
-                stack = SketchStack(
-                    1,
-                    self.num_vertices * self.num_vertices,
-                    budget,
-                    None,
-                    rows=3,
-                    group_seeds=[
-                        derive_seed(self._seed, "cut-sketch", root[0], root[1])
-                        for root in roots
-                    ],
-                )
-                stack_index = len(self._cut_stacks)
-                self._cut_stacks.append(stack)
-                for group, root in enumerate(roots):
-                    self._cut_rows[root] = (stack_index, group)
+            # Root index i's cut sketch is group i; seeds and budgets are
+            # functions of the root, so every same-forest builder forms
+            # the identical store and they merge group-wise.
+            self._cuts = SparseRecoveryStore(
+                self.num_vertices * self.num_vertices,
+                [
+                    max(8, math.ceil(self.params.repair_budget_factor * capacity))
+                    for capacity in capacities
+                ],
+                partial(_cut_seed, self._seed, roots),
+                rows=3,
+            )
+        self._routing = _Routing(self, roots)
+        stacks = self.params.table_stacks
+        self._tables = NeighborhoodTableStore(
+            self.num_vertices,
+            np.repeat(np.array(capacities, dtype=np.int64), stacks * self._routing.levels),
+            partial(_table_seed, self._seed, roots, stacks, self._routing.levels),
+            rows=self.params.table_rows,
+            bucket_factor=self.params.table_bucket_factor,
+        )
 
     def _process_second_pass(self, update: EdgeUpdate) -> None:
-        if self.forest is None:
-            raise RuntimeError("second pass before the forest was built")
+        """One token of Algorithm 2: the batch-of-one columnar update."""
         pair = edge_index(update.u, update.v, self.num_vertices)
-        for inside, outside in ((update.u, update.v), (update.v, update.u)):
-            for root in self._trees_of_vertex.get(inside, ()):
-                if outside in self._terminal_trees[root]:
-                    continue
-                cut_entry = self._cut_rows.get(root)
-                if cut_entry is not None:
-                    stack_index, group = cut_entry
-                    self._cut_stacks[stack_index].update_row(0, pair, update.sign, group)
-                for stack, sampler in enumerate(self._y_samplers):
-                    deepest = min(sampler.level(inside), self._active_vertex_levels)
-                    for j in range(deepest + 1):
-                        self._ensure_table(root, stack, j).add_neighbor(
-                            key=outside, neighbor=inside, delta=update.sign
-                        )
+        self._second_pass_pairs(  # both orientations route, so order is free
+            np.array([update.u], dtype=np.int64),
+            np.array([update.v], dtype=np.int64),
+            np.array([pair], dtype=np.int64),
+            np.array([update.sign], dtype=np.int64),
+        )
 
     def _second_pass_pairs(
         self, us: np.ndarray, vs: np.ndarray, pairs: np.ndarray, deltas: np.ndarray
     ) -> None:
         """Columnar Algorithm 2 updates over a chunk's distinct pairs.
 
-        Routing (which terminal trees a pair crosses into) runs once per
-        *distinct* pair; cut contributions group per cut store (one
-        scatter each), and the per-(root, stack) hash tables absorb
-        their groups through their vectorized batch paths.  The ``Y_j``
-        level of each inside endpoint is memoized per stack, mirroring
-        the scalar path's hash evaluations.
+        Both orientations ``(inside, outside)`` of every pair fan out,
+        through the routing arrays, to the terminal trees holding the
+        inside endpoint but not the outside one; each such crossing adds
+        the pair to the root's cut sketch and ``(key = outside, neighbor =
+        inside)`` to the root's tables at every stack's levels
+        ``0 .. Y-depth(inside)`` — one add to each store.
         """
         if self.forest is None:
             raise RuntimeError("second pass before the forest was built")
         if pairs.size == 0:
             return
-        # (store index) -> groups / coords / deltas of cut contributions.
-        cut_groups: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-        # (root, stack) -> (keys, neighbors, deltas, deepest levels)
-        table_groups: dict[tuple[Copy, int], list[tuple[int, int, int, int]]] = (
-            defaultdict(list)
+        routing = self._routing
+        if routing.vertices.size == 0:
+            return
+        inside = np.concatenate([us, vs])
+        outside = np.concatenate([vs, us])
+        take = np.tile(np.arange(pairs.size, dtype=np.int64), 2)
+        # Inside endpoints outside the forest belong to no tree.
+        rows = np.searchsorted(routing.vertices, inside)
+        rows = np.minimum(rows, routing.vertices.size - 1)
+        known = routing.vertices[rows] == inside
+        inside, outside, take, rows = inside[known], outside[known], take[known], rows[known]
+        source, offset = fan_out_levels(routing.ptr[rows + 1] - routing.ptr[rows] - 1)
+        root_ids = routing.root_ids[routing.ptr[rows][source] + offset]
+        # Keep the crossings: outside endpoint not in the root's tree.
+        member = root_ids * np.int64(self.num_vertices) + outside[source]
+        at = np.minimum(np.searchsorted(routing.members, member), routing.members.size - 1)
+        crossing = routing.members[at] != member
+        source, root_ids = source[crossing], root_ids[crossing]
+        if source.size == 0:
+            return
+        crossing_pairs = take[source]
+        if self._cuts is not None:
+            self._cuts.add(root_ids, pairs[crossing_pairs], deltas[crossing_pairs])
+        depth = routing.y_depth[:, rows[source]]  # (stacks, crossings)
+        fanned, j = fan_out_levels(depth.reshape(-1))
+        stack, crossing_id = np.divmod(fanned, source.size)
+        self._tables.add(
+            self._table_group(root_ids[crossing_id], stack, j),
+            outside[source][crossing_id],
+            inside[source][crossing_id],
+            deltas[crossing_pairs[crossing_id]],
         )
-        y_levels: list[dict[int, int]] = [{} for _ in self._y_samplers]
-        for position in range(pairs.size):
-            u = int(us[position])
-            v = int(vs[position])
-            pair = int(pairs[position])
-            delta = int(deltas[position])
-            for inside, outside in ((u, v), (v, u)):
-                for root in self._trees_of_vertex.get(inside, ()):
-                    if outside in self._terminal_trees[root]:
-                        continue
-                    cut_entry = self._cut_rows.get(root)
-                    if cut_entry is not None:
-                        stack_index, group = cut_entry
-                        cut_groups[stack_index].append((group, pair, delta))
-                    for stack, sampler in enumerate(self._y_samplers):
-                        deepest = y_levels[stack].get(inside)
-                        if deepest is None:
-                            deepest = min(sampler.level(inside), self._active_vertex_levels)
-                            y_levels[stack][inside] = deepest
-                        table_groups[(root, stack)].append(
-                            (outside, inside, delta, deepest)
-                        )
-        for stack_index, entries in cut_groups.items():
-            groups, coords, values = np.array(entries, dtype=np.int64).T
-            self._cut_stacks[stack_index].scatter(
-                np.zeros(groups.size, dtype=np.int64), coords, values, groups
-            )
-        for (root, stack), entries in table_groups.items():
-            deepest = np.array([entry[3] for entry in entries], dtype=np.int64)
-            keys = np.array([entry[0] for entry in entries], dtype=np.int64)
-            neighbors = np.array([entry[1] for entry in entries], dtype=np.int64)
-            values = np.array([entry[2] for entry in entries], dtype=np.int64)
-            for j in range(int(deepest.max()) + 1):
-                surviving = deepest >= j
-                self._ensure_table(root, stack, j).add_neighbors_batch(
-                    keys[surviving], neighbors[surviving], values[surviving]
-                )
 
     def _recover_spanner(self) -> SpannerOutput:
         """Post-pass-2 recovery (lines 20-33 of Algorithm 2)."""
@@ -807,16 +806,19 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
             if not spanner.has_edge(a, b):
                 spanner.add_edge(a, b)
 
-        # Step 2: per terminal root, decode all tables and take, for each
-        # outside key, the highest-level 1-sparse payload.
+        # Step 2: decode every table in one batched peel; per terminal
+        # root, take for each outside key the highest-level 1-sparse
+        # payload.
+        decoded_groups = {} if self._tables is None else self._tables.decode()
         for root, tree in self._terminal_trees.items():
             decoded_tables = {}
+            root_index = self._routing.root_index[root]
             for stack in range(self.params.table_stacks):
                 for j in range(self._active_vertex_levels, -1, -1):
-                    table = self._tables.get((root, stack, j))
-                    if table is None:
+                    group = self._table_group(root_index, stack, j)
+                    if group not in decoded_groups:
                         continue  # never touched: decodes to nothing
-                    decoded = table.decode_neighbors()
+                    decoded = decoded_groups[group]
                     if decoded is None:
                         self.diagnostics["pass2_table_overflows"] += 1
                         continue
@@ -869,11 +871,10 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         Returns the number of keys repaired.  Only possible when the cut
         sketch decodes, i.e. the root's cut is within its budget.
         """
-        cut_entry = self._cut_rows.get(root)
-        if cut_entry is None:
+        if self._cuts is None:
             return 0
-        stack_index, group = cut_entry
-        decoded = self._cut_stacks[stack_index].row_sketch(0, group).decode()
+        root_index = self._routing.root_index[root]
+        decoded = self._cuts.decode([root_index])[root_index]
         if decoded is None:
             return 0
         best_neighbor: dict[int, int] = {}
@@ -920,14 +921,75 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
                 len(live) * row_words,
                 universe_words=self.num_vertices * row_words,
             )
-        for table in self._tables.values():
-            report.add("pass2 hash tables", table.space_words())
-        for root, (stack_index, _) in self._cut_rows.items():
+        if self._tables is not None:
+            report.add("pass2 hash tables", self._tables.space_words())
+        if self._cuts is not None:
             report.add(
-                "pass2 repair sketches",
-                self._cut_stacks[stack_index].row_space_words(),
+                "pass2 repair sketches", self._cuts.space_words(range(self._cuts.num_groups))
             )
         return report
 
     def space_words(self) -> int:
         return self.space_report().total_words()
+
+
+def _cut_seed(master: int, roots: list[Copy], root_index: int) -> int:
+    """Randomness name of the cut sketch of root ``roots[root_index]``."""
+    root = roots[root_index]
+    return derive_seed(master, "cut-sketch", root[0], root[1])
+
+
+def _table_seed(master: int, roots: list[Copy], stacks: int, levels: int, group: int) -> int:
+    """Randomness name of pass-2 table ``group`` — the historical
+    per-``(root, stack, j)`` table seed."""
+    rest, j = divmod(group, levels)
+    root_index, stack = divmod(rest, stacks)
+    root = roots[root_index]
+    return derive_seed(master, "table", root[0], root[1], stack, j)
+
+
+class _Routing:
+    """The built forest as arrays, for the vectorized pass-2 fan-out.
+
+    ``vertices`` are the forest's vertices, sorted; the terminal trees
+    holding ``vertices[i]`` are root indices ``root_ids[ptr[i]:ptr[i+1]]``
+    (CSR).  ``members`` holds ``root index * n + vertex`` for every tree
+    membership, sorted, so "outside the tree" is one ``searchsorted``.
+    ``y_depth[s, i]`` is ``vertices[i]``'s deepest ``Y_j`` level in stack
+    ``s``.  Read-only once built: clones and builders that adopted the
+    same forest share it.
+    """
+
+    __slots__ = (
+        "roots", "root_index", "levels", "vertices", "ptr", "root_ids",
+        "members", "y_depth",
+    )
+
+    def __init__(self, builder: TwoPassSpannerBuilder, roots: list[Copy]):
+        self.roots = roots
+        self.root_index = {root: index for index, root in enumerate(roots)}
+        self.levels = builder._active_vertex_levels + 1
+        trees_of = builder._trees_of_vertex
+        self.vertices = np.array(sorted(trees_of), dtype=np.int64)
+        counts = [len(trees_of[v]) for v in self.vertices.tolist()]
+        self.ptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]).astype(np.int64)
+        self.root_ids = np.array(
+            [self.root_index[root] for v in self.vertices.tolist() for root in trees_of[v]],
+            dtype=np.int64,
+        )
+        n = builder.num_vertices
+        self.members = np.sort(np.array(
+            [
+                self.root_index[root] * n + v
+                for root, tree in builder._terminal_trees.items()
+                for v in tree
+            ],
+            dtype=np.int64,
+        ))
+        self.y_depth = np.array(
+            [
+                np.minimum(sampler.level_array(self.vertices), builder._active_vertex_levels)
+                for sampler in builder._y_samplers
+            ],
+            dtype=np.int64,
+        ).reshape(len(builder._y_samplers), self.vertices.size)

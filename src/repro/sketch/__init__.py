@@ -19,7 +19,10 @@ Contents
 :class:`L0Sampler`
     sample one nonzero coordinate (AGM building block).
 :class:`LinearHashTable`, :class:`NeighborhoodHashTable`
-    the second-pass hash tables ``H^u_j`` of Algorithm 2.
+    the second-pass hash tables ``H^u_j`` of Algorithm 2 (scalar oracle).
+:class:`NeighborhoodTableStore`, :class:`SparseRecoveryStore`
+    many same-domain tables / sketches as the seed groups of one store
+    holding nonzero cells only (:mod:`repro.sketch.table_store`).
 :class:`SketchStack`, :class:`L0SamplerStack`
     columnar storage of many same-shaped sketches as one 2-D state
     array — hashes evaluated once per (coordinate, stack), one
@@ -31,27 +34,26 @@ Contents
 Two update engines
 ------------------
 Every sketch's scalar ``update`` is the oracle; the columnar stacks are
-the production engine for streams.  One per-sketch batch path remains,
-:meth:`SparseRecoverySketch.update_batch`, which the pass-2 hash tables
-use for their arbitrary-precision payloads.  All paths land in
-bit-identical state (``tests/sketch/test_batched.py``,
-``tests/sketch/test_columnar.py``), so they mix freely — including
+the production engine for streams, and the spanner's pass-2 tables and
+cut sketches live in nonzero-cells-only grouped stores
+(:mod:`repro.sketch.table_store`).  All paths land in bit-identical
+state (``tests/sketch/test_batched.py``, ``tests/sketch/test_columnar.py``,
+``tests/sketch/test_table_store.py``), so they mix freely — including
 across ``combine``::
 
-    from repro.sketch import SparseRecoverySketch
+    from repro.sketch import SketchStack, SparseRecoverySketch
 
     a = SparseRecoverySketch(domain_size=10_000, budget=8, seed="demo")
-    b = SparseRecoverySketch(domain_size=10_000, budget=8, seed="demo")
+    b = SketchStack(1, 10_000, 8, "demo")  # one row, same seed and shape
 
     a.update(42, +1)                      # one coordinate at a time
     a.update(42, -1)
-    b.update_batch(range(8), [1] * 8)     # vectorized over the batch
+    b.scatter([0] * 8, range(8), [1] * 8)  # vectorized over the batch
 
-    a.combine(b)                          # same seed => summable
+    a.combine(b.row_sketch(0))            # same seed => summable
     assert a.decode() == {i: 1 for i in range(8)}
 
-``update_batch`` is 5-10x faster on long batches and falls back to the
-scalar loop below the measured crossover; see ``docs/performance.md``.
+See ``docs/performance.md`` for measured numbers.
 
 The ``clone()`` contract
 ------------------------
@@ -81,6 +83,7 @@ from repro.sketch.serialize import (
     unpack_ints,
 )
 from repro.sketch.sparse_recovery import SparseRecoverySketch
+from repro.sketch.table_store import NeighborhoodTableStore, SparseRecoveryStore
 
 __all__ = [
     "MERSENNE_61",
@@ -97,6 +100,8 @@ __all__ = [
     "L0SamplerStack",
     "LinearHashTable",
     "NeighborhoodHashTable",
+    "NeighborhoodTableStore",
+    "SparseRecoveryStore",
     "pack_ints",
     "unpack_ints",
     "serialized_size_bytes",

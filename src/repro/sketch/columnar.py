@@ -714,12 +714,9 @@ class SketchStack:
         keys = row_ids if groups is None else groups * np.int64(self.num_rows) + row_ids
         touched, headroom = self._batch_headroom(groups, indices, deltas)
         if not self._admit(touched.tolist(), headroom):
-            order = np.argsort(keys, kind="stable")
-            boundaries = np.flatnonzero(np.diff(keys[order])) + 1
-            for chunk in np.split(order, boundaries):
-                self._spilled_sketch(int(keys[chunk[0]]), create=True).update_batch(
-                    indices[chunk], deltas[chunk]
-                )
+            # Spilled: exact per-row sketches, fed by their scalar oracle.
+            for key, index, delta in zip(keys.tolist(), indices.tolist(), deltas.tolist()):
+                self._spilled_sketch(key, create=True).update(index, delta)
             return
 
         if self.lazy:

@@ -24,16 +24,21 @@ We implement exactly that idea as a reusable substrate:
   the payload width — a deliberate constant-factor substitution;
   ``SpannerParams.table_stacks`` restores the per-key success
   probability.)
+
+Both classes are the scalar oracle, one table and one update at a time.
+The spanner itself keeps all of its tables in one
+:class:`~repro.sketch.table_store.NeighborhoodTableStore`, which holds
+only their nonzero cells and decodes them in one batched peel; its
+cells, dense ``state_ints`` and decode results are checked against
+:meth:`NeighborhoodHashTable.add_neighbor` in
+``tests/sketch/test_table_store.py``.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.sketch.kernels import powmod61
 from repro.sketch.hashing import MERSENNE_61
 from repro.sketch.onesparse import DecodeStatus, OneSparseDetector, OneSparseResult
-from repro.sketch.sparse_recovery import SparseRecoverySketch, as_index_array
+from repro.sketch.sparse_recovery import SparseRecoverySketch
 from repro.util.rng import derive_seed
 
 __all__ = ["LinearHashTable", "NeighborhoodHashTable"]
@@ -98,26 +103,6 @@ class LinearHashTable:
         for component, value in enumerate(payload):
             if value != 0:
                 self.add_to_payload(key, component, sign * value)
-
-    def add_to_payload_batch(self, keys, component: int, deltas) -> None:
-        """Batched :meth:`add_to_payload` for one payload component.
-
-        ``payload[keys[t]][component] += deltas[t]`` for the whole
-        batch, via the underlying sketch's vectorized
-        :meth:`~repro.sketch.sparse_recovery.SparseRecoverySketch.update_batch`.
-        Bit-identical to the scalar call sequence; ``deltas`` may hold
-        arbitrary-precision integers (serialized inner-sketch state).
-        """
-        if not 0 <= component < self.payload_len:
-            raise IndexError(f"component {component} out of [0, {self.payload_len})")
-        keys = as_index_array(keys)
-        if keys.size == 0:
-            return
-        if int(keys.min()) < 0 or int(keys.max()) >= self.key_domain:
-            raise IndexError(f"key batch leaves domain [0, {self.key_domain})")
-        self._sketch.update_batch(
-            keys * np.int64(self.payload_len) + np.int64(component), deltas
-        )
 
     def decode(self) -> dict[int, list[int]] | None:
         """Recover ``{key: payload vector}`` or ``None`` if undecodable."""
@@ -225,31 +210,6 @@ class NeighborhoodHashTable:
             raise IndexError(f"neighbor {neighbor} out of [0, {self.num_vertices})")
         power = pow(self._payload_template.fingerprint_base, neighbor, MERSENNE_61)
         self._table.add_payload(key, [delta, delta * neighbor, delta * power])
-
-    def add_neighbors_batch(self, keys, neighbors, deltas) -> None:
-        """Batched :meth:`add_neighbor`: record a whole batch of edge
-        changes ``(neighbors[t], keys[t]) += deltas[t]`` at once.
-
-        The per-neighbor fingerprint powers are computed by one
-        vectorized exponentiation and each payload component is pushed
-        through the table's batched update; state is bit-identical to
-        the equivalent scalar call sequence.
-        """
-        keys = as_index_array(keys)
-        neighbors = as_index_array(neighbors)
-        if keys.size != neighbors.size:
-            raise ValueError("keys and neighbors must have equal length")
-        if keys.size == 0:
-            return
-        if int(neighbors.min()) < 0 or int(neighbors.max()) >= self.num_vertices:
-            raise IndexError(f"neighbor batch leaves [0, {self.num_vertices})")
-        values = as_index_array(deltas)
-        powers = powmod61(self._payload_template.fingerprint_base, neighbors)
-        self._table.add_to_payload_batch(keys, 0, values)
-        self._table.add_to_payload_batch(keys, 1, values * neighbors)
-        self._table.add_to_payload_batch(
-            keys, 2, [int(d) * int(p) for d, p in zip(values, powers)]
-        )
 
     def decode_neighbors(self) -> dict[int, OneSparseResult] | None:
         """For every recovered key, decode its neighbor detector.

@@ -30,7 +30,6 @@ from collections import deque
 
 import numpy as np
 
-from repro.sketch.kernels import as_field_array, mulmod61, powmod61, scatter_sum_mod61
 from repro import obs
 from repro.sketch.hashing import MERSENNE_61, KWiseHash
 from repro.util.rng import derive_seed
@@ -41,15 +40,9 @@ __all__ = ["SparseRecoverySketch"]
 #: O(1)-wise independence; 6-wise keeps peeling well-behaved in practice.
 _BUCKET_HASH_INDEPENDENCE = 6
 
-#: Below this batch length the numpy path's fixed per-call cost exceeds
-#: the scalar loop's, so :meth:`SparseRecoverySketch.update_batch` loops
-#: :meth:`~SparseRecoverySketch.update` instead (identical state).
-SMALL_BATCH = 192
-
-# -- the batch prologue ----------------------------------------------
-# Module-internal helpers of ``update_batch``; the pass-2 hash tables
-# (``repro.sketch.linear_hash_table``) and the columnar stacks
-# (``repro.sketch.columnar``) share the coercions and the int64 guards.
+# -- batch coercions ---------------------------------------------------
+# Shared by the columnar stacks (``repro.sketch.columnar``) and the
+# pass-2 table store (``repro.sketch.table_store``).
 
 
 def _integer_array(values) -> np.ndarray:
@@ -74,32 +67,12 @@ def _integer_array(values) -> np.ndarray:
 
 
 def as_index_array(indices) -> np.ndarray:
-    """Coerce an integer batch to contiguous ``int64``: coordinates, keys,
-    or the hash tables' ``±1`` neighbor deltas."""
+    """Coerce an integer batch to contiguous ``int64``: coordinates, row
+    ids, keys or deltas."""
     array = _integer_array(indices)
     if array.ndim != 1:
         raise ValueError(f"index batch must be 1-D, got shape {array.shape}")
     return np.ascontiguousarray(array, dtype=np.int64)
-
-
-def as_delta_array(deltas, length: int):
-    """Coerce a delta batch to ``int64`` if every value fits, else a list.
-
-    Returns ``(array_or_list, fits_int64)``.  Arbitrary-precision deltas
-    (the linear hash tables push ~``2^61``-sized serialized payloads
-    through their sketches) keep exact Python integers and route the
-    caller onto the mixed fallback path.
-    """
-    array = _integer_array(deltas)
-    if array.ndim != 1 or array.shape[0] != length:
-        raise ValueError("indices and deltas must be 1-D of equal length")
-    # A uint64 entry >= 2^63 would wrap in the int64 cast instead of raising.
-    if array.dtype.kind != "u" or not array.size or int(array.max()) < 1 << 63:
-        try:
-            return np.ascontiguousarray(array, dtype=np.int64), True
-        except OverflowError:
-            pass
-    return [int(d) for d in array], False
 
 
 def max_abs_int64(values: np.ndarray) -> int:
@@ -107,59 +80,9 @@ def max_abs_int64(values: np.ndarray) -> int:
 
     Computed from the extrema in Python integers: ``np.abs`` wraps on
     ``-2^63`` (its magnitude is not representable in ``int64``), which
-    would let that delta slip past :func:`fits_int64_products`.
+    would let that delta slip past an ``int64`` magnitude guard.
     """
     return max(abs(int(values.min())), abs(int(values.max())))
-
-
-def fits_int64_products(length: int, max_abs_delta: int, max_index: int) -> bool:
-    """Whether ``sum_t |delta_t * index_t|`` stays safely below ``2^62``.
-
-    The int64 scatter fast path accumulates ``delta`` and
-    ``delta * index`` per cell with ``np.add.at``; this bound guarantees
-    no intermediate (even if every update hits the same cell) can
-    overflow a signed 64-bit accumulator.
-    """
-    if length == 0:
-        return True
-    return length * max_abs_delta * max(max_index, 1) < (1 << 62)
-
-
-def prepare_batch(indices, deltas, domain_size: int):
-    """Coerce, validate and route one ``update_batch`` call.
-
-    Returns ``(route, idx, values, fits, max_abs)`` where ``route`` is
-
-    * ``"empty"``  — nothing to do (``idx``/``values`` are ``None``);
-    * ``"scalar"`` — an ``int64`` batch of at most :data:`SMALL_BATCH`
-      updates: loop the scalar ``update`` over ``zip(idx, values)``;
-    * ``"vector"`` — ``idx`` (``int64`` array) and ``values`` (``int64``
-      array when ``fits``, else a list of exact Python ints) are
-      zero-filtered and ready for the numpy path.
-
-    ``max_abs`` is the exact ``max(|values|)`` on the vector route when
-    ``fits`` holds and ``0`` otherwise, hoisted here so the overflow
-    guard (:func:`fits_int64_products`) costs O(1) on the hot path.
-    """
-    idx = as_index_array(indices)
-    if idx.size == 0:
-        return "empty", None, None, True, 0
-    if int(idx.min()) < 0 or int(idx.max()) >= domain_size:
-        raise IndexError(f"index batch leaves domain [0, {domain_size})")
-    values, fits = as_delta_array(deltas, idx.size)
-    if fits and idx.size <= SMALL_BATCH:
-        return "scalar", idx, values, True, 0
-    if fits:
-        nonzero = values != 0
-        if not nonzero.all():
-            idx, values = idx[nonzero], values[nonzero]
-            if idx.size == 0:
-                return "empty", None, None, True, 0
-        return "vector", idx, values, True, max_abs_int64(values)
-    keep = [t for t, delta in enumerate(values) if delta != 0]
-    if not keep:
-        return "empty", None, None, False, 0
-    return "vector", idx[keep], [values[t] for t in keep], False, 0
 
 
 class SparseRecoverySketch:
@@ -228,8 +151,8 @@ class SparseRecoverySketch:
     # ------------------------------------------------------------------
 
     def update(self, index: int, delta: int) -> None:
-        """Apply ``x[index] += delta`` (the batch-of-one case of
-        :meth:`update_batch`; both paths land in identical state)."""
+        """Apply ``x[index] += delta`` — the scalar oracle the columnar
+        stacks are held to bit for bit."""
         if not 0 <= index < self.domain_size:
             raise IndexError(f"index {index} out of domain [0, {self.domain_size})")
         if delta == 0:
@@ -242,66 +165,6 @@ class SparseRecoverySketch:
             self._totals[cell] += delta
             self._index_sums[cell] += index_delta
             self._fingerprints[cell] = (self._fingerprints[cell] + fingerprint_delta) % MERSENNE_61
-
-    def update_batch(self, indices, deltas) -> None:
-        """Apply ``x[indices[t]] += deltas[t]`` for a whole batch at once.
-
-        Bit-identical to the equivalent sequence of scalar
-        :meth:`update` calls (additions into every cell commute), but
-        the expensive per-update work — bucket hashing per row, the
-        fingerprint power ``z^index mod p``, and the scatter into cells
-        — runs vectorized over the whole batch.
-
-        Counter exactness is preserved in all regimes:
-
-        * small deltas (the graph algorithms' ``±1`` signs) ride the
-          pure ``int64`` scatter fast path, guarded so no accumulator
-          can overflow;
-        * arbitrary-precision deltas (serialized payloads of the linear
-          hash tables are ~``2^61``-sized) keep exact Python-integer
-          counter sums while the hashing and field arithmetic stay
-          vectorized.
-        """
-        route, idx, values, fits, max_abs = prepare_batch(
-            indices, deltas, self.domain_size
-        )
-        if route == "empty":
-            return
-        if route == "scalar":
-            for index, delta in zip(idx, values):
-                self.update(int(index), int(delta))
-            return
-        residues = as_field_array(values)
-        fast = (
-            fits_int64_products(idx.size, max_abs, int(idx.max())) if fits else False
-        )
-        terms = mulmod61(residues, powmod61(self._z, idx))
-        if fast:
-            products = idx * values
-        for row, row_hash in enumerate(self._row_hashes):
-            positions = row_hash.bucket_array(idx, self.buckets)
-            base = row * self.buckets
-            fingerprint_agg = scatter_sum_mod61(self.buckets, positions, terms)
-            for bucket in np.flatnonzero(fingerprint_agg):
-                cell = base + bucket
-                self._fingerprints[cell] = (
-                    self._fingerprints[cell] + int(fingerprint_agg[bucket])
-                ) % MERSENNE_61
-            if fast:
-                total_agg = np.zeros(self.buckets, dtype=np.int64)
-                index_agg = np.zeros(self.buckets, dtype=np.int64)
-                np.add.at(total_agg, positions, values)
-                np.add.at(index_agg, positions, products)
-                for bucket in np.flatnonzero(total_agg | index_agg):
-                    cell = base + bucket
-                    self._totals[cell] += int(total_agg[bucket])
-                    self._index_sums[cell] += int(index_agg[bucket])
-            else:
-                for t, bucket in enumerate(positions):
-                    cell = base + bucket
-                    delta = int(values[t])
-                    self._totals[cell] += delta
-                    self._index_sums[cell] += delta * int(idx[t])
 
     # ------------------------------------------------------------------
     # Decoding

@@ -1,0 +1,850 @@
+"""Many same-shaped sparse-recovery sketches, stored as their nonzero cells.
+
+Section 3.2 only asks that a pass-2 table ``H^u_j`` be a linear sketch of
+a vector in ``R^V``; it says nothing about how the cells are stored.  A
+spanner's pass 2 holds one
+:class:`~repro.sketch.linear_hash_table.NeighborhoodHashTable` per
+``(terminal root, Y_j stack, j)`` and one cut sketch per terminal root —
+thousands of sketches, each sized for its capacity but holding a handful
+of coordinates.  This module keeps each family as the seed groups of one
+store that holds *nonzero cells only* (COO: one sorted cell-key array and
+three counter planes):
+
+:class:`SparseRecoveryStore`
+    Groups of :class:`~repro.sketch.sparse_recovery.SparseRecoverySketch`
+    over one domain, each with its own seed and budget (the spanner's cut
+    sketches).  Updates are buffered and land in three steps:
+
+    Map
+        Buffered ``(group, coordinate, value)`` updates are netted per
+        coordinate; one :func:`~repro.sketch.kernels.stack_positions_terms`
+        pass per block of groups hashes every coordinate with its own
+        group's bucket polynomials and weights it by its group's
+        fingerprint power.
+    Reduce
+        Contributions are summed per ``(group, row, bucket)`` cell key:
+        in ``int64`` while the busiest cell's sum provably fits, else in
+        exact Python integers; fingerprints add mod ``p`` through
+        :func:`~repro.sketch.kernels.scatter_sum_mod61`.  Cells that sum
+        to zero leave the store.
+    Peel
+        :meth:`~SparseRecoveryStore.decode` peels the singleton cells of
+        every group in rounds over all nonzero cells at once.
+:class:`NeighborhoodTableStore`
+    The neighborhood hash tables on top: an update ``(table, key,
+    neighbor, delta)`` is the three coordinates ``3 key + c`` of the
+    table's sketch with payloads ``delta``, ``delta * neighbor`` and
+    ``delta * z_p^neighbor`` (about ``2^61``, so index sums reach
+    ``~2^86`` and take the exact path); decoding reads each recovered
+    key's payload as a 1-sparse detector.
+
+Seeds, budgets and bucket counts are the standalone sketches' (the same
+``derive_seed`` units), so every cell equals the standalone sketch's
+cell, :meth:`~SparseRecoveryStore.state_ints` renders exactly its dense
+``state_ints()`` (the shard wire), and decode results are equal —
+``tests/sketch/test_table_store.py`` checks this against the scalar
+oracle.  Hash coefficients and fingerprint bases are derived the first
+time a group is touched and shared by clones; the byte-windowed power
+tables are built per block of at most :data:`_GROUP_BLOCK` groups and
+dropped, so memory follows the nonzero cells, not the group count.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import partial
+from typing import Callable
+
+import numpy as np
+
+from repro import obs
+from repro.sketch.hashing import MERSENNE_61, KWiseHash
+from repro.sketch.kernels import (
+    as_field_array,
+    build_pow_table,
+    mulmod61,
+    scatter_sum_mod61,
+    stack_positions_terms,
+    submod61,
+)
+from repro.sketch.onesparse import DecodeStatus, OneSparseResult
+from repro.sketch.sparse_recovery import (
+    _BUCKET_HASH_INDEPENDENCE,
+    as_index_array,
+    max_abs_int64,
+)
+from repro.util.rng import derive_seed
+
+__all__ = ["NeighborhoodTableStore", "SparseRecoveryStore"]
+
+#: Buffered updates that trigger a map + reduce on the next add.
+_PENDING_LIMIT = 1 << 16
+
+#: Distinct groups whose power tables are built at once (bounds memory).
+_GROUP_BLOCK = 256
+
+#: An ``int64`` sum is exact while ``terms * max|term|`` stays below this.
+_INT64_SAFE = 1 << 62
+
+
+def _exact_array(values) -> np.ndarray:
+    """A value batch as ``int64`` (integer input) or exact Python ints
+    (an object array, kept as it is)."""
+    if isinstance(values, np.ndarray) and values.dtype == object:
+        if values.ndim != 1:
+            raise ValueError(f"value batch must be 1-D, got shape {values.shape}")
+        return values
+    return as_index_array(values)
+
+
+def _sum_parts(size: int, inverse: np.ndarray, parts) -> np.ndarray:
+    """Exact sums into ``size`` slots of the concatenated ``parts``
+    (``inverse`` maps every entry to its slot).  ``int64`` parts add in
+    ``int64`` when even the busiest slot provably cannot overflow;
+    otherwise, and for Python-integer parts, the sums are exact Python
+    integers."""
+    busiest = int(np.bincount(inverse).max()) if inverse.size else 0
+    small, exact = [], []
+    offset = 0
+    for part in parts:
+        where = inverse[offset : offset + part.size]
+        offset += part.size
+        if part.size:
+            (small if part.dtype != object else exact).append((where, part))
+    out = np.zeros(size, dtype=np.int64)
+    if small:
+        if busiest * max(max_abs_int64(part) for _, part in small) < _INT64_SAFE:
+            for where, part in small:
+                np.add.at(out, where, part)
+        else:
+            exact.extend((where, part.astype(object)) for where, part in small)
+    if exact:
+        out = out.astype(object)
+        for where, part in exact:
+            np.add.at(out, where, part)
+    return out
+
+
+def _unique_pairs(high: np.ndarray, low: np.ndarray):
+    """Distinct ``(high, low)`` pairs in sorted order, and each input
+    pair's index among them — without packing a pair into one ``int64``
+    (``group * n^2`` would overflow at a large universe)."""
+    order = np.lexsort((low, high))
+    high, low = high[order], low[order]
+    fresh = np.r_[True, (high[1:] != high[:-1]) | (low[1:] != low[:-1])]
+    inverse = np.empty(order.size, dtype=np.int64)
+    inverse[order] = np.cumsum(fresh) - 1
+    return high[fresh], low[fresh], inverse
+
+
+def _net(groups: np.ndarray, coords: np.ndarray, values: np.ndarray):
+    """Sum ``values`` per ``(group, coordinate)``; drop the zero sums."""
+    groups, coords, inverse = _unique_pairs(groups, coords)
+    net = _sum_parts(groups.size, inverse, [values])
+    live = net != 0
+    return groups[live], coords[live], net[live]
+
+
+def _blocks(groups: np.ndarray) -> list[slice]:
+    """Slices of sorted ``groups`` spanning at most :data:`_GROUP_BLOCK`
+    distinct groups each."""
+    starts = np.flatnonzero(np.r_[True, groups[1:] != groups[:-1]])
+    cuts = starts[::_GROUP_BLOCK].tolist() + [groups.size]
+    return [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+def _positions_terms(coeffs, bases, slots, indices, residues, buckets, top):
+    """:func:`~repro.sketch.kernels.stack_positions_terms` where incidence
+    ``t`` belongs to group ``slots[t]`` of ``coeffs`` (``(G, d, k)``) and
+    ``bases`` (``G`` fingerprint bases, exponents at most ``top``); the
+    power tables are built for one block of groups at a time."""
+    order = np.argsort(slots, kind="stable")
+    positions = np.empty((coeffs.shape[1], slots.size), dtype=np.int64)
+    terms = np.empty(slots.size, dtype=np.uint64)
+    sorted_slots = slots[order]
+    for block in _blocks(sorted_slots):
+        take = order[block]
+        local, inverse = np.unique(sorted_slots[block], return_inverse=True)
+        positions[:, take], terms[take] = stack_positions_terms(
+            coeffs[local],
+            build_pow_table(bases[local], top),
+            indices[take],
+            residues[take],
+            buckets,
+            inverse,
+        )
+    return positions, terms
+
+
+class _GroupRandomness:
+    """Per-group hash coefficients, bucket counts and fingerprint bases,
+    derived on first touch and shared by clones (pure functions of the
+    group seeds, so filling from any clone is safe).  ``slot[g]`` is
+    group ``g``'s row in the derived arrays, ``-1`` until derived."""
+
+    __slots__ = ("slot", "coeffs", "buckets", "bases")
+
+    def __init__(self, num_groups: int, rows: int):
+        self.slot = np.full(num_groups, -1, dtype=np.int64)
+        self.coeffs = np.zeros((0, rows, _BUCKET_HASH_INDEPENDENCE), dtype=np.uint64)
+        self.buckets = np.zeros(0, dtype=np.int64)
+        self.bases = np.zeros(0, dtype=np.uint64)
+
+
+class SparseRecoveryStore:
+    """COO state of many same-domain sparse-recovery sketches.
+
+    Parameters
+    ----------
+    domain_size:
+        Coordinates of every group lie in ``[0, domain_size)``.
+    budgets:
+        Budget ``B`` of each group's sketch; group ``g`` is seed group ``g``.
+    seed_of:
+        ``seed_of(g)`` is the randomness name group ``g`` would be built
+        from as a standalone ``SparseRecoverySketch`` (called once per
+        group, on first touch).
+    rows, bucket_factor:
+        Shape of every group's sketch, as ``SparseRecoverySketch``.
+    """
+
+    __slots__ = (
+        "domain_size",
+        "rows",
+        "bucket_factor",
+        "budgets",
+        "stride",
+        "_seed_of",
+        "_random",
+        "_touched",
+        "_pending",
+        "_pending_size",
+        "_keys",
+        "_totals",
+        "_index_sums",
+        "_fingerprints",
+    )
+
+    def __init__(
+        self,
+        domain_size: int,
+        budgets,
+        seed_of: Callable[[int], int | str],
+        rows: int = 4,
+        bucket_factor: float = 2.0,
+    ):
+        self.domain_size = domain_size
+        self.rows = rows
+        self.bucket_factor = bucket_factor
+        self.budgets = np.asarray(budgets, dtype=np.int64)
+        top = int(self.budgets.max()) if self.budgets.size else 1
+        # Cell key = group * stride + row * buckets + bucket.
+        self.stride = rows * self._buckets_for(top)
+        self._seed_of = seed_of
+        self._random = _GroupRandomness(self.budgets.size, rows)
+        self._touched: set[int] = set()
+        self._pending: list[tuple[np.ndarray, ...]] = []
+        self._pending_size = 0
+        self._keys = np.zeros(0, dtype=np.int64)
+        self._totals = np.zeros(0, dtype=object)
+        self._index_sums = np.zeros(0, dtype=object)
+        self._fingerprints = np.zeros(0, dtype=np.uint64)
+
+    def _buckets_for(self, budget: int) -> int:
+        """Buckets per row of a budget-``budget`` group's sketch."""
+        return max(4, math.ceil(self.bucket_factor * budget))
+
+    @property
+    def num_groups(self) -> int:
+        """Number of sketches (seed groups) in the layout."""
+        return int(self.budgets.size)
+
+    def _slots(self, groups: np.ndarray) -> np.ndarray:
+        """Derived-randomness rows of ``groups``, deriving new groups'."""
+        random = self._random
+        fresh = np.unique(groups[random.slot[groups] < 0])
+        if fresh.size:
+            coeffs, buckets, bases = [], [], []
+            for group in fresh.tolist():
+                budget = int(self.budgets[group])
+                # SparseRecoverySketch's derivation, unit by unit.
+                key = derive_seed(
+                    self._seed_of(group), "sparse-recovery", self.domain_size, budget, self.rows
+                )
+                coeffs.append([
+                    KWiseHash(_BUCKET_HASH_INDEPENDENCE, derive_seed(key, "row", r)).coefficients
+                    for r in range(self.rows)
+                ])
+                buckets.append(self._buckets_for(budget))
+                bases.append(1 + key % (MERSENNE_61 - 1))
+            used = random.buckets.size
+            random.slot[fresh] = np.arange(used, used + fresh.size, dtype=np.int64)
+            random.coeffs = np.concatenate([random.coeffs, np.array(coeffs, dtype=np.uint64)])
+            random.buckets = np.concatenate([random.buckets, np.array(buckets, dtype=np.int64)])
+            random.bases = np.concatenate([random.bases, np.array(bases, dtype=np.uint64)])
+        return random.slot[groups]
+
+    def _cells(self, groups: np.ndarray, coords: np.ndarray, residues: np.ndarray):
+        """Cell keys ``(rows, n)`` of coordinates ``coords`` of ``groups``
+        and their fingerprint terms ``residues * z^coord``.  Bucket
+        hashes come back raw (reduction modulo ``p`` is the identity on
+        field values) and are reduced by each group's own bucket count."""
+        slots = self._slots(groups)
+        raw, terms = _positions_terms(
+            self._random.coeffs, self._random.bases, slots, coords, residues,
+            MERSENNE_61, self.domain_size - 1,
+        )
+        buckets = self._random.buckets[slots]
+        base = groups * np.int64(self.stride)
+        keys = np.stack([base + r * buckets + raw[r] % buckets for r in range(self.rows)])
+        return keys, terms
+
+    # ------------------------------------------------------------------
+    # Map and reduce
+    # ------------------------------------------------------------------
+
+    def touch(self, groups) -> None:
+        """Count ``groups`` as materialized (allocated by the scalar
+        path) even if nothing nonzero ever lands in them."""
+        self._touched.update(np.unique(as_index_array(groups)).tolist())
+
+    def add(self, groups, coords, values) -> None:
+        """Apply ``x_groups[t][coords[t]] += values[t]`` for every ``t``
+        (buffered until a read).  ``values`` is an integer array, or an
+        object array of exact Python integers."""
+        groups = as_index_array(groups)
+        coords = as_index_array(coords)
+        values = _exact_array(values)
+        if not groups.shape == coords.shape == values.shape:
+            raise ValueError("groups, coords, values must be of equal length")
+        if groups.size == 0:
+            return
+        if int(groups.min()) < 0 or int(groups.max()) >= self.num_groups:
+            raise IndexError(f"group batch leaves [0, {self.num_groups})")
+        if int(coords.min()) < 0 or int(coords.max()) >= self.domain_size:
+            raise IndexError(f"coordinate batch leaves [0, {self.domain_size})")
+        self.touch(groups)
+        self._pending.append((groups, coords, values))
+        self._pending_size += groups.size
+        if self._pending_size >= _PENDING_LIMIT:
+            self.flush()
+
+    def flush(self) -> None:
+        """Map the buffered updates to cells and reduce them in."""
+        if not self._pending:
+            return
+        with obs.TRACER.span("spanner.pass2.reduce"):
+            pending, self._pending, self._pending_size = self._pending, [], 0
+            # Net per (group, coordinate), int64 and exact updates apart
+            # so the int64 ones stay int64; canceled updates never hash.
+            netted = []
+            for exact in (False, True):
+                parts = [part for part in pending if (part[2].dtype == object) == exact]
+                if parts:
+                    netted.append(_net(*(np.concatenate(p) for p in zip(*parts))))
+            groups = np.concatenate([part[0] for part in netted])
+            coords = np.concatenate([part[1] for part in netted])
+            if groups.size == 0:
+                return
+            residues = np.concatenate([as_field_array(part[2]) for part in netted])
+            cells, terms = self._cells(groups, coords, residues)
+            contributions, start = [], 0
+            for _, part_coords, values in netted:
+                stop = start + values.size
+                if values.dtype == object or (
+                    max_abs_int64(values) * max(self.domain_size - 1, 1) >= _INT64_SAFE
+                ):
+                    products = values.astype(object) * part_coords.astype(object)
+                else:
+                    products = values * part_coords
+                contributions.append((
+                    cells[:, start:stop].reshape(-1),
+                    np.tile(values, self.rows),
+                    np.tile(products, self.rows),
+                    np.tile(terms[start:stop], self.rows),
+                ))
+                start = stop
+            self._merge(contributions)
+
+    def _merge(self, parts) -> None:
+        """Reduce ``(cell keys, totals, index sums, fingerprint terms)``
+        parts into the stored cells by cell key; zero cells drop."""
+        parts = [(self._keys, self._totals, self._index_sums, self._fingerprints)] + parts
+        unique, inverse = np.unique(
+            np.concatenate([part[0] for part in parts]), return_inverse=True
+        )
+        totals = _sum_parts(unique.size, inverse, [part[1] for part in parts]).astype(object)
+        index_sums = _sum_parts(unique.size, inverse, [part[2] for part in parts]).astype(object)
+        fingerprints = scatter_sum_mod61(
+            unique.size, inverse, np.concatenate([part[3] for part in parts])
+        )
+        alive = (totals != 0) | (index_sums != 0) | (fingerprints != 0)
+        self._keys = unique[alive]
+        self._totals = totals[alive]
+        self._index_sums = index_sums[alive]
+        self._fingerprints = fingerprints[alive]
+
+    # ------------------------------------------------------------------
+    # Reads
+    # ------------------------------------------------------------------
+
+    def touched_groups(self) -> list[int]:
+        """Sorted groups ever touched (the scalar path's materialized set)."""
+        return sorted(self._touched)
+
+    def nonzero_groups(self) -> list[int]:
+        """Sorted groups holding a nonzero cell — chunking-independent."""
+        self.flush()
+        return np.unique(self._keys // np.int64(self.stride)).tolist()
+
+    def _span(self, group: int) -> tuple[int, int]:
+        low = group * self.stride
+        begin, end = np.searchsorted(self._keys, [low, low + self.stride])
+        return int(begin), int(end)
+
+    def state_len(self, group: int) -> int:
+        """Length of group ``group``'s dense :meth:`state_ints`."""
+        return 3 * self.rows * self._buckets_for(int(self.budgets[group]))
+
+    def state_ints(self, group: int) -> list[int]:
+        """Group ``group``'s dense state, exactly as the standalone
+        sketch's ``state_ints()``: totals, index sums and fingerprints of
+        every ``(row, bucket)`` cell."""
+        self.flush()
+        cells = self.state_len(group) // 3
+        begin, end = self._span(group)
+        where = (self._keys[begin:end] - group * self.stride).tolist()
+        flat = [0] * (3 * cells)
+        for offset, values in (
+            (0, self._totals[begin:end].tolist()),
+            (cells, self._index_sums[begin:end].tolist()),
+            (2 * cells, self._fingerprints[begin:end].tolist()),
+        ):
+            for cell, value in zip(where, values):
+                flat[offset + cell] = int(value)
+        return flat
+
+    def space_words(self, groups=None) -> int:
+        """Words ``groups`` (default: the touched ones) charge in the
+        paper's accounting — each the standalone sketch's
+        ``space_words()``: three planes of every cell, the bucket
+        hashes, and the fingerprint base."""
+        groups = self._touched if groups is None else groups
+        return sum(
+            self.state_len(group) + self.rows * _BUCKET_HASH_INDEPENDENCE + 1
+            for group in groups
+        )
+
+    # ------------------------------------------------------------------
+    # Wire, linearity, copies
+    # ------------------------------------------------------------------
+
+    def from_state_ints(self, blocks: dict[int, list[int]]) -> None:
+        """Overwrite groups from dense :meth:`state_ints` blocks
+        (``{group: values}``); every block is checked before any group
+        changes.  Loaded groups count as touched."""
+        for group, values in blocks.items():
+            if not 0 <= group < self.num_groups:
+                raise IndexError(f"group {group} out of [0, {self.num_groups})")
+            if len(values) != self.state_len(group):
+                raise ValueError(
+                    f"group {group} expects {self.state_len(group)} state ints, got {len(values)}"
+                )
+        self.flush()
+        keep = np.ones(self._keys.size, dtype=bool)
+        parts = []
+        for group, values in blocks.items():
+            begin, end = self._span(group)
+            keep[begin:end] = False
+            planes = np.array([int(v) for v in values], dtype=object).reshape(3, -1)
+            planes[2] = planes[2] % MERSENNE_61
+            where = np.flatnonzero((planes != 0).any(axis=0))
+            parts.append((
+                group * np.int64(self.stride) + where,
+                planes[0, where],
+                planes[1, where],
+                planes[2, where].astype(np.uint64),
+            ))
+        self._keys, self._totals, self._index_sums, self._fingerprints = (
+            self._keys[keep], self._totals[keep], self._index_sums[keep], self._fingerprints[keep]
+        )
+        self._merge(parts)
+        self._touched.update(blocks)
+
+    def combine(self, other: "SparseRecoveryStore") -> None:
+        """In-place ``self += other`` group by group; the layouts (and
+        hence the seeds the caller derives) must match."""
+        if (
+            self.domain_size != other.domain_size
+            or self.rows != other.rows
+            or self.bucket_factor != other.bucket_factor
+            or not np.array_equal(self.budgets, other.budgets)
+        ):
+            raise ValueError("cannot combine stores with different layouts")
+        self.flush()
+        other.flush()
+        self._merge([(other._keys, other._totals, other._index_sums, other._fingerprints)])
+        self._touched |= other._touched
+
+    def clone(self) -> "SparseRecoveryStore":
+        """Independent copy of the cells; derived randomness is shared."""
+        clone = object.__new__(SparseRecoveryStore)
+        for name in (
+            "domain_size", "rows", "bucket_factor", "budgets", "stride",
+            "_seed_of", "_random", "_pending_size",
+        ):
+            setattr(clone, name, getattr(self, name))
+        clone._touched = set(self._touched)
+        clone._pending = list(self._pending)  # buffered arrays are never mutated
+        clone._keys = self._keys.copy()
+        clone._totals = self._totals.copy()
+        clone._index_sums = self._index_sums.copy()
+        clone._fingerprints = self._fingerprints.copy()
+        return clone
+
+    # ------------------------------------------------------------------
+    # Peel
+    # ------------------------------------------------------------------
+
+    def decode(self, groups=None) -> dict[int, dict[int, int] | None]:
+        """Decode ``groups`` (default: every touched group) at once:
+        ``{group: {coordinate: value}}``, ``None`` for a group that
+        leaves a residual — exactly ``SparseRecoverySketch.decode()``
+        per group."""
+        groups = self.touched_groups() if groups is None else sorted(set(groups))
+        found_groups, found_coords, found_values, failed = self.peel(groups)
+        results: dict[int, dict[int, int] | None] = {
+            group: (None if group in failed else {}) for group in groups
+        }
+        for group, coord, value in zip(
+            found_groups.tolist(), found_coords.tolist(), found_values.tolist()
+        ):
+            if results[group] is not None:
+                results[group][coord] = value
+        return results
+
+    def peel(self, groups: list[int]):
+        """Peel the cells of ``groups``: ``(groups, coordinates, values)``
+        of every recovered nonzero coordinate (values exact), and the set
+        of groups that left a residual.
+
+        Rounds over all the groups' nonzero cells at once: a round
+        verifies its candidate cells as 1-sparse (divisibility, range,
+        fingerprint — each distinct coordinate's power computed once),
+        extracts each verified coordinate once, and subtracts it from
+        its cell in every row; the cells it changed are the next round's
+        candidates.  Every verified extraction removes its coordinate
+        completely, so the order is immaterial, as in the scalar
+        queue-based peel.
+        """
+        self.flush()
+        stride = np.int64(self.stride)
+        select = np.zeros(self._keys.size, dtype=bool)
+        for group in groups:
+            begin, end = self._span(group)
+            select[begin:end] = True
+        keys = self._keys[select]
+        totals = self._totals[select]
+        index_sums = self._index_sums[select]
+        fingerprints = self._fingerprints[select]
+        obs.TRACER.count("spanner.pass2.cells", int(keys.size))
+        obs.TRACER.count("spanner.pass2.tables", np.unique(keys // stride).size)
+        found_groups, found_coords, found_values = [], [], []
+        with obs.TRACER.span("spanner.pass2.peel"):
+            candidates = np.flatnonzero(totals != 0)
+            while candidates.size:
+                t = totals[candidates]
+                live = t != 0
+                candidates, t = candidates[live], t[live]
+                s = index_sums[candidates]
+                whole = (s % t) == 0
+                candidates, t, s = candidates[whole], t[whole], s[whole]
+                coords = s // t
+                inside = (coords >= 0) & (coords < self.domain_size)
+                candidates, t = candidates[inside], t[inside]
+                if candidates.size == 0:
+                    break
+                u_groups, u_coords, inverse = _unique_pairs(
+                    keys[candidates] // stride, coords[inside].astype(np.int64)
+                )
+                ones = np.ones(u_groups.size, dtype=np.uint64)
+                cells, powers = self._cells(u_groups, u_coords, ones)
+                terms = mulmod61(as_field_array(t), powers[inverse])
+                verified = terms == fingerprints[candidates]
+                if not verified.any():
+                    break
+                # A coordinate alone in several of its cells extracts once.
+                _, first = np.unique(inverse[verified], return_index=True)
+                pick = np.flatnonzero(verified)[first]
+                claimed = inverse[pick]
+                t, terms = t[pick], terms[pick]
+                found_groups.append(u_groups[claimed])
+                found_coords.append(u_coords[claimed])
+                found_values.append(t)
+                cells = cells[:, claimed].reshape(-1)
+                # A target absent from the cells (only a fingerprint
+                # collision can name one) joins them as a zero cell.
+                targets = np.searchsorted(keys, cells)
+                missing = keys[np.minimum(targets, keys.size - 1)] != cells
+                if missing.any():
+                    missing = np.unique(cells[missing])
+                    at = np.searchsorted(keys, missing)
+                    keys = np.insert(keys, at, missing)
+                    totals = np.insert(totals, at, 0)
+                    index_sums = np.insert(index_sums, at, 0)
+                    fingerprints = np.insert(fingerprints, at, np.uint64(0))
+                    targets = np.searchsorted(keys, cells)
+                np.subtract.at(totals, targets, np.tile(t, self.rows))
+                np.subtract.at(
+                    index_sums, targets, np.tile(t * u_coords[claimed].astype(object), self.rows)
+                )
+                changed, where = np.unique(targets, return_inverse=True)
+                fingerprints[changed] = submod61(
+                    fingerprints[changed],
+                    scatter_sum_mod61(changed.size, where, np.tile(terms, self.rows)),
+                )
+                candidates = changed
+        residual = (totals != 0) | (index_sums != 0) | (fingerprints != 0)
+        failed = set((keys[residual] // stride).tolist())
+        if not found_groups:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty, np.zeros(0, dtype=object), failed
+        # A re-extracted coordinate sums; one that nets to zero drops.
+        groups_out, coords_out, values_out = _net(
+            np.concatenate(found_groups),
+            np.concatenate(found_coords),
+            np.concatenate([value.astype(object) for value in found_values]),
+        )
+        return groups_out, coords_out, values_out.astype(object), failed
+
+
+def _table_sketch_seed(seed_of: Callable[[int], int | str], group: int) -> int:
+    """The seed a standalone ``NeighborhoodHashTable`` gives its sketch."""
+    return derive_seed(derive_seed(seed_of(group), "table"), "linear-hash-table")
+
+
+class NeighborhoodTableStore:
+    """COO state of many neighborhood hash tables over one vertex domain.
+
+    Parameters
+    ----------
+    num_vertices:
+        Key and neighbor domain ``[0, num_vertices)`` of every table.
+    capacities:
+        Key capacity of each table; table ``g`` is seed group ``g``.
+    seed_of:
+        ``seed_of(g)`` is the randomness name table ``g`` would be built
+        from as a standalone ``NeighborhoodHashTable``.
+    rows, bucket_factor:
+        Shape of every table's outer sparse-recovery sketch.
+    """
+
+    __slots__ = (
+        "num_vertices", "_seed_of", "_sketches", "_payload_bases", "_pending", "_pending_size",
+    )
+
+    def __init__(
+        self,
+        num_vertices: int,
+        capacities,
+        seed_of: Callable[[int], int | str],
+        rows: int = 3,
+        bucket_factor: float = 2.0,
+    ):
+        self.num_vertices = num_vertices
+        self._seed_of = seed_of
+        # Payload component c of key v is coordinate 3 v + c.
+        self._sketches = SparseRecoveryStore(
+            3 * num_vertices,
+            3 * np.asarray(capacities, dtype=np.int64),
+            partial(_table_sketch_seed, seed_of),
+            rows=rows,
+            bucket_factor=bucket_factor,
+        )
+        self._payload_bases: dict[int, int] = {}
+        self._pending: list[tuple[np.ndarray, ...]] = []
+        self._pending_size = 0
+
+    @property
+    def num_groups(self) -> int:
+        """Number of tables in the layout."""
+        return self._sketches.num_groups
+
+    def _payload_powers(self, groups: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+        """``z_p^neighbor mod p``, each table's payload fingerprint base
+        (its standalone payload-template detector's ``z``)."""
+        tables, slots = np.unique(groups, return_inverse=True)
+        bases = self._payload_bases  # fill-once, seed-derived
+        for table in tables.tolist():
+            if table not in bases:
+                template = derive_seed(self._seed_of(table), "payload-template")
+                key = derive_seed(template, "onesparse-z")
+                bases[table] = 1 + key % (MERSENNE_61 - 1)
+        _, powers = _positions_terms(
+            np.zeros((tables.size, 1, 1), dtype=np.uint64),  # hashes nothing
+            np.array([bases[table] for table in tables.tolist()], dtype=np.uint64),
+            slots, neighbors, np.ones(neighbors.size, dtype=np.uint64), 1,
+            self.num_vertices - 1,
+        )
+        return powers
+
+    def add(self, groups, keys, neighbors, deltas) -> None:
+        """Record ``(neighbors[t], keys[t]) += deltas[t]`` in table
+        ``groups[t]`` for every ``t`` — the batched
+        ``NeighborhoodHashTable.add_neighbor`` (buffered until a read).
+        Every named table counts as touched, even when its deltas net to
+        zero."""
+        groups = as_index_array(groups)
+        keys = as_index_array(keys)
+        neighbors = as_index_array(neighbors)
+        deltas = as_index_array(deltas)
+        if not groups.shape == keys.shape == neighbors.shape == deltas.shape:
+            raise ValueError("groups, keys, neighbors, deltas must be of equal length")
+        if groups.size == 0:
+            return
+        for name, values, top in (
+            ("group", groups, self.num_groups),
+            ("key", keys, self.num_vertices),
+            ("neighbor", neighbors, self.num_vertices),
+        ):
+            if int(values.min()) < 0 or int(values.max()) >= top:
+                raise IndexError(f"{name} batch leaves [0, {top})")
+        self._sketches.touch(groups)
+        self._pending.append((groups, keys, neighbors, deltas))
+        self._pending_size += groups.size
+        if self._pending_size >= _PENDING_LIMIT:
+            self.flush()
+
+    def flush(self) -> None:
+        """Expand the buffered incidences into sketch coordinates and
+        land them (see :meth:`SparseRecoveryStore.flush`)."""
+        if self._pending:
+            groups, keys, neighbors, deltas = (
+                np.concatenate(part) for part in zip(*self._pending)
+            )
+            self._pending = []
+            self._pending_size = 0
+            # Net per (table, key, neighbor) before any power is taken.
+            n = np.int64(self.num_vertices)
+            groups, edges, net = _net(groups, keys * n + neighbors, deltas)
+            keys, neighbors = np.divmod(edges, n)
+            if groups.size:
+                coords = 3 * keys
+                # Payloads delta and delta * neighbor stay int64 while
+                # |delta| n fits; delta * z_p^neighbor (~2^61) stays exact.
+                if net.dtype == object or max_abs_int64(net) * self.num_vertices >= _INT64_SAFE:
+                    net = net.astype(object)
+                self._sketches.add(
+                    np.concatenate([groups, groups]),
+                    np.concatenate([coords, coords + 1]),
+                    np.concatenate([net, net * neighbors.astype(net.dtype)]),
+                )
+                self._sketches.add(
+                    groups,
+                    coords + 2,
+                    net.astype(object) * self._payload_powers(groups, neighbors).astype(object),
+                )
+        self._sketches.flush()
+
+    # ------------------------------------------------------------------
+    # Reads, wire, linearity, copies (on the sketch store)
+    # ------------------------------------------------------------------
+
+    def touched_groups(self) -> list[int]:
+        """Sorted tables ever touched (the scalar path's materialized set)."""
+        return self._sketches.touched_groups()
+
+    def nonzero_groups(self) -> list[int]:
+        """Sorted tables holding a nonzero cell — chunking-independent."""
+        self.flush()
+        return self._sketches.nonzero_groups()
+
+    def state_len(self, group: int) -> int:
+        """Length of table ``group``'s dense :meth:`state_ints`."""
+        return self._sketches.state_len(group)
+
+    def state_ints(self, group: int) -> list[int]:
+        """Table ``group``'s dense state, exactly as the standalone
+        ``NeighborhoodHashTable.state_ints()``."""
+        self.flush()
+        return self._sketches.state_ints(group)
+
+    def space_words(self) -> int:
+        """Words the touched tables charge in the paper's accounting —
+        each the standalone table's ``space_words()`` (its sketch plus
+        the payload detector's four words)."""
+        return self._sketches.space_words() + 4 * len(self._sketches.touched_groups())
+
+    def from_state_ints(self, blocks: dict[int, list[int]]) -> None:
+        """Overwrite tables from dense :meth:`state_ints` blocks
+        (``{group: values}``), all checked before any table changes."""
+        self.flush()
+        self._sketches.from_state_ints(blocks)
+
+    def combine(self, other: "NeighborhoodTableStore") -> None:
+        """In-place ``self += other`` table by table (layouts must match)."""
+        if self.num_vertices != other.num_vertices:
+            raise ValueError("cannot combine stores with different layouts")
+        self.flush()
+        other.flush()
+        self._sketches.combine(other._sketches)
+
+    def clone(self) -> "NeighborhoodTableStore":
+        """Independent copy of the cells; derived randomness is shared."""
+        clone = object.__new__(NeighborhoodTableStore)
+        clone.num_vertices = self.num_vertices
+        clone._seed_of = self._seed_of
+        clone._payload_bases = self._payload_bases
+        clone._sketches = self._sketches.clone()
+        clone._pending = list(self._pending)
+        clone._pending_size = self._pending_size
+        return clone
+
+    def decode(self) -> dict[int, dict[int, OneSparseResult] | None]:
+        """Decode every touched table in one batched peel.
+
+        Returns ``{group: results}``: ``None`` for an undecodable table,
+        otherwise each recovered key's payload
+        :class:`~repro.sketch.onesparse.OneSparseResult` — exactly
+        ``NeighborhoodHashTable.decode_neighbors()`` per table.
+        """
+        self.flush()
+        groups = self._sketches.touched_groups()
+        found_groups, coords, values, failed = self._sketches.peel(groups)
+        results: dict[int, dict[int, OneSparseResult] | None] = {
+            group: (None if group in failed else {}) for group in groups
+        }
+        keep = np.array([group not in failed for group in found_groups.tolist()], dtype=bool)
+        if not keep.any():
+            return results
+        found_groups, coords, values = found_groups[keep], coords[keep], values[keep]
+        # Assemble each recovered key's payload (p0, p1, p2).
+        keys, component = np.divmod(coords, 3)
+        tables, table_keys, where = _unique_pairs(found_groups, keys)
+        payloads = np.zeros((3, tables.size), dtype=object)
+        payloads[component, where] = values
+        p0, p1, p2 = payloads
+        fingerprint = p2 % MERSENNE_61
+        zero = (p0 == 0) & (p1 == 0) & (fingerprint == 0)
+        # OneSparseDetector.decode, vectorized over the payloads.
+        candidate = np.flatnonzero(p0 != 0)
+        candidate = candidate[(p1[candidate] % p0[candidate]) == 0]
+        neighbor = p1[candidate] // p0[candidate]
+        inside = (neighbor >= 0) & (neighbor < self.num_vertices)
+        candidate, neighbor = candidate[inside], neighbor[inside].astype(np.int64)
+        expected = mulmod61(
+            as_field_array(p0[candidate]), self._payload_powers(tables[candidate], neighbor)
+        )
+        hit = expected == fingerprint[candidate].astype(np.uint64)
+        one_sparse = dict(zip(candidate[hit].tolist(), neighbor[hit].tolist()))
+        not_one = OneSparseResult(DecodeStatus.NOT_ONE_SPARSE)
+        for position, (table, key) in enumerate(zip(tables.tolist(), table_keys.tolist())):
+            if zero[position]:
+                continue
+            neighbor_id = one_sparse.get(position)
+            results[table][key] = (
+                not_one
+                if neighbor_id is None
+                else OneSparseResult(DecodeStatus.ONE_SPARSE, neighbor_id, int(p0[position]))
+            )
+        return results

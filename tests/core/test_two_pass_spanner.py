@@ -9,6 +9,7 @@ from repro.core.parameters import SpannerParams
 from repro.core.two_pass_spanner import TwoPassSpannerBuilder
 from repro.graph.distances import evaluate_multiplicative_stretch
 from repro.graph.graph import Graph, edge_index
+from repro.sketch.linear_hash_table import NeighborhoodHashTable
 from repro.graph.random_graphs import (
     complete_graph,
     connected_gnp,
@@ -143,6 +144,50 @@ class TestMerge:
         wire[key_at + 2] = builder._edge_levels + 1
         with pytest.raises(ValueError, match="out of range"):
             TwoPassSpannerBuilder(16, 3, "wire-keys").load_shard_state_ints(0, wire)
+
+
+def _table_key_offsets(wire, builder):
+    """Offsets of every (vertex, level, stack, j) key in a pass-2 wire."""
+    offsets, cursor = [], 1
+    for _ in range(wire[0]):
+        offsets.append(cursor)
+        capacity = builder.params.table_capacity(
+            builder._table_effective_n, wire[cursor + 1], builder.k
+        )
+        table = NeighborhoodHashTable(
+            builder.num_vertices, capacity, "shape-only",
+            rows=builder.params.table_rows, bucket_factor=builder.params.table_bucket_factor,
+        )
+        cursor += 4 + table.state_len()
+    return offsets
+
+
+class TestPassTwoWireKeys:
+    @pytest.mark.parametrize(
+        "field, value",
+        [(0, 999), (2, 7), (3, 40)],
+        ids=["root-not-terminal", "stack-past-table-stacks", "level-past-active-levels"],
+    )
+    def test_out_of_layout_table_key_is_refused_before_any_change(self, field, value):
+        """A pass-2 wire key must name a (terminal root, stack, j) table
+        of the adopted layout; the whole wire is checked before any
+        table loads, so a bad last key leaves the target untouched."""
+        params = SpannerParams(table_stacks=1)
+        stream = list(stream_from_graph(connected_gnp(12, 0.4, seed=5), seed=5))
+        source = TwoPassSpannerBuilder(12, 2, "wire-keys-2", params=params)
+        source.process_batch(stream, 0)
+        source.end_pass(0)
+        source.process_batch(stream, 1)
+        wire = source.shard_state_ints(1)
+        assert wire[0] >= 2
+        wire[_table_key_offsets(wire, source)[-1] + field] = value
+        target = TwoPassSpannerBuilder(12, 2, "wire-keys-2", params=params)
+        target.adopt_forest_from(source)
+        target.process_batch(stream[: len(stream) // 2], 1)
+        before = target.shard_state_ints(1)
+        with pytest.raises(ValueError, match="pass-2 table"):
+            target.load_shard_state_ints(1, wire)
+        assert target.shard_state_ints(1) == before
 
 
 class TestSizeAndSpace:

@@ -199,9 +199,9 @@ class TestMixedShardMerge:
         worker = TwoPassSpannerBuilder(VertexSpace.sparse(n), 2, "adopt")
         worker.process_batch(stream, 0)
         worker.adopt_broadcast(broadcast, 1)
-        stacks_after_first = len(worker._cut_stacks)
+        tables, cuts = worker._tables, worker._cuts
         worker.adopt_broadcast(broadcast, 1)  # e.g. a retried broadcast
-        assert len(worker._cut_stacks) == stacks_after_first
+        assert worker._tables is tables and worker._cuts is cuts
         worker.process_batch(stream, 1)
         worker.end_pass(1)
         assert worker.finalize().spanner.num_edges() > 0

@@ -181,6 +181,19 @@ def test_scatter_and_decode_telemetry(tracer):
     assert tracer.counters["sketch.decode.peel_iterations"] > 0
 
 
+def test_spanner_pass2_spans_and_counters(tracer):
+    """A cold spanner snapshot reduces its pass-2 tables and peels them
+    in one span each, and counts the nonzero cells and tables."""
+    session = _session(n=16)
+    session.ingest_batch(list(mixed_workload_stream(16, 400, "obs-pass2")))
+    session.spanner_snapshot()
+    phases = tracer.phase_seconds()
+    reduce_paths = [path for path in phases if path.endswith("spanner.pass2.reduce")]
+    peel_paths = [path for path in phases if path.endswith("spanner.pass2.peel")]
+    assert reduce_paths and peel_paths
+    assert 0 < tracer.counters["spanner.pass2.tables"] <= tracer.counters["spanner.pass2.cells"]
+
+
 # -- distributed runner ------------------------------------------------
 
 

@@ -4,13 +4,14 @@ Two layers of guarantees:
 
 * the numpy field-arithmetic kernels in :mod:`repro.sketch.kernels`
   agree exactly with Python's arbitrary-precision arithmetic;
-* the one per-sketch batch path,
-  :meth:`~repro.sketch.sparse_recovery.SparseRecoverySketch.update_batch`
-  (the pass-2 hash tables and the columnar spill fallback ride it),
-  lands in *bit-identical* state to the equivalent sequence of scalar
-  ``update`` calls — including interleaved inserts/deletes, zero
-  deltas, arbitrary-precision deltas (the fallback path), arbitrary
-  chunkings, and interaction with ``combine`` — and rejects what the
+* the batch engines — a one-row
+  :class:`~repro.sketch.columnar.SketchStack` fed by ``scatter`` (with
+  its exact spill to scalar sketches) and the pass-2
+  :class:`~repro.sketch.table_store.NeighborhoodTableStore` — land in
+  *bit-identical* state to the equivalent sequence of scalar ``update``
+  / ``add_neighbor`` calls — including interleaved inserts/deletes,
+  zero deltas, arbitrary-precision deltas (the spill path), arbitrary
+  chunkings, and interaction with ``combine`` — and reject what the
   scalar oracle rejects.
 """
 
@@ -24,11 +25,12 @@ from hypothesis import strategies as st
 from repro.sketch import (
     MERSENNE_61,
     KWiseHash,
-    LinearHashTable,
     NeighborhoodHashTable,
     NestedSampler,
+    SketchStack,
     SparseRecoverySketch,
 )
+from repro.sketch.table_store import NeighborhoodTableStore
 from repro.sketch.kernels import (
     mulmod61,
     polyhash61,
@@ -133,31 +135,39 @@ def _apply_scalar(sketch, updates):
         sketch.update(index, delta)
 
 
-def _apply_batched(sketch, updates, chunk):
+def _apply_batched(stack, updates, chunk):
     for start in range(0, len(updates), chunk):
         piece = updates[start : start + chunk]
-        sketch.update_batch(
-            [index for index, _ in piece], [delta for _, delta in piece]
+        stack.scatter(
+            [0] * len(piece), [index for index, _ in piece], [delta for _, delta in piece]
         )
 
 
-#: The default shape, and the three-row shape of the L0 sampler levels
-#: and the pass-2 hash tables.
+#: (scalar oracle, one-row stack) pairs of one seed and shape: the
+#: default shape, and the three-row shape of the L0 sampler levels.
 SKETCH_FACTORIES = [
-    lambda: SparseRecoverySketch(DOMAIN, 4, seed="prop"),
-    lambda: SparseRecoverySketch(DOMAIN, 8, seed="prop", rows=3),
+    (lambda: SparseRecoverySketch(DOMAIN, 4, seed="prop"),
+     lambda: SketchStack(1, DOMAIN, 4, "prop")),
+    (lambda: SparseRecoverySketch(DOMAIN, 8, seed="prop", rows=3),
+     lambda: SketchStack(1, DOMAIN, 8, "prop", rows=3)),
 ]
+
+
+def _table_store(num_vertices, capacity, seed):
+    """A one-table store seeded like ``NeighborhoodHashTable(num_vertices,
+    capacity, seed)``."""
+    return NeighborhoodTableStore(num_vertices, [capacity], lambda group: seed)
 
 
 class TestBitIdentity:
     @given(updates=update_batches, chunk=st.integers(min_value=1, max_value=301))
     @settings(max_examples=25, deadline=None)
     def test_batch_equals_scalar_sequence(self, updates, chunk):
-        for factory in SKETCH_FACTORIES:
-            scalar, batched = factory(), factory()
+        for scalar_factory, stack_factory in SKETCH_FACTORIES:
+            scalar, batched = scalar_factory(), stack_factory()
             _apply_scalar(scalar, updates)
             _apply_batched(batched, updates, chunk)
-            assert scalar.state_ints() == batched.state_ints()
+            assert scalar.state_ints() == batched.row_state_ints(0)
 
     @given(
         first=update_batches,
@@ -166,18 +176,18 @@ class TestBitIdentity:
     )
     @settings(max_examples=15, deadline=None)
     def test_combine_mixes_scalar_and_batched(self, first, second, sign):
-        for factory in SKETCH_FACTORIES:
-            scalar_a, scalar_b = factory(), factory()
+        for scalar_factory, stack_factory in SKETCH_FACTORIES:
+            scalar_a, scalar_b = scalar_factory(), scalar_factory()
             _apply_scalar(scalar_a, first)
             _apply_scalar(scalar_b, second)
             scalar_a.combine(scalar_b, sign)
 
-            batched_a, batched_b = factory(), factory()
+            batched_a, batched_b = stack_factory(), stack_factory()
             _apply_batched(batched_a, first, 64)
             _apply_batched(batched_b, second, 64)
             batched_a.combine(batched_b, sign)
 
-            assert scalar_a.state_ints() == batched_a.state_ints()
+            assert scalar_a.state_ints() == batched_a.row_state_ints(0)
 
     @given(
         updates=st.lists(
@@ -189,67 +199,66 @@ class TestBitIdentity:
             max_size=60,
         )
     )
-    # numpy infers float64 for the first list and uint64 for the second.
     @example(updates=[(3, 2**63), (4, -1)])
     @example(updates=[(5, 2**63), (6, 2**64 - 1)])
     @settings(max_examples=15, deadline=None)
     def test_arbitrary_precision_deltas(self, updates):
-        # The int64 fast path must hand off to the exact fallback when
-        # serialized-payload-sized deltas appear.
+        # The int64 planes must hand off to the exact spilled sketches
+        # when serialized-payload-sized deltas appear, and keep
+        # absorbing batches through the spill afterwards.
         scalar = SparseRecoverySketch(DOMAIN, 4, seed="prop")
-        batched = SparseRecoverySketch(DOMAIN, 4, seed="prop")
+        stack = SketchStack(1, DOMAIN, 4, "prop")
         _apply_scalar(scalar, updates)
-        batched.update_batch(
-            [index for index, _ in updates], [delta for _, delta in updates]
-        )
-        assert scalar.state_ints() == batched.state_ints()
+        for index, delta in updates:
+            if -(2**63) <= delta < 2**63:
+                stack.scatter([0], [index], [delta])
+            else:
+                stack.update_row(0, index, delta)
+        assert scalar.state_ints() == stack.row_state_ints(0)
 
     def test_int64_min_delta_is_exact(self):
-        # np.abs(-2**63) wraps in int64; the guard must still route this
-        # batch off the int64 scatter fast path (it fits int64, so the
-        # bigint fallback is not taken either).
+        # np.abs(-2**63) wraps in int64; the headroom guard must still
+        # see this batch's magnitude and spill it to the exact sketches.
         updates = [(index, 1) for index in range(400)] + [(7, -(2**63))]
-        for factory in SKETCH_FACTORIES:
-            scalar, batched = factory(), factory()
+        for scalar_factory, stack_factory in SKETCH_FACTORIES:
+            scalar, batched = scalar_factory(), stack_factory()
             _apply_scalar(scalar, updates)
             _apply_batched(batched, updates, len(updates))
-            assert scalar.state_ints() == batched.state_ints()
+            assert batched.is_spilled()
+            assert scalar.state_ints() == batched.row_state_ints(0)
 
     def test_interleaved_insert_delete_cancels(self):
-        sketch = SparseRecoverySketch(DOMAIN, 4, seed="cancel")
-        indices = list(range(0, DOMAIN, 5))  # above SMALL_BATCH: the numpy path
-        sketch.update_batch(indices, [1] * len(indices))
-        sketch.update_batch(indices, [-1] * len(indices))
-        assert sketch.is_zero()
-        assert all(value == 0 for value in sketch.state_ints())
+        stack = SketchStack(1, DOMAIN, 4, "cancel")
+        indices = list(range(0, DOMAIN, 5))
+        stack.scatter([0] * len(indices), indices, [1] * len(indices))
+        stack.scatter([0] * len(indices), indices, [-1] * len(indices))
+        assert stack.is_row_zero(0)
+        assert all(value == 0 for value in stack.row_state_ints(0))
 
     def test_zero_deltas_are_no_ops(self):
-        sketch = SparseRecoverySketch(DOMAIN, 4, seed="zeros")
-        before = sketch.state_ints()
-        sketch.update_batch([1, 2, 3], [0, 0, 0])
-        assert sketch.state_ints() == before
+        stack = SketchStack(1, DOMAIN, 4, "zeros")
+        before = stack.row_state_ints(0)
+        stack.scatter([0, 0, 0], [1, 2, 3], [0, 0, 0])
+        assert stack.row_state_ints(0) == before
 
     def test_out_of_domain_batch_rejected(self):
-        sketch = SparseRecoverySketch(DOMAIN, 4, seed="bounds")
-        try:
-            sketch.update_batch([0, DOMAIN], [1, 1])
-        except IndexError:
-            pass
-        else:
-            raise AssertionError("out-of-domain batch must raise IndexError")
+        with pytest.raises(IndexError):
+            SketchStack(1, DOMAIN, 4, "bounds").scatter([0, 0], [0, DOMAIN], [1, 1])
 
     @pytest.mark.parametrize(
         "apply",
         [
-            lambda: SparseRecoverySketch(100, 4, "x").update_batch([3, 4], [1.9, -0.5]),
-            lambda: SparseRecoverySketch(100, 4, "x").update_batch([2.7] * 300, [1] * 300),
-            lambda: SparseRecoverySketch(100, 4, "x").update_batch(
-                np.arange(300, dtype=np.float64) % 100, np.ones(300, dtype=np.int64)
+            lambda: SketchStack(1, 100, 4, "x").scatter([0, 0], [3, 4], [1.9, -0.5]),
+            lambda: SketchStack(1, 100, 4, "x").scatter([0] * 300, [2.7] * 300, [1] * 300),
+            lambda: SketchStack(1, 100, 4, "x").scatter(
+                np.zeros(300, dtype=np.int64),
+                np.arange(300, dtype=np.float64) % 100,
+                np.ones(300, dtype=np.int64),
             ),
-            lambda: LinearHashTable(20, 3, 4, "x").add_to_payload_batch([1.5, 2], 0, [1, 1]),
-            lambda: LinearHashTable(20, 3, 4, "x").add_to_payload_batch([1, 2], 0, [0.5, 1]),
-            lambda: NeighborhoodHashTable(20, 4, "x").add_neighbors_batch([1, 2], [3, 4], [0.9, 1]),
-            lambda: NeighborhoodHashTable(20, 4, "x").add_neighbors_batch([1, 2], [3.5, 4], [1, 1]),
+            lambda: _table_store(20, 4, "x").add([0, 0], [1.5, 2], [3, 4], [1, 1]),
+            lambda: _table_store(20, 4, "x").add([0, 0], [1, 2], [3, 4], [0.5, 1]),
+            lambda: _table_store(20, 4, "x").add([0, 0], [1, 2], [3, 4], [0.9, 1]),
+            lambda: _table_store(20, 4, "x").add([0, 0], [1, 2], [3.5, 4], [1, 1]),
         ],
         ids=[
             "float-deltas", "float-indices-long", "float64-ndarray", "table-float-keys",
@@ -258,7 +267,7 @@ class TestBitIdentity:
     )
     def test_non_integer_batch_rejected(self, apply):
         # Casting to int64 would truncate; the scalar oracle rejects a
-        # float index, so the batch path must not guess either.
+        # float index, so the batch paths must not guess either.
         with pytest.raises(TypeError):
             apply()
 
@@ -278,12 +287,14 @@ class TestNeighborhoodTableBatch:
     @settings(max_examples=15, deadline=None)
     def test_batched_table_decodes_identically(self, entries):
         scalar = NeighborhoodHashTable(60, 16, seed="table-prop")
-        batched = NeighborhoodHashTable(60, 16, seed="table-prop")
+        batched = _table_store(60, 16, "table-prop")
         for key, neighbor, sign in entries:
             scalar.add_neighbor(key, neighbor, sign)
-        batched.add_neighbors_batch(
+        batched.add(
+            [0] * len(entries),
             [key for key, _, _ in entries],
             [neighbor for _, neighbor, _ in entries],
             [sign for _, _, sign in entries],
         )
-        assert scalar.decode_neighbors() == batched.decode_neighbors()
+        assert batched.state_ints(0) == scalar.state_ints()
+        assert batched.decode().get(0, {}) == scalar.decode_neighbors()

@@ -1,0 +1,336 @@
+"""The grouped pass-2 stores against their scalar oracles.
+
+:class:`~repro.sketch.table_store.NeighborhoodTableStore` holds every
+``(root, stack, j)`` table of a spanner's pass 2 as nonzero cells only and
+decodes them in one batched peel.  Each test below runs a random stream
+through a builder twice: once on the store, once with the store swapped
+for :class:`OracleTables` — one standalone
+:class:`~repro.sketch.linear_hash_table.NeighborhoodHashTable` per table,
+fed by scalar ``add_neighbor`` and seeded and sized from the table key
+alone.  Per-table dense ``state_ints``, decode results, the builder's
+diagnostics, spanner edges, ``space_report()`` and ``space_words()`` must
+all agree, on the scalar, batched, clone and 3-shard-merge paths.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+import numpy as np
+
+from repro.core.parameters import SpannerParams
+from repro.core.two_pass_spanner import TwoPassSpannerBuilder
+from repro.graph.vertex_space import VertexSpace
+from repro.sketch.linear_hash_table import NeighborhoodHashTable
+from repro.sketch.sparse_recovery import SparseRecoverySketch
+from repro.sketch.table_store import SparseRecoveryStore
+from repro.stream.generators import mixed_workload_stream, power_law_universe_stream
+from repro.stream.updates import EdgeUpdate
+from repro.util.rng import derive_seed
+
+
+class OracleTables:
+    """The store's builder-facing interface over standalone scalar tables.
+
+    Seeds and capacities come from the table key through the historical
+    per-table formulas, not from the store, so a store that drew a
+    table's randomness from the wrong unit disagrees here.
+    """
+
+    def __init__(self, builder: TwoPassSpannerBuilder):
+        self.builder = builder
+        self.tables: dict[int, NeighborhoodHashTable] = {}
+
+    def table(self, group: int) -> NeighborhoodHashTable:
+        found = self.tables.get(group)
+        if found is None:
+            b = self.builder
+            root, stack, j = b._table_key(group)
+            found = NeighborhoodHashTable(
+                b.num_vertices,
+                b.params.table_capacity(b._table_effective_n, root[1], b.k),
+                derive_seed(b._seed, "table", root[0], root[1], stack, j),
+                rows=b.params.table_rows,
+                bucket_factor=b.params.table_bucket_factor,
+            )
+            self.tables[group] = found
+        return found
+
+    def add(self, groups, keys, neighbors, deltas) -> None:
+        for group, key, neighbor, delta in zip(
+            groups.tolist(), keys.tolist(), neighbors.tolist(), deltas.tolist()
+        ):
+            self.table(group).add_neighbor(key=key, neighbor=neighbor, delta=delta)
+
+    def touched_groups(self) -> list[int]:
+        return sorted(self.tables)
+
+    def nonzero_groups(self) -> list[int]:
+        return [g for g in sorted(self.tables) if not self.tables[g].is_zero()]
+
+    def state_len(self, group: int) -> int:
+        return self.table(group).state_len()
+
+    def state_ints(self, group: int) -> list[int]:
+        return self.table(group).state_ints()
+
+    def from_state_ints(self, blocks) -> None:
+        for group, values in blocks.items():
+            self.table(group).from_state_ints(values)
+
+    def combine(self, other: "OracleTables") -> None:
+        for group, table in other.tables.items():
+            self.table(group).combine(table)
+
+    def clone(self) -> "OracleTables":
+        clone = OracleTables(self.builder)
+        clone.tables = {g: t.clone() for g, t in self.tables.items()}
+        return clone
+
+    def decode(self):
+        return {g: t.decode_neighbors() for g, t in self.tables.items()}
+
+    def space_words(self) -> int:
+        return sum(t.space_words() for t in self.tables.values())
+
+
+def _feed(builder, tokens, pass_index, chunk):
+    if chunk is None:
+        for update in tokens:
+            builder.process(update, pass_index)
+    else:
+        for start in range(0, len(tokens), chunk):
+            builder.process_batch(tokens[start : start + chunk], pass_index)
+
+
+def _pair(make, tokens, chunk):
+    """(store builder, oracle builder) after pass 1 and the forest."""
+    builders = []
+    for oracle in (False, True):
+        builder = make()
+        _feed(builder, tokens, 0, chunk)
+        builder.end_pass(0)
+        if oracle:
+            builder._tables = OracleTables(builder)
+        builders.append(builder)
+    return builders
+
+
+def _assert_same(store_builder, oracle_builder):
+    store, oracle = store_builder._tables, oracle_builder._tables
+    assert store.touched_groups() == oracle.touched_groups()
+    assert store.nonzero_groups() == oracle.nonzero_groups()
+    for group in oracle.touched_groups():
+        assert store.state_ints(group) == oracle.state_ints(group), group
+    assert store.decode() == oracle.decode()
+    assert store_builder.shard_state_ints(1) == oracle_builder.shard_state_ints(1)
+    assert store_builder.space_report() == oracle_builder.space_report()
+    assert store_builder.space_words() == oracle_builder.space_words()
+    mine, theirs = store_builder.finalize(), oracle_builder.finalize()
+    assert mine.spanner.edge_set() == theirs.spanner.edge_set()
+    assert mine.diagnostics == theirs.diagnostics
+    assert mine.observed_edges == theirs.observed_edges
+    return mine
+
+
+def _cancelling_stream(n: int, seed: str) -> list[EdgeUpdate]:
+    """Every edge inserted, then every edge deleted: pass 2 nets to zero."""
+    rng = random.Random(seed)
+    pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(8 * n)}
+    inserts = [EdgeUpdate(u, v, +1) for u, v in sorted(pairs)]
+    deletes = [EdgeUpdate(u, v, -1) for u, v in sorted(pairs)]
+    rng.shuffle(deletes)
+    return inserts + deletes
+
+
+#: name -> (builder factory, token list)
+STREAMS = {
+    "dense-n32-k2": (
+        lambda: TwoPassSpannerBuilder(32, 2, "store-oracle-a"),
+        lambda: list(mixed_workload_stream(32, 1800, "store-a")),
+    ),
+    "dense-n32-k3": (
+        lambda: TwoPassSpannerBuilder(32, 3, "store-oracle-b", augmented=True),
+        lambda: list(mixed_workload_stream(32, 1800, "store-b")),
+    ),
+    "four-stacks": (
+        lambda: TwoPassSpannerBuilder(
+            20, 2, "store-oracle-c", params=SpannerParams(table_stacks=4, table_rows=4)
+        ),
+        lambda: list(mixed_workload_stream(20, 1200, "store-c")),
+    ),
+    "lazy-1e7": (
+        lambda: TwoPassSpannerBuilder(VertexSpace.sparse(10**7), 3, "store-oracle-d"),
+        lambda: list(power_law_universe_stream(10**7, 120, 900, "store-d", exponent=1.2)),
+    ),
+    "cancel-to-zero": (
+        lambda: TwoPassSpannerBuilder(40, 2, "store-oracle-e"),
+        lambda: _cancelling_stream(40, "store-e"),
+    ),
+    "overflowing": (
+        lambda: TwoPassSpannerBuilder(
+            32, 2, "store-oracle-f", params=SpannerParams(table_capacity_factor=0.05)
+        ),
+        lambda: list(mixed_workload_stream(32, 1800, "store-f")),
+    ),
+}
+
+
+def _stream(name):
+    make, tokens = STREAMS[name]
+    return make, tokens()
+
+
+def _check_stream_shape(name, builder, output):
+    if name == "cancel-to-zero":
+        # Tables were touched, none holds a cell, none is on the wire.
+        assert builder._tables.touched_groups()
+        assert builder._tables.nonzero_groups() == []
+        assert builder.shard_state_ints(1)[0] == 0
+    if name == "overflowing":
+        assert output.diagnostics["pass2_table_overflows"] > 0
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+class TestStoreMatchesScalarTables:
+    def test_scalar_path(self, name):
+        make, tokens = _stream(name)
+        store, oracle = _pair(make, tokens, None)
+        for builder in (store, oracle):
+            _feed(builder, tokens, 1, None)
+        _check_stream_shape(name, store, _assert_same(store, oracle))
+
+    def test_batched_path(self, name):
+        make, tokens = _stream(name)
+        store, oracle = _pair(make, tokens, 250)
+        for builder in (store, oracle):
+            _feed(builder, tokens, 1, 250)
+        _check_stream_shape(name, store, _assert_same(store, oracle))
+
+    def test_clone_path(self, name):
+        """A clone taken mid-pass-2 and its original both continue; each
+        matches its oracle twin, so neither saw the other's updates."""
+        make, tokens = _stream(name)
+        store, oracle = _pair(make, tokens, 250)
+        half = len(tokens) // 2
+        for builder in (store, oracle):
+            _feed(builder, tokens[:half], 1, 250)
+        store_clone, oracle_clone = store.clone(), oracle.clone()
+        for builder in (store_clone, oracle_clone):
+            _feed(builder, tokens[half:], 1, 250)
+        for builder in (store, oracle):
+            _feed(builder, tokens[half:][::-1], 1, None)
+        _assert_same(store_clone, oracle_clone)
+        _assert_same(store, oracle)
+
+    def test_three_shard_merge_path(self, name):
+        """Pass 2 sharded three ways: every shard's wire is loaded into a
+        fresh builder that adopted the coordinator's forest, and merged."""
+        make, tokens = _stream(name)
+        store, oracle = _pair(make, tokens, 250)
+        for coordinator in (store, oracle):
+            oracle_side = coordinator is oracle
+            for shard in range(3):
+                worker, rebuilt = make(), make()
+                for builder in (worker, rebuilt):
+                    builder.adopt_forest_from(coordinator)
+                    if oracle_side:
+                        builder._tables = OracleTables(builder)
+                _feed(worker, tokens[shard::3], 1, 250)
+                rebuilt.load_shard_state_ints(1, worker.shard_state_ints(1))
+                coordinator.merge_second_pass(rebuilt)
+        _assert_same(store, oracle)
+
+
+def test_store_rejects_a_different_layout():
+    make, tokens = _stream("dense-n32-k2")
+    store, _ = _pair(make, tokens, 250)
+    other = TwoPassSpannerBuilder(32, 2, "store-oracle-a", params=SpannerParams(table_stacks=2))
+    _feed(other, tokens, 0, 250)
+    other.end_pass(0)
+    with pytest.raises(ValueError, match="layouts"):
+        store._tables.combine(other._tables)
+
+
+@pytest.mark.parametrize("domain", [60, 10**14], ids=["small", "pair-domain"])
+def test_sparse_recovery_store_matches_standalone_sketches(domain):
+    """The cut-sketch store: per-group dense state, decodes (including
+    failed ones), space words, clone, wire round trip and combine all
+    equal standalone ``SparseRecoverySketch``es fed by scalar ``update``
+    — with cancellations and payload-sized exact values mixed in."""
+    rng = random.Random(f"store-{domain}")
+    budgets = [1, 3, 8, 24, 40, 40, 64]  # some groups overflow, most decode
+    seed_of = "cut-{}".format
+    updates = []
+    for _ in range(260):
+        group = rng.randrange(len(budgets))
+        coord = rng.randrange(domain)
+        value = rng.choice([1, -1, 2, 2**70, -(2**66)]) if rng.random() < 0.1 else rng.choice([1, -1])
+        updates.append((group, coord, value))
+        if rng.random() < 0.3:
+            updates.append((group, coord, -value))
+    halves = (updates[: len(updates) // 2], updates[len(updates) // 2 :])
+    stores, oracles = [], []
+    for half in halves:
+        store = SparseRecoveryStore(domain, budgets, seed_of, rows=3)
+        oracle = {}
+        for start in range(0, len(half), 37):
+            chunk = half[start : start + 37]
+            values = [v for _, _, v in chunk]
+            exact = any(abs(v) >= 2**62 for v in values)
+            store.add(
+                [g for g, _, _ in chunk],
+                [c for _, c, _ in chunk],
+                np.array(values, dtype=object if exact else np.int64),
+            )
+        for group, coord, value in half:
+            oracle.setdefault(
+                group, SparseRecoverySketch(domain, budgets[group], seed_of(group), rows=3)
+            ).update(coord, value)
+        stores.append(store)
+        oracles.append(oracle)
+
+    def check(store, oracle):
+        assert store.touched_groups() == sorted(oracle)
+        for group, sketch in oracle.items():
+            assert store.state_ints(group) == sketch.state_ints()
+        assert store.decode() == {g: sketch.decode() for g, sketch in oracle.items()}
+        assert store.space_words() == sum(sketch.space_words() for sketch in oracle.values())
+
+    for store, oracle in zip(stores, oracles):
+        check(store, oracle)
+        outcomes = store.decode().values()
+        assert None in outcomes and any(outcomes)
+    # Wire round trip into a fresh store, then combine both halves.
+    first, second = stores
+    rebuilt = SparseRecoveryStore(domain, budgets, seed_of, rows=3)
+    rebuilt.from_state_ints({g: first.state_ints(g) for g in first.touched_groups()})
+    check(rebuilt, oracles[0])
+    snapshot = rebuilt.clone()
+    rebuilt.combine(second)
+    merged = {g: sketch.clone() for g, sketch in oracles[0].items()}
+    for group, sketch in oracles[1].items():
+        if group in merged:
+            merged[group].combine(sketch)
+        else:
+            merged[group] = sketch.clone()
+    check(rebuilt, merged)
+    check(snapshot, oracles[0])  # the clone did not see the combine
+
+
+def test_sparse_recovery_store_pairs_never_wrap_int64():
+    """A group index times an ``n^2`` cut-sketch domain overflows
+    ``int64`` (10^6 roots of a 10^7-id universe reach ~10^20): groups
+    and coordinates are handled as pairs, so the last group decodes
+    exactly like its standalone sketch."""
+    domain, groups = 10**14, 10**6
+    store = SparseRecoveryStore(domain, np.full(groups, 4), "wide-{}".format, rows=3)
+    oracle = SparseRecoverySketch(domain, 4, "wide-999999", rows=3)
+    for coord, value in ((domain - 1, 1), (domain // 3, -2), (7, 1)):
+        store.add([groups - 1], [coord], [value])
+        oracle.update(coord, value)
+    assert store.state_ints(groups - 1) == oracle.state_ints()
+    assert store.decode() == {groups - 1: oracle.decode()}
+    assert oracle.decode() == {domain - 1: 1, domain // 3: -2, 7: 1}

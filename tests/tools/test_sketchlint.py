@@ -206,13 +206,13 @@ def test_unguarded_sum_flagged_guarded_allowed(tmp_path):
     result = lint_source(
         tmp_path,
         """
-        from repro.sketch.sparse_recovery import fits_int64_products
+        from repro.sketch.sparse_recovery import max_abs_int64
 
         def unguarded(x):
             return x.sum()
 
         def guarded(x, idx):
-            if fits_int64_products(x.size, 1, int(idx.max())):
+            if x.size * max_abs_int64(x) * int(idx.max()) < 2**62:
                 return x.sum()
             return None
 

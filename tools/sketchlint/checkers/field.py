@@ -22,7 +22,7 @@ arithmetic is exact and is *not* flagged.
   counters need exact 64-bit integers.
 * ``SL204`` — an unguarded numpy accumulation (``.sum()`` / ``np.sum``
   without an explicit ``dtype=``) in a field module, in a function that
-  never consults ``fits_int64_products``: int64 scatter sums are only
+  never consults ``max_abs_int64``: int64 scatter sums are only
   exact *because* of that magnitude guard; bypassing it reintroduces
   the silent-overflow class of bug the batch paths were audited
   against.
@@ -44,7 +44,7 @@ _PRIME = 2305843009213693951
 
 _BAD_DTYPES = {"float", "float32", "float64", "int32", "uint32", "int16", "uint16"}
 
-_GUARD = "fits_int64_products"
+_GUARD = "max_abs_int64"
 
 
 def _diag(source: SourceFile, node: ast.AST, code: str, message: str) -> Diagnostic:
@@ -182,7 +182,7 @@ def _check_file(index: RepoIndex, source: SourceFile) -> Iterable[Diagnostic]:
                         yield _diag(
                             source, node, "SL204",
                             "numpy sum without an explicit dtype in a function "
-                            "that never consults fits_int64_products: int64 "
+                            "that never consults max_abs_int64: int64 "
                             "accumulations are only exact under the magnitude "
                             "guard",
                         )
