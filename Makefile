@@ -72,9 +72,11 @@ bench-columnar:
 
 # The sparse vertex-universe gates: a 10^7-id session answers all four
 # query kinds with resident sketch words proportional to touched
-# vertices (not the universe), lazy wire state bit-identical to the
-# dense engine, ingest above the throughput floor, then the regression
-# check of the fresh BENCH_sparse.json against the committed floors.
+# vertices (not the universe), a sparse space's wire state bit-identical
+# to a dense space's on a long stream (one stack storage: the space
+# changes what is enumerated, never what is stored), ingest above the
+# throughput floor, then the regression check of the fresh
+# BENCH_sparse.json against the committed floors.
 # Single-core gates only (no parallel-speedup assumptions).
 bench-sparse:
 	$(PYTHON) -m pytest benchmarks/bench_sparse_universe.py -q
@@ -82,7 +84,7 @@ bench-sparse:
 
 # The kernel-backend gates: limb end-to-end speedup over the committed
 # columnar floor, bit-identical state across reference/limb/native
-# backends (dense + lazy + weighted + kill/restore), the adaptive
+# backends (dense and sparse spaces + weighted + kill/restore), the adaptive
 # ladder's grow-without-re-ingest identity past 10^6 touched vertices,
 # then the regression check of the fresh BENCH_kernels.json against
 # the committed floors.  Single-core gates only.

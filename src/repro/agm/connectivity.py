@@ -38,9 +38,9 @@ class ConnectivityChecker(StreamingAlgorithm):
     """One-pass connected components of a dynamic stream.
 
     ``num_vertices`` may be a plain int (dense universe) or a
-    :class:`~repro.graph.vertex_space.VertexSpace`; lazy spaces keep
-    resident sketch rows proportional to touched vertices and answer
-    component queries over the touched subgraph.  ``rounds`` forwards to
+    :class:`~repro.graph.vertex_space.VertexSpace`; lazy spaces charge
+    only the touched vertices' sketch rows and answer component queries
+    over the touched subgraph.  ``rounds`` forwards to
     :class:`~repro.agm.spanning_forest.AgmSketch` for sessions that know
     their touched count is far below the universe.
     """

@@ -133,13 +133,15 @@ class AgmSketch:
     Parameters
     ----------
     num_vertices:
-        The vertex universe: a plain int (the historical dense engine
-        over ``range(n)``) or a :class:`~repro.graph.vertex_space.VertexSpace`
-        — a lazy space materializes per-vertex rows on first touch, so
-        resident state tracks *touched* vertices while seeds and edge
-        coordinates stay pure functions of the universe size (dense and
-        lazy sketches over equal universes are summable and
-        bit-identical on the touched subset).
+        The vertex universe: a plain int (a dense space over
+        ``range(n)``) or a :class:`~repro.graph.vertex_space.VertexSpace`.
+        Either way per-vertex rows are stored on first touch and seeds
+        and edge coordinates are pure functions of the universe size, so
+        dense and lazy sketches over equal universes are summable and
+        hold identical state.  The space only decides what is
+        enumerated and charged: a dense space counts every universe
+        vertex as touched and charges its whole universe in
+        :meth:`space_words`; a lazy one counts the touched rows.
     seed:
         Randomness name; sketches with equal seeds/shape are summable.
     rounds:
@@ -174,7 +176,6 @@ class AgmSketch:
             domain,
             [derive_seed(self._seed_key, "round", r) for r in range(rounds)],
             budget=budget,
-            lazy=self.space.lazy,
         )
 
     # ------------------------------------------------------------------
@@ -341,12 +342,15 @@ class AgmSketch:
         return forest
 
     def touched_vertices(self) -> list[int]:
-        """Sorted vertex ids holding resident sketch rows.
+        """Sorted ids of the touched vertices (those holding resident
+        sketch rows); a dense space counts its whole universe as
+        touched, all of ``range(n)``.
 
         Every update reaches every round's level 0, so round 0 carries
-        the complete touched set; for a dense space this is all of
-        ``range(n)``.
+        the complete touched set.
         """
+        if not self.space.lazy:
+            return list(range(self.num_vertices))
         return self._samplers.touched_row_ids()
 
     def num_touched_vertices(self) -> int:
@@ -355,7 +359,10 @@ class AgmSketch:
         The cheap cardinality twin of :meth:`touched_vertices` (which
         sorts the ids); the adaptive sizing ladder polls this after
         every ingest batch, so it must not scale with the touched set.
+        A dense space counts its whole universe.
         """
+        if not self.space.lazy:
+            return self.num_vertices
         return self._samplers.num_touched_rows()
 
     def state_digest(self) -> str:
@@ -365,8 +372,9 @@ class AgmSketch:
         it stays practical at million-vertex scale where
         :meth:`state_ints` would materialize hundreds of millions of
         Python ints.  Two same-shaped, same-seeded sketches digest
-        equally iff their resident states match cell-for-cell — the
-        cheap strong probe for replay/promotion identity checks.
+        equally iff their resident states match cell-for-cell, whether
+        their spaces are dense or lazy — the cheap strong probe for
+        replay/promotion identity checks.
         """
         hasher = hashlib.blake2b(digest_size=16)
         self._samplers.state_digest(hasher)
@@ -444,9 +452,11 @@ class AgmSketch:
         return self
 
     def space_words(self) -> int:
-        """Resident persistent state, in machine words (lazy spaces count
-        materialized rows only; dense spaces count every row, matching
-        the historical accounting)."""
+        """Persistent state, in machine words: lazy spaces count the
+        touched rows only; dense spaces charge every universe row (the
+        paper's accounting), whatever the store holds."""
+        if not self.space.lazy:
+            return self.universe_space_words()
         return self._samplers.resident_space_words()
 
     def universe_space_words(self) -> int:

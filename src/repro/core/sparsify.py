@@ -270,8 +270,8 @@ class StreamingSparsifier(StreamingAlgorithm):
             return
         core = self.core
         us, vs, signs = updates_to_arrays(updates)
-        # Pass 0 keeps zero-net pairs: they drive the sub-spanners' lazy
-        # sketch-row allocation exactly as the token path would.
+        # Pass 0 keeps zero-net pairs: they drive the sub-spanners'
+        # touched-vertex and cluster-row bookkeeping as the token path would.
         lows, highs, pairs, net = aggregate_updates(
             us, vs, signs, core.num_vertices, keep_zero=(pass_index == 0)
         )

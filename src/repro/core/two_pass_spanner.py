@@ -27,9 +27,8 @@ stream chunk is first collapsed to its net delta
 per distinct edge pair (:func:`~repro.stream.batching.aggregate_updates`),
 fanned out to its ``(vertex, r, j)`` incidences, and landed with one
 scatter — bit-identical to the historical per-sketch state, including
-the lazy-allocation bookkeeping (``shard_state_ints`` still ships
-exactly the ``(vertex, r, j)`` rows the scalar path would have
-allocated).
+the allocation bookkeeping (``shard_state_ints`` still ships exactly the
+``(vertex, r, j)`` rows the scalar path would have allocated).
 
 Pass 2 is sized by what it holds.  Every ``(root, stack, j)`` table is a
 seed group of one :class:`~repro.sketch.table_store.NeighborhoodTableStore`
@@ -162,7 +161,6 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
                 self.params.cluster_budget,
                 None,
                 rows=self.params.cluster_rows,
-                lazy=self.space.lazy,
                 group_seeds=[
                     derive_seed(self._seed, "cluster-sketch", r, j)
                     for r in range(1, k)
@@ -267,8 +265,8 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         vectorized on the distinct pairs of each chunk and routes the
         survivors here, skipping the per-token ``edge_filter`` Python
         loop entirely.  Pass-0 callers must keep zero-delta pairs (they
-        drive the lazy sketch-row allocation); pass-1 callers should
-        drop them.
+        drive the touched-vertex and cluster-row bookkeeping); pass-1
+        callers should drop them.
         """
         if pass_index == 0:
             self._first_pass_pairs(us, vs, pairs, deltas)

@@ -13,10 +13,13 @@ integer used to play:
   family and sizes the edge-coordinate domain ``n^2`` (two spaces with
   equal universe sizes derive identical randomness, so their sketches
   stay summable regardless of storage);
-* the **storage policy** — ``lazy`` universes tell the columnar engine
-  (:mod:`repro.sketch.columnar`) to materialize sketch rows on first
-  touch instead of allocating ``n x O(log n)`` cells up front, keeping
-  resident state proportional to *touched* vertices;
+* the **enumeration policy** — a dense universe lists every vertex in
+  labels and components and charges its whole universe in space
+  accounting; a ``lazy`` one lists and charges only the *touched*
+  vertices.  Storage does not depend on it: the columnar engine
+  (:mod:`repro.sketch.columnar`) always stores sketch rows on first
+  touch, so resident state is proportional to touched vertices either
+  way;
 * the **external id map** — interned spaces accept arbitrary external
   ids (ints up to ``2^32``, or strings) and assign each a stable logical
   index on first sight.  Hash and seed derivation remain pure functions
@@ -26,10 +29,10 @@ integer used to play:
 
 Every algorithm constructor that used to take ``num_vertices: int``
 still does — a plain int coerces to :meth:`VertexSpace.dense`, which
-reproduces the historical dense engine bit for bit.  Pass
+reproduces the historical dense answers and accounting.  Pass
 :meth:`VertexSpace.sparse` (huge int universes) or
-:meth:`VertexSpace.interned` (external ids) to flip the same code onto
-lazy storage.
+:meth:`VertexSpace.interned` (external ids) to enumerate and charge the
+touched vertices only.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ _ID_KINDS = (None, "ints", "strings")
 
 
 class VertexSpace:
-    """A vertex universe: logical size, storage policy, external ids.
+    """A vertex universe: logical size, enumeration policy, external ids.
 
     Parameters
     ----------
@@ -67,10 +70,12 @@ class VertexSpace:
         logical ids on first sight; ``universe_size`` is then the
         session's declared capacity of *distinct* ids.
     lazy:
-        Whether sketch engines should materialize per-vertex rows on
-        first touch.  Defaults to ``True`` for interned spaces and for
+        Whether labels, components and space accounting cover the
+        touched vertices only (``True``) or the whole universe
+        (``False``).  Defaults to ``True`` for interned spaces and for
         identity spaces, ``False`` only through :meth:`dense` (plain-int
-        coercion), which preserves the historical eager engine exactly.
+        coercion), which preserves the historical dense answers.  Sketch
+        storage is touched-rows-only either way.
     """
 
     __slots__ = ("universe_size", "ids", "lazy", "_intern", "_externals")
@@ -103,12 +108,12 @@ class VertexSpace:
 
     @classmethod
     def dense(cls, num_vertices: int) -> "VertexSpace":
-        """The historical dense engine: eager arrays over ``range(n)``."""
+        """A small universe enumerated in full: ``range(n)``."""
         return cls(num_vertices, ids=None, lazy=False)
 
     @classmethod
     def sparse(cls, universe_size: int) -> "VertexSpace":
-        """A huge identity universe with lazy row materialization."""
+        """A huge identity universe enumerated by its touched ids."""
         return cls(universe_size, ids=None, lazy=True)
 
     @classmethod
@@ -251,8 +256,9 @@ class VertexSpace:
 def as_vertex_space(value: "int | VertexSpace") -> VertexSpace:
     """Coerce the historical ``num_vertices: int`` contract to a space.
 
-    Plain ints become :meth:`VertexSpace.dense`, reproducing the eager
-    engine exactly; an existing space passes through unchanged.
+    Plain ints become :meth:`VertexSpace.dense`, reproducing the
+    historical dense answers exactly; an existing space passes through
+    unchanged.
     """
     if isinstance(value, VertexSpace):
         return value

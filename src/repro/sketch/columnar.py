@@ -38,18 +38,19 @@ Two stack flavors:
     ``(family, level)`` sketches live in one seed-grouped
     :class:`SketchStack` — so an AGM chunk is one scatter.
 
-Lazy row materialization
-------------------------
-``lazy=True`` (what a sparse :class:`~repro.graph.vertex_space.VertexSpace`
-selects) keeps ``num_rows`` purely *logical*: no storage row is
-allocated until a ``(group, row)`` pair is first touched, so a stack over
-a ``10^7``-vertex universe holds memory proportional to the vertices
-that actually appear in the stream.  Hashes, seeds and fingerprint bases
-are functions of the group seeds and the *logical* row index — never of
-materialization order — so a lazy stack's touched rows are bit-identical
-to the same rows of an eager stack fed the same updates, and the two
-storages are freely combinable (``combine``/``merge_shard`` across mixed
-dense/lazy operands).  Untouched rows read as exact zero states.
+Row storage
+-----------
+Every stack has one storage: ``num_rows`` is purely *logical*, and a
+storage row is interned the first time its ``(group, row)`` pair is
+touched, so a stack over a ``10^7``-vertex universe holds memory
+proportional to the vertices that actually appear in the stream.
+Untouched rows read as exact zero states.  Hashes, seeds and
+fingerprint bases are functions of the group seeds and the *logical*
+row index — never of intern order — so two stacks fed the same updates
+hold the same rows whatever order or chunking touched them.  "Dense"
+is only a :class:`~repro.graph.vertex_space.VertexSpace` policy (whether
+a universe is enumerated in labels and components and charged in full
+by space accounting); it never changes what a stack stores.
 
 Exactness and interop
 ---------------------
@@ -76,7 +77,7 @@ of the new storage — mixed scalar/columnar state stays summable.  The
 sparse serialization helpers (:meth:`SketchStack.sparse_state_ints`)
 ship, group by group, ``(logical row id, cells)`` pairs for nonzero rows
 only, which is what lets checkpoints and shard messages of dense and
-lazy engines round-trip interchangeably.
+sparse vertex spaces round-trip interchangeably.
 """
 
 from __future__ import annotations
@@ -176,16 +177,18 @@ def _segment_sum_exact(selected: np.ndarray, starts: np.ndarray) -> list[list[in
 class SketchStack:
     """Columnar state of same-shaped sparse-recovery sketches.
 
-    Storage row ``key = group * num_rows + row`` holds logical row
+    Storage key ``key = group * num_rows + row`` names logical row
     ``row`` of seed group ``group``; a stack built from one shared seed
-    is the single-group case, where the key is the row.
+    is the single-group case, where the key is the row.  Keys are
+    interned into storage rows on first touch (see the module
+    docstring), so only touched rows hold state.
 
     Parameters
     ----------
     num_rows:
         Logical rows per group (AGM and spanner cluster sketches:
-        vertices; cut sketches: one).  With ``lazy=True`` this is a
-        purely logical universe size.
+        vertices; cut sketches: one).  A purely logical size: no row
+        is allocated before it is touched.
     domain_size, budget, rows, bucket_factor:
         Per-row sketch shape, exactly as
         :class:`~repro.sketch.sparse_recovery.SparseRecoverySketch`.
@@ -194,10 +197,6 @@ class SketchStack:
         summable across rows — the AGM requirement), or ``None`` when
         ``group_seeds`` is given.  A list is refused: per-sketch seeds
         are groups.
-    lazy:
-        Materialize storage rows on first touch instead of allocating
-        ``groups x num_rows x cells`` eagerly.  Touched rows are
-        bit-identical to the same rows of an eager stack.
     group_seeds:
         One randomness name per seed group: ``G`` independent families,
         each shared by every row, over one storage array.  Group ``g``'s
@@ -213,7 +212,6 @@ class SketchStack:
         "buckets",
         "cells",
         "num_groups",
-        "lazy",
         "_seed_keys",
         "_zs",
         "_hash_objs",
@@ -240,7 +238,6 @@ class SketchStack:
         seed,
         rows: int = 4,
         bucket_factor: float = 2.0,
-        lazy: bool = False,
         group_seeds=None,
     ):
         if num_rows <= 0:
@@ -264,7 +261,6 @@ class SketchStack:
         self.rows = rows
         self.buckets = template.buckets
         self.cells = rows * self.buckets
-        self.lazy = bool(lazy)
         self.num_groups = len(group_seeds)
         # One seed key per group: the same derivation as the standalone sketch.
         self._seed_keys = [
@@ -292,18 +288,18 @@ class SketchStack:
         self._reset_storage()
 
     def _reset_storage(self) -> None:
-        stored = 0 if self.lazy else self.num_groups * self.num_rows
-        self._totals = np.zeros((stored, self.cells), dtype=np.int64)
-        self._index_sums = np.zeros((stored, self.cells), dtype=np.int64)
-        self._fingerprints = np.zeros((stored, self.cells), dtype=np.uint64)
-        self._slot_of: dict[int, int] | None = {} if self.lazy else None
-        self._slot_keys: list[int] | None = [] if self.lazy else None
+        self._totals = np.zeros((0, self.cells), dtype=np.int64)
+        self._index_sums = np.zeros((0, self.cells), dtype=np.int64)
+        self._fingerprints = np.zeros((0, self.cells), dtype=np.uint64)
+        # Intern map: storage key -> storage row, and its inverse.
+        self._slot_of: dict[int, int] = {}
+        self._slot_keys: list[int] = []
         # Sorted snapshot of the intern map for vectorized batch lookup
-        # (rebuilt lazily whenever keys were added since the last batch).
+        # (rebuilt whenever keys were added since the last batch).
         self._sorted_keys: np.ndarray | None = None
         self._sorted_slots: np.ndarray | None = None
-        # Materialized rows per group (lazy storage only).
-        self._resident = np.zeros(self.num_groups, dtype=np.int64) if self.lazy else None
+        # Interned rows per group.
+        self._resident = np.zeros(self.num_groups, dtype=np.int64)
         self._bounds = np.zeros(self.num_groups, dtype=np.int64)
         self._spilled: dict[int, SparseRecoverySketch] | None = None
 
@@ -325,11 +321,8 @@ class SketchStack:
         return group * self.num_rows + row
 
     # ------------------------------------------------------------------
-    # Lazy slot management
+    # Row interning
     # ------------------------------------------------------------------
-
-    def _used_rows(self) -> int:
-        return len(self._slot_keys) if self.lazy else self._totals.shape[0]
 
     def _grow_storage(self, needed: int) -> None:
         capacity = self._totals.shape[0]
@@ -343,9 +336,7 @@ class SketchStack:
             setattr(self, name, grown)
 
     def _slot(self, key: int, create: bool) -> int | None:
-        """Storage row of ``key`` (dense: identity; lazy: interned)."""
-        if not self.lazy:
-            return key
+        """Storage row of ``key``, interned first if ``create``."""
         slot = self._slot_of.get(key)
         if slot is None and create:
             slot = len(self._slot_keys)
@@ -357,7 +348,7 @@ class SketchStack:
         return slot
 
     def _snapshot(self) -> np.ndarray:
-        """Sorted resident keys (lazy storage), with their slots."""
+        """Sorted resident keys, with their slots."""
         if self._sorted_keys is None:
             self._sorted_keys = np.array(sorted(self._slot_of), dtype=np.int64)
             self._sorted_slots = np.array(
@@ -368,8 +359,6 @@ class SketchStack:
 
     def _lookup_slots(self, keys: np.ndarray) -> np.ndarray:
         """Storage rows of ``keys`` without interning; ``-1`` if absent."""
-        if not self.lazy:
-            return keys
         known = self._snapshot()
         if known.size == 0:
             return np.full(keys.shape, -1, dtype=np.int64)
@@ -406,52 +395,42 @@ class SketchStack:
         return slots
 
     def _touched_keys(self) -> list[int]:
-        """Sorted keys holding allocated state (dense: every key)."""
+        """Sorted keys holding allocated state."""
         if self._spilled is not None:
             return sorted(self._spilled)
-        if self.lazy:
-            return sorted(self._slot_of)
-        return list(range(self.num_groups * self.num_rows))
+        return sorted(self._slot_of)
 
     def resident_rows(self, group: int | None = None) -> int:
-        """Storage rows holding allocated state, in all groups or in one
-        (lazy: touched; dense: all)."""
+        """Storage rows holding allocated state (the touched rows), in
+        all groups or in one."""
         if self._spilled is not None:
             if group is None:
                 return len(self._spilled)
             low = group * self.num_rows
             return sum(1 for key in self._spilled if low <= key < low + self.num_rows)
-        if self.lazy:
-            return len(self._slot_keys) if group is None else int(self._resident[group])
-        return self.num_rows if group is not None else self.num_groups * self.num_rows
+        return len(self._slot_keys) if group is None else int(self._resident[group])
 
     def touched_row_ids(self, group: int = 0) -> list[int]:
-        """Sorted logical ids of group ``group``'s resident rows (dense:
-        every row)."""
+        """Sorted logical ids of group ``group``'s resident rows."""
         low = group * self.num_rows
         if self._spilled is not None:
             return sorted(
                 key - low for key in self._spilled if low <= key < low + self.num_rows
             )
-        if self.lazy:
-            known = self._snapshot()
-            begin, end = np.searchsorted(known, [low, low + self.num_rows])
-            return (known[begin:end] - low).tolist()
-        return list(range(self.num_rows))
+        known = self._snapshot()
+        begin, end = np.searchsorted(known, [low, low + self.num_rows])
+        return (known[begin:end] - low).tolist()
 
     def state_digest(self, hasher) -> None:
         """Feed the stack's resident state into ``hasher`` canonically.
 
         Storage rows are visited in sorted key order regardless of
-        intern order, so two same-engine stacks holding the same cell
-        values digest identically even when their streams materialized
-        rows in different sequences.  At memory bandwidth (a sorted
-        gather plus ``tobytes``), this is the cheap way to compare
-        million-row states where :meth:`row_state_ints` per row would
-        take minutes.  Digests are only comparable between like engines:
-        a dense stack hashes every row while a lazy one hashes the
-        touched set, so an absent row and a resident all-zero row differ
-        by design.
+        intern order, so two stacks holding the same rows digest
+        identically even when their streams touched rows in different
+        sequences.  At memory bandwidth (a sorted gather plus
+        ``tobytes``), this is the cheap way to compare million-row
+        states where :meth:`row_state_ints` per row would take minutes.
+        An absent row and a resident all-zero row differ by design.
         """
         if self._spilled is not None:
             for key in sorted(self._spilled):
@@ -464,23 +443,19 @@ class SketchStack:
                 )
             return
         planes = (self._totals, self._index_sums, self._fingerprints)
-        if self.lazy:
-            keys = np.asarray(self._slot_keys, dtype=np.int64)
-            used = keys.size
-            if used and np.any(keys[1:] < keys[:-1]):
-                order = np.argsort(keys)
-                hasher.update(keys[order].tobytes())
-                for array in planes:
-                    hasher.update(np.ascontiguousarray(array[:used][order]).tobytes())
-                return
-            # Intern order was already ascending (append-ordered streams):
-            # hash the storage slices in place, no gather copy.
-            hasher.update(keys.tobytes())
+        keys = np.asarray(self._slot_keys, dtype=np.int64)
+        used = keys.size
+        if used and np.any(keys[1:] < keys[:-1]):
+            order = np.argsort(keys)
+            hasher.update(keys[order].tobytes())
             for array in planes:
-                hasher.update(np.ascontiguousarray(array[:used]).tobytes())
+                hasher.update(np.ascontiguousarray(array[:used][order]).tobytes())
             return
+        # Intern order was already ascending (append-ordered streams):
+        # hash the storage slices in place, no gather copy.
+        hasher.update(keys.tobytes())
         for array in planes:
-            hasher.update(np.ascontiguousarray(array).tobytes())
+            hasher.update(np.ascontiguousarray(array[:used]).tobytes())
 
     # ------------------------------------------------------------------
     # Exactness bookkeeping
@@ -527,9 +502,8 @@ class SketchStack:
         Reached only when even the tightened bound says a future
         ``int64`` accumulation might not be provably exact — unreachable
         for ``±1``-delta graph streams at any realistic length, but the
-        contract must hold for arbitrary linear payloads.  Lazy stacks
-        spill only their materialized rows; untouched rows stay
-        implicit zero states.
+        contract must hold for arbitrary linear payloads.  Only the
+        touched rows spill; untouched rows stay implicit zero states.
         """
         if self._spilled is not None:
             return
@@ -544,17 +518,14 @@ class SketchStack:
         maximum cell magnitude in that group (cheap relative to how
         rarely it is needed)."""
         self._bounds[:] = 0
-        used = self._used_rows()
+        used = len(self._slot_keys)
         if used == 0:
             return
         magnitude = np.maximum(
             np.abs(self._totals[:used]).max(axis=1),
             np.abs(self._index_sums[:used]).max(axis=1),
         )
-        if self.lazy:
-            groups = np.asarray(self._slot_keys, dtype=np.int64) // self.num_rows
-        else:
-            groups = np.arange(used, dtype=np.int64) // self.num_rows
+        groups = np.asarray(self._slot_keys, dtype=np.int64) // self.num_rows
         np.maximum.at(self._bounds, groups, magnitude)
 
     def _admit(self, groups: list[int], amounts: list[int]) -> bool:
@@ -678,8 +649,7 @@ class SketchStack:
         intern and a flattened ``(storage row, cell)`` scatter per
         counter plane (in blocks of ``_LAND_BLOCK`` incidences).
         Bit-identical to the equivalent sequence of
-        per-row scalar updates — including under lazy storage, where
-        only the touched rows materialize.
+        per-row scalar updates; only the touched rows are interned.
         """
         row_ids = as_index_array(row_ids)
         indices = as_index_array(indices)
@@ -719,11 +689,8 @@ class SketchStack:
                 self._spilled_sketch(key, create=True).update(index, delta)
             return
 
-        if self.lazy:
-            unique_keys, inverse = np.unique(keys, return_inverse=True)
-            slots = self._slots_for_batch(unique_keys)[inverse]
-        else:
-            slots = keys
+        unique_keys, inverse = np.unique(keys, return_inverse=True)
+        slots = self._slots_for_batch(unique_keys)[inverse]
 
         residues = np.remainder(deltas, MERSENNE_61).astype(np.uint64)
         self._ensure_pow_tables(touched)
@@ -745,30 +712,21 @@ class SketchStack:
 
     def _land(self, slots, positions, deltas, indices, terms) -> None:
         """Add one block of precomputed incidences into the counter
-        planes: one flattened ``(storage row, cell)`` scatter per plane."""
+        planes: one flattened ``(storage row, cell)`` scatter per plane.
+
+        Fingerprints aggregate over the block's *distinct* cells only:
+        the store holds far more cells than one block touches, and cells
+        outside the block would receive an exact ``+0``."""
         flat_base = slots * np.int64(self.cells)
         flat = np.concatenate(
             [flat_base + np.int64(r * self.buckets) + positions[r] for r in range(self.rows)]
         )
         np.add.at(self._totals.reshape(-1), flat, np.tile(deltas, self.rows))
         np.add.at(self._index_sums.reshape(-1), flat, np.tile(deltas * indices, self.rows))
-        tiled_terms = np.tile(terms, self.rows)
-        stored_cells = self._totals.shape[0] * self.cells
-        if self.lazy or stored_cells > 4 * flat.size:
-            # Aggregate over the block's *distinct* cells only: a lazy or
-            # grouped store holds far more cells than one block touches,
-            # and cells outside the block receive an exact +0.
-            unique_flat, inverse_flat = np.unique(flat, return_inverse=True)
-            agg = scatter_sum_mod61(unique_flat.size, inverse_flat, tiled_terms)
-            fingerprints_flat = self._fingerprints.reshape(-1)
-            fingerprints_flat[unique_flat] = addmod61(fingerprints_flat[unique_flat], agg)
-        else:
-            # A small dense store fed a large block: one full-width pass
-            # is cheaper than sorting the block's cells.
-            agg = scatter_sum_mod61(stored_cells, flat, tiled_terms)
-            self._fingerprints = addmod61(
-                self._fingerprints.reshape(-1), agg
-            ).reshape(self._totals.shape[0], self.cells)
+        unique_flat, inverse_flat = np.unique(flat, return_inverse=True)
+        agg = scatter_sum_mod61(unique_flat.size, inverse_flat, np.tile(terms, self.rows))
+        fingerprints_flat = self._fingerprints.reshape(-1)
+        fingerprints_flat[unique_flat] = addmod61(fingerprints_flat[unique_flat], agg)
 
     # ------------------------------------------------------------------
     # Row materialization / decode support
@@ -794,8 +752,8 @@ class SketchStack:
 
         Cheap view: hash families are shared (immutable), cells copied;
         mutating the returned sketch never touches the stack.  Reading a
-        never-touched lazy row yields an exact zero state without
-        materializing it.
+        never-touched row yields an exact zero state without interning
+        it.
         """
         return self._key_sketch(self._key(row, group))
 
@@ -837,7 +795,7 @@ class SketchStack:
         present = np.flatnonzero(slots >= 0)
         cells = [(None, None, None)] * len(first_keys)
         if present.size:
-            # Absent lazy rows are zero: sum only the present (group, row)
+            # Absent rows are zero: sum only the present (group, row)
             # pairs, which come group-major — one segment per group.
             owner = present // rows.size
             starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
@@ -874,16 +832,16 @@ class SketchStack:
     def _nonzero_keys(self) -> np.ndarray:
         """Sorted keys of storage rows with any nonzero cell.
 
-        A pure function of the summarized vectors (independent of
-        materialization and batch chunking), which is why the sparse
-        wire format below is deterministic across engines.
+        A pure function of the summarized vectors (independent of intern
+        order and batch chunking), which is why the sparse wire format
+        below is deterministic.
         """
         if self._spilled is not None:
             return np.array(
                 sorted(key for key, sketch in self._spilled.items() if not sketch.is_zero()),
                 dtype=np.int64,
             )
-        used = self._used_rows()
+        used = len(self._slot_keys)
         if used == 0:
             return np.zeros(0, dtype=np.int64)
         alive = (
@@ -891,9 +849,7 @@ class SketchStack:
             | self._index_sums[:used].any(axis=1)
             | self._fingerprints[:used].any(axis=1)
         )
-        if self.lazy:
-            return np.sort(np.asarray(self._slot_keys, dtype=np.int64)[alive])
-        return np.flatnonzero(alive)
+        return np.sort(np.asarray(self._slot_keys, dtype=np.int64)[alive])
 
     # ------------------------------------------------------------------
     # Serialization (per-row, matching SparseRecoverySketch layout)
@@ -922,16 +878,15 @@ class SketchStack:
         """Inverse of :meth:`row_state_ints` for row ``row`` of group
         ``group``.
 
-        Loading an all-zero state into a never-touched lazy row is a
-        no-op, so restoring a sparse checkpoint materializes exactly the
-        rows it ships.
+        Loading an all-zero state into a never-touched row is a no-op,
+        so restoring a sparse checkpoint interns exactly the rows it
+        ships.
         """
         if len(values) != 3 * self.cells:
             raise ValueError(f"expected {3 * self.cells} state ints, got {len(values)}")
         key = self._key(row, group)
         if (
             not any(values)
-            and self.lazy
             and self._spilled is None
             and self._slot(key, create=False) is None
         ):
@@ -968,9 +923,9 @@ class SketchStack:
         order: ``[count, (row id, row state) ...]`` in ascending logical
         row order.
 
-        Dense and lazy stacks fed the same updates emit identical
-        blocks — the storage-independent wire format that checkpoints
-        and shard messages use to carry logical row ids.
+        Stacks fed the same updates emit identical blocks whatever order
+        touched their rows — the wire format that checkpoints and shard
+        messages use to carry logical row ids.
         """
         keys = self._nonzero_keys()
         key_groups = keys // self.num_rows
@@ -1022,9 +977,8 @@ class SketchStack:
 
     def combine(self, other: "SketchStack", sign: int = 1) -> None:
         """In-place ``self += sign * other`` row-wise; seeds/shapes must
-        match.  Mixed dense/lazy and spilled/columnar operands are all
-        handled — touched rows land bit-identically regardless of either
-        operand's storage."""
+        match.  Spilled and columnar operands mix freely — touched rows
+        land bit-identically whichever form either operand is in."""
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
         if self._seed_keys != other._seed_keys:
@@ -1032,35 +986,20 @@ class SketchStack:
         if self.num_rows != other.num_rows or self.cells != other.cells:
             raise ValueError("cannot combine stacks with different shapes")
         if self._spilled is None and other._spilled is None:
-            if not self.lazy and not other.lazy:
-                if self._admit(list(range(self.num_groups)), other._bounds.tolist()):
-                    self._totals += sign * other._totals
-                    self._index_sums += sign * other._index_sums
-                    if sign == 1:
-                        self._fingerprints = addmod61(self._fingerprints, other._fingerprints)
-                    else:
-                        self._fingerprints = submod61(self._fingerprints, other._fingerprints)
-                    return
-            else:
-                keys = other._nonzero_keys()
-                if keys.size == 0:
-                    return
-                groups = np.unique(keys // self.num_rows).tolist()
-                if self._admit(groups, other._bounds[groups].tolist()):
-                    other_slots = other._lookup_slots(keys)
-                    my_slots = self._slots_for_batch(keys) if self.lazy else keys
-                    self._totals[my_slots] += sign * other._totals[other_slots]
-                    self._index_sums[my_slots] += sign * other._index_sums[other_slots]
-                    theirs = other._fingerprints[other_slots]
-                    if sign == 1:
-                        self._fingerprints[my_slots] = addmod61(
-                            self._fingerprints[my_slots], theirs
-                        )
-                    else:
-                        self._fingerprints[my_slots] = submod61(
-                            self._fingerprints[my_slots], theirs
-                        )
-                    return
+            keys = other._nonzero_keys()
+            if keys.size == 0:
+                return
+            groups = np.unique(keys // self.num_rows).tolist()
+            if self._admit(groups, other._bounds[groups].tolist()):
+                other_slots = other._lookup_slots(keys)
+                my_slots = self._slots_for_batch(keys)
+                self._totals[my_slots] += sign * other._totals[other_slots]
+                self._index_sums[my_slots] += sign * other._index_sums[other_slots]
+                field_op = addmod61 if sign == 1 else submod61
+                self._fingerprints[my_slots] = field_op(
+                    self._fingerprints[my_slots], other._fingerprints[other_slots]
+                )
+                return
         self._spill()
         for key in other._touched_keys():
             self._spilled_sketch(key, create=True).combine(other._key_sketch(key), sign)
@@ -1070,7 +1009,7 @@ class SketchStack:
         clone = object.__new__(SketchStack)
         for name in (
             "num_rows", "domain_size", "budget", "rows", "buckets", "cells",
-            "num_groups", "lazy",
+            "num_groups",
             # Derived, immutable (or fill-once) randomness: shared.
             "_seed_keys", "_zs", "_hash_objs", "_bucket_coeffs", "_pow_table",
             "_pow_built",
@@ -1086,9 +1025,9 @@ class SketchStack:
             clone._totals = self._totals.copy()
             clone._index_sums = self._index_sums.copy()
             clone._fingerprints = self._fingerprints.copy()
-            clone._slot_of = None if self._slot_of is None else dict(self._slot_of)
-            clone._slot_keys = None if self._slot_keys is None else list(self._slot_keys)
-            clone._resident = None if self._resident is None else self._resident.copy()
+            clone._slot_of = dict(self._slot_of)
+            clone._slot_keys = list(self._slot_keys)
+            clone._resident = self._resident.copy()
             clone._spilled = None
         return clone
 
@@ -1098,7 +1037,7 @@ class SketchStack:
         return 3 * self.cells + sum(h.space_words() for h in self._hash_objs[0]) + 1
 
     def resident_space_words(self) -> int:
-        """Words actually held: resident rows only (dense: all rows)."""
+        """Words actually held: resident (touched) rows only."""
         return self.resident_rows() * self.row_space_words()
 
     def universe_space_words(self) -> int:
@@ -1109,7 +1048,7 @@ class SketchStack:
         return (
             f"SketchStack(num_rows={self.num_rows}, domain_size={self.domain_size}, "
             f"budget={self.budget}, rows={self.rows}, buckets={self.buckets}, "
-            f"groups={self.num_groups}, lazy={self.lazy}, resident={self.resident_rows()}, "
+            f"groups={self.num_groups}, resident={self.resident_rows()}, "
             f"spilled={self.is_spilled()})"
         )
 
@@ -1126,8 +1065,8 @@ class L0SamplerStack:
     one seed-grouped :class:`SketchStack` (group ``family * levels +
     level``) — one scatter per batch.  This is the storage behind
     :class:`~repro.agm.spanning_forest.AgmSketch`: rows are vertices.
-    With ``lazy=True`` storage rows materialize on first touch, so a
-    huge-universe stack holds state for touched vertices only.
+    Rows are interned on first touch, like every :class:`SketchStack`
+    row, so a huge-universe stack holds state for touched vertices only.
     """
 
     __slots__ = (
@@ -1135,7 +1074,6 @@ class L0SamplerStack:
         "domain_size",
         "levels",
         "families",
-        "lazy",
         "_seed_keys",
         "_memberships",
         "_membership_coeffs",
@@ -1143,14 +1081,13 @@ class L0SamplerStack:
         "_store",
     )
 
-    def __init__(self, num_rows: int, domain_size: int, seed, budget: int = 4, lazy: bool = False):
+    def __init__(self, num_rows: int, domain_size: int, seed, budget: int = 4):
         family_seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed]
         templates = [L0Sampler(domain_size, s, budget=budget) for s in family_seeds]
         self.num_rows = num_rows
         self.domain_size = domain_size
         self.levels = templates[0].levels
         self.families = len(templates)
-        self.lazy = bool(lazy)
         self._seed_keys = [t._seed_key for t in templates]
         self._memberships = [t._membership for t in templates]
         self._tiebreaks = [t._tiebreak for t in templates]
@@ -1163,7 +1100,6 @@ class L0SamplerStack:
             budget,
             None,
             rows=3,
-            lazy=self.lazy,
             group_seeds=[
                 derive_seed(key, "level", j)
                 for key in self._seed_keys
@@ -1254,8 +1190,7 @@ class L0SamplerStack:
 
     def state_digest(self, hasher) -> None:
         """Feed the grouped store's resident state into ``hasher`` (see
-        :meth:`SketchStack.state_digest` for the canonical order and the
-        like-engine comparability caveat)."""
+        :meth:`SketchStack.state_digest` for the canonical order)."""
         self._store.state_digest(hasher)
 
     # ------------------------------------------------------------------
@@ -1287,7 +1222,8 @@ class L0SamplerStack:
 
     def sparse_state_ints(self) -> list[int]:
         """Per-level nonzero-row blocks, family-major (see
-        :meth:`SketchStack.sparse_state_ints`) — storage-independent."""
+        :meth:`SketchStack.sparse_state_ints`) — independent of the
+        order rows were touched in."""
         return self._store.sparse_state_ints()
 
     def load_sparse_state(self, values: list[int], cursor: int = 0) -> int:
@@ -1299,8 +1235,7 @@ class L0SamplerStack:
     # ------------------------------------------------------------------
 
     def combine(self, other: "L0SamplerStack", sign: int = 1) -> None:
-        """In-place ``self += sign * other``; seeds must match (mixed
-        dense/lazy storage is handled by the store)."""
+        """In-place ``self += sign * other``; seeds must match."""
         if self._seed_keys != other._seed_keys:
             raise ValueError("cannot combine stacks with different seeds")
         self._store.combine(other._store, sign)
@@ -1309,7 +1244,7 @@ class L0SamplerStack:
         """Independent copy with the same state and seeds."""
         clone = object.__new__(L0SamplerStack)
         for name in (
-            "num_rows", "domain_size", "levels", "families", "lazy",
+            "num_rows", "domain_size", "levels", "families",
             "_seed_keys", "_memberships", "_membership_coeffs", "_tiebreaks",
         ):
             setattr(clone, name, getattr(self, name))
@@ -1325,12 +1260,15 @@ class L0SamplerStack:
         return self._seed_words() + self.levels * self._store.row_space_words()
 
     def resident_space_words(self) -> int:
-        """Words actually held by materialized rows.
+        """Words actually held by the touched rows.
 
-        Mirrors the historical per-sampler accounting (each row charges
-        its own membership/tiebreak seeds once per family), so a dense
-        stack reports exactly ``families * num_rows * row_space_words()``
-        while a lazy stack charges touched rows only.
+        Mirrors the per-sampler accounting (each touched row charges its
+        own membership/tiebreak seeds once per family, and its touched
+        levels), so a stack whose every row is touched at every level
+        reports exactly :meth:`universe_space_words`.  Charging a whole
+        universe regardless of what was touched is a
+        :class:`~repro.graph.vertex_space.VertexSpace` policy, applied by
+        :meth:`~repro.agm.spanning_forest.AgmSketch.space_words`.
         """
         level0_rows = sum(
             self._store.resident_rows(family * self.levels)
@@ -1346,5 +1284,5 @@ class L0SamplerStack:
         return (
             f"L0SamplerStack(num_rows={self.num_rows}, "
             f"domain_size={self.domain_size}, levels={self.levels}, "
-            f"families={self.families}, lazy={self.lazy})"
+            f"families={self.families})"
         )

@@ -7,10 +7,10 @@ machine words (counters, field elements, hash coefficients) it holds.
 One word models ``O(log n)`` bits; reported bit counts multiply by 64.
 
 Since the sparse vertex-universe engine, "held" is no longer the same as
-"addressed": a lazy :class:`~repro.graph.vertex_space.VertexSpace`
-materializes per-vertex sketch rows on first touch, so the interesting
-number is the **resident** word count (what is actually allocated for
-touched vertices) next to the **dense-universe** word count (what an
+"addressed": sketch stacks store per-vertex rows on first touch, and a
+lazy :class:`~repro.graph.vertex_space.VertexSpace` charges only those,
+so the interesting number is the **resident** word count (what is
+actually allocated for touched vertices) next to the **dense-universe** word count (what an
 eager allocation over the full id range would hold — the quantity the
 paper's ``~O(n polylog n)`` bounds talk about).  :class:`SpaceReport`
 tracks both per component: ``add(name, words)`` keeps the historical

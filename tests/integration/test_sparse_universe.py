@@ -1,14 +1,16 @@
 """Sparse vertex-universe engine: dense/lazy bit-identity and interop.
 
-The lazy :class:`~repro.graph.vertex_space.VertexSpace` engine promises
-to be a pure *storage* change: on the same universe and the same stream,
-every touched sketch row, every wire byte and every query answer must be
-bit-identical to the dense engine's, for all three algorithm families,
-weighted and unweighted — including clone isolation, shard
-serialization/merging across *mixed* dense/lazy shards, and
-kill/restore at an arbitrary epoch.  These tests pin exactly that, plus
-the resident-space proportionality and external-id (interned-space)
-behavior the sparse engine adds.
+Every sketch stack stores rows on first touch, so a lazy
+:class:`~repro.graph.vertex_space.VertexSpace` differs from a dense one
+only in what it enumerates and charges, never in state: on the same
+universe and the same stream, every touched sketch row, every state
+digest, every wire byte and every query answer must be bit-identical
+across the two, for all three algorithm families, weighted and
+unweighted — including clone isolation, shard serialization/merging
+across *mixed* dense/lazy shards, and kill/restore at an arbitrary
+epoch.  These tests pin exactly that, plus the dense space's
+whole-universe accounting, the resident-space proportionality and the
+external-id (interned-space) behavior the sparse engine adds.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import random
 import pytest
 
 from repro.agm.connectivity import ConnectivityChecker
+from repro.agm.spanning_forest import AgmSketch
 from repro.core.parameters import SparsifierParams, SpannerParams
 from repro.core.sparsify import StreamingSparsifier, StreamingWeightedSparsifier
 from repro.core.two_pass_spanner import TwoPassSpannerBuilder
@@ -100,6 +103,20 @@ class TestDenseLazyIdentity:
             map(sorted, (c for c in lazy.finalize() if len(c) > 1))
         )
         assert dense_components == lazy_components
+
+    @pytest.mark.parametrize("touched", [None, 40])
+    def test_state_digest_is_universe_independent(self, touched):
+        # Both spaces store the touched rows only, so equal streams give
+        # equal digests — also when half the universe is never touched.
+        n = 96
+        stream = (
+            mixed_workload_stream(n, 2500, "digest-full")
+            if touched is None
+            else sparse_touch_stream(n, touched, 1500, "digest-partial")
+        )
+        dense = _run_passes(ConnectivityChecker(n, "dig"), stream)
+        lazy = _run_passes(ConnectivityChecker(VertexSpace.sparse(n), "dig"), stream)
+        assert dense.state_digest() == lazy.state_digest()
 
     def test_spanner(self):
         n = 24
@@ -308,6 +325,45 @@ class TestSparseSession:
         assert [
             list(a.shard_state_ints(0)) for a in dense._algorithms()
         ] == [list(a.shard_state_ints(0)) for a in lazy._algorithms()]
+
+
+class TestDenseSpaceAccounting:
+    """A dense space enumerates and charges its whole universe, before any
+    update and after a stream that touches half of it, however few rows
+    its sketches store."""
+
+    @staticmethod
+    def _half_path(n):
+        return [EdgeUpdate(u, u + 1, +1) for u in range(n // 2 - 1)]
+
+    def test_agm_sketch(self):
+        n = 40
+        sketch = AgmSketch(n, "dense-accounting")
+        for update in [None] + self._half_path(n):
+            if update is not None:
+                sketch.update(update.u, update.v, update.sign)
+            assert sketch.space_words() == sketch.universe_space_words()
+            assert sketch.num_touched_vertices() == n
+            assert len(sketch.touched_vertices()) == n
+
+    def test_session(self):
+        n = 32
+        session = GraphSession(
+            n, "dense-accounting", k=2, sparsifier_k=1,
+            sparsifier_params=SLIM, spanner_params=SLIM_SPANNER,
+        )
+        fresh = session.stats()
+        assert fresh.space_words == fresh.universe_space_words
+        assert fresh.touched_vertices == n
+        session.ingest_batch(self._half_path(n))
+        report = session.space_report()
+        assert session.stats().touched_vertices == n
+        # The spanner charges the cluster rows it allocated; the AGM
+        # samplers charge the whole universe.
+        assert (
+            report.components["agm vertex samplers"]
+            == report.universe_components["agm vertex samplers"]
+        )
 
 
 class TestInternedSession:

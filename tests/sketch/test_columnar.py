@@ -149,12 +149,14 @@ class TestSketchStack:
             other.load_row_state(row, stack.row_state_ints(row))
             assert other.row_state_ints(row) == stack.row_state_ints(row)
 
-    @pytest.mark.parametrize("lazy", [False, True])
-    def test_grouped_rows_out_of_range_raise(self, lazy):
+    @pytest.mark.parametrize("touched", [False, True])
+    def test_grouped_rows_out_of_range_raise(self, touched):
         # Row num_rows of group 0 would be row 0 of group 1: every reader
-        # must refuse it rather than decode the next group's state.
-        stack = SketchStack(3, 100, 4, None, rows=3, lazy=lazy, group_seeds=["g0", "g1"])
-        stack.scatter([0, 1], [5, 7], [1, 2], [1, 1])
+        # must refuse it rather than decode the next group's state, whether
+        # or not the touched-cells store holds any cells yet.
+        stack = SketchStack(3, 100, 4, None, rows=3, group_seeds=["g0", "g1"])
+        if touched:
+            stack.scatter([0, 1], [5, 7], [1, 2], [1, 1])
         readers = [
             lambda: stack.row_sketch(3, 0),
             lambda: stack.row_state_ints(3, 0),
@@ -168,8 +170,9 @@ class TestSketchStack:
         for read in readers:
             with pytest.raises(IndexError):
                 read()
-        samplers = L0SamplerStack(3, 100, ["f0", "f1"], lazy=lazy)
-        samplers.scatter([0], [5], [1])
+        samplers = L0SamplerStack(3, 100, ["f0", "f1"])
+        if touched:
+            samplers.scatter([0], [5], [1])
         with pytest.raises(IndexError):
             samplers.row_sampler(3, family=0)
         with pytest.raises(IndexError):
