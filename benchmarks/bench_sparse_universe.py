@@ -23,7 +23,12 @@ subgraph.  This bench pins all three claims on seeded streams:
   RSS by at most 70 MB (the wall recorded before pass 2 was sized by what
   it holds was 4.8 s and a 350 MB peak), and a cold spanner-distance at
   1,000 touched ids is timed and measured the same way (recorded wall:
-  ~3.3 s, ~290 MB).
+  ~3.3 s, ~290 MB);
+* **checkpoint round-trip gate** — a power-law session over the same
+  universe is checkpointed, restored and checkpointed again: the two
+  files must be byte-identical, and the round trip's rate (checkpoint
+  bytes written and read back per second, best of three) is gated like
+  the ingest rates.
 
 Measured rates land in ``benchmarks/results/BENCH_sparse.json``;
 ``tools/perf_regress.py`` (run by ``make bench-sparse``) compares them
@@ -300,6 +305,55 @@ def test_snapshot_scale_wall(results):
     assert cut_mb <= WALL_CUT_PEAK_MB, (
         f"cold cut grew peak RSS by {cut_mb:.1f} MB (ceiling {WALL_CUT_PEAK_MB} MB)"
     )
+
+
+#: Touched ids and tokens of the checkpoint round-trip session (the
+#: powerlaw-500 lifecycle workload's shape: a ~4 MB checkpoint).
+ROUNDTRIP_TOUCHED = 500
+ROUNDTRIP_UPDATES = 15_000
+
+
+def test_checkpoint_round_trip(results, tmp_path):
+    """Checkpoint -> restore -> checkpoint is byte-identical, at speed."""
+    seed = "bench-sparse-roundtrip"
+    session = GraphSession(
+        VertexSpace.sparse(UNIVERSE),
+        seed,
+        k=2,
+        sparsifier_k=1,
+        sparsifier_params=SLIM_SPARSIFIER,
+        spanner_params=SLIM_SPANNER,
+        agm_rounds=12,
+    )
+    tokens = list(power_law_universe_stream(
+        UNIVERSE, ROUNDTRIP_TOUCHED, ROUNDTRIP_UPDATES, seed, exponent=1.2
+    ))
+    for start in range(0, len(tokens), 1_000):
+        session.ingest_batch(tokens[start : start + 1_000])
+    first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+    timings = []
+    for _ in range(3):
+        begin = time.perf_counter()
+        session.checkpoint(first)
+        saved = time.perf_counter()
+        restored = GraphSession.restore(first)
+        timings.append((saved - begin, time.perf_counter() - saved))
+    restored.checkpoint(second)
+    size = first.stat().st_size
+    save_s, load_s = min(timings, key=sum)
+    rate = 2 * size / (save_s + load_s)
+    _RATES["sparse_checkpoint_roundtrip"] = round(rate, 1)
+    identical = first.read_bytes() == second.read_bytes()
+    table = "\n".join([
+        f"checkpoint round trip, {UNIVERSE:,}-id universe, "
+        f"{ROUNDTRIP_TOUCHED} power-law touched ids ({size:,} B checkpoint):",
+        f"  checkpoint: {save_s * 1e3:8.1f} ms",
+        f"  restore   : {load_s * 1e3:8.1f} ms",
+        f"  rate      : {rate / 1e6:8.2f} MB/s written and read back (best of 3)",
+        f"  re-saved  : {'byte-identical' if identical else 'DIVERGED'}",
+    ])
+    results("bench_sparse_checkpoint", table)
+    assert identical, "a restored session re-serialized to different bytes"
 
 
 def test_write_rates_json(proportionality_runs, results):

@@ -181,7 +181,8 @@ def save_session(session: GraphSession, path) -> None:
             block = algorithm.shard_state_ints(0)
             flat.append(len(block))
             flat.extend(block)
-        payload = pack_ints(flat)
+        with obs.TRACER.span("checkpoint.encode", ints=len(flat)):
+            payload = pack_ints(flat)
         header = json.dumps(_header(session), sort_keys=True).encode("utf-8")
 
         path = Path(path)
@@ -258,7 +259,9 @@ def _load_session(path) -> GraphSession:
         )
     try:
         header = json.loads(header_bytes.decode("utf-8"))
-        values = unpack_ints(payload)
+        with obs.TRACER.span("checkpoint.decode", bytes=len(payload)) as span:
+            values = unpack_ints(payload)
+            span.annotate(ints=len(values))
     except ValueError as error:
         raise CheckpointError(f"{path}: corrupt checkpoint: {error}") from error
 

@@ -97,6 +97,7 @@ from repro.sketch.kernels import (
 from repro import obs
 from repro.sketch.hashing import MERSENNE_61, KWiseHash
 from repro.sketch.l0sampler import L0Sampler
+from repro.sketch.serialize import pack_ints
 from repro.sketch.sparse_recovery import (
     _BUCKET_HASH_INDEPENDENCE,
     SparseRecoverySketch,
@@ -422,40 +423,29 @@ class SketchStack:
         return (known[begin:end] - low).tolist()
 
     def state_digest(self, hasher) -> None:
-        """Feed the stack's resident state into ``hasher`` canonically.
+        """Feed the stack's nonzero rows into ``hasher`` canonically.
 
-        Storage rows are visited in sorted key order regardless of
-        intern order, so two stacks holding the same rows digest
-        identically even when their streams touched rows in different
-        sequences.  At memory bandwidth (a sorted gather plus
-        ``tobytes``), this is the cheap way to compare million-row
-        states where :meth:`row_state_ints` per row would take minutes.
-        An absent row and a resident all-zero row differ by design.
+        Rows are visited in sorted key order regardless of intern order,
+        and resident all-zero rows are skipped, so the digest is a
+        function of the summarized vectors alone: two stacks with equal
+        wires digest identically whatever order or chunking touched
+        their rows (a pair netting to zero inside one chunk interns no
+        row, split across two chunks it leaves an all-zero one).  At
+        memory bandwidth (a sorted gather plus ``tobytes``), this is the
+        cheap way to compare million-row states where
+        :meth:`row_state_ints` per row would take minutes.
         """
+        keys = self._nonzero_keys()
         if self._spilled is not None:
-            for key in sorted(self._spilled):
-                sketch = self._spilled[key]
+            # Spilled cells may be past int64: hash their exact varints.
+            for key in keys.tolist():
                 hasher.update(np.int64(key).tobytes())
-                hasher.update(np.asarray(sketch._totals, dtype=np.int64).tobytes())
-                hasher.update(np.asarray(sketch._index_sums, dtype=np.int64).tobytes())
-                hasher.update(
-                    np.asarray(sketch._fingerprints, dtype=np.uint64).tobytes()
-                )
+                hasher.update(pack_ints(self._spilled[key].state_ints()))
             return
-        planes = (self._totals, self._index_sums, self._fingerprints)
-        keys = np.asarray(self._slot_keys, dtype=np.int64)
-        used = keys.size
-        if used and np.any(keys[1:] < keys[:-1]):
-            order = np.argsort(keys)
-            hasher.update(keys[order].tobytes())
-            for array in planes:
-                hasher.update(np.ascontiguousarray(array[:used][order]).tobytes())
-            return
-        # Intern order was already ascending (append-ordered streams):
-        # hash the storage slices in place, no gather copy.
+        slots = self._lookup_slots(keys)
         hasher.update(keys.tobytes())
-        for array in planes:
-            hasher.update(np.ascontiguousarray(array[:used]).tobytes())
+        for array in (self._totals, self._index_sums, self._fingerprints):
+            hasher.update(array[slots].tobytes())
 
     # ------------------------------------------------------------------
     # Exactness bookkeeping
@@ -961,15 +951,61 @@ class SketchStack:
         return flat
 
     def load_sparse_state(self, values: list[int], cursor: int = 0) -> int:
-        """Inverse of :meth:`sparse_state_ints`; returns the new cursor."""
+        """Inverse of :meth:`sparse_state_ints`; returns the new cursor.
+
+        Each group's block loads as one ``(count, width)`` ``int64``
+        array (:meth:`_load_block`); a block that array cannot carry
+        exactly loads row by row through :meth:`load_row_state`, which
+        also raises the errors of malformed input.
+        """
         width = 1 + self.row_state_len()
         for group in range(self.num_groups):
             count = int(values[cursor])
             cursor += 1
+            if count > 0 and self._load_block(values[cursor : cursor + count * width], count, group):
+                cursor += count * width
+                continue
             for _ in range(count):
                 self.load_row_state(int(values[cursor]), values[cursor + 1 : cursor + width], group)
                 cursor += width
         return cursor
+
+    def _load_block(self, chunk: list[int], count: int, group: int) -> bool:
+        """Load group ``group``'s wire block of ``count`` rows in bulk —
+        the same slots, cells and bound as :meth:`load_row_state` per
+        row.  Returns ``False`` without touching state when the block
+        needs the per-row path: a spilled stack, a short block, entries
+        that do not fit ``int64``, row ids out of range or not strictly
+        increasing, or a counter at the spill bound."""
+        width = 1 + self.row_state_len()
+        if self._spilled is not None:
+            return False
+        try:  # load_row_state's own cast; a short block cannot reshape
+            block = np.array(chunk, dtype=np.int64).reshape(count, width)
+        except (OverflowError, TypeError, ValueError):
+            return False
+        row_ids = block[:, 0]
+        if row_ids[0] < 0 or row_ids[-1] >= self.num_rows or np.any(row_ids[1:] <= row_ids[:-1]):
+            return False
+        cells = self.cells
+        counters = block[:, 1 : 1 + 2 * cells]
+        magnitude = max(int(counters.max()), -int(counters.min()))
+        if magnitude >= _INT64_SAFE_BOUND:
+            return False
+        keys = row_ids + group * self.num_rows
+        # All-zero rows load only over rows already interned (as per row).
+        keep = block[:, 1:].any(axis=1)
+        if not keep.all():
+            keep[~keep] = self._lookup_slots(keys[~keep]) >= 0
+            block, keys = block[keep], keys[keep]
+        if keys.size == 0:
+            return True
+        self._bounds[group] = max(int(self._bounds[group]), magnitude)
+        slots = self._slots_for_batch(keys)
+        self._totals[slots] = block[:, 1 : 1 + cells]
+        self._index_sums[slots] = block[:, 1 + cells : 1 + 2 * cells]
+        self._fingerprints[slots] = np.remainder(block[:, 1 + 2 * cells :], MERSENNE_61)
+        return True
 
     # ------------------------------------------------------------------
     # Linearity / copying

@@ -28,11 +28,29 @@ arbitrarily large magnitudes (the ``~2^61``-sized payload cells of the
 linear hash tables) are encoded exactly.  :func:`serialize_sketch` /
 :func:`deserialize_sketch` bundle the two halves into the byte-level
 round trip the distributed runner ships over process boundaries.
+
+The codec runs on numpy blocks — :data:`_PACK_BLOCK` values or
+:data:`_UNPACK_BLOCK` bytes at a time, so its temporaries stay under a
+megabyte however long the message.  Packing zigzags a block in ``int64``,
+counts each value's bytes with threshold compares and writes the 7-bit
+groups byte position by byte position; unpacking finds the terminator
+bytes (high bit clear), shifts every byte by its place in its varint,
+ORs each varint together with ``np.bitwise_or.reduceat`` and
+un-zigzags.  Both are byte-for-byte the arbitrary-precision Python
+loops :func:`_pack_exact` / :func:`_unpack_exact`, which stay as the
+exact path for any block the ``int64`` arithmetic cannot carry — a
+value with ``|v| >= 2^62``, a varint of 10 or more bytes, or input that
+is not an integer array — and as the tests' oracle.  Floats are never
+truncated: a float block takes the exact path, which raises
+``TypeError``.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable
+
+import numpy as np
 
 __all__ = [
     "pack_ints",
@@ -41,6 +59,28 @@ __all__ = [
     "serialize_sketch",
     "deserialize_sketch",
 ]
+
+
+#: Values per numpy pack block.  Packing holds ~80 bytes of temporaries
+#: per value, so a block adds ~0.3 MB to a checkpoint's peak memory;
+#: 2^14-value blocks packed a 4 MB checkpoint at most ~20% faster but
+#: raised a small session's checkpoint peak by another ~1 MB.
+_PACK_BLOCK = 1 << 12
+
+#: Bytes per numpy unpack window (~40 bytes of temporaries per byte:
+#: ~0.6 MB); 2^16-byte windows were no faster on a 4 MB checkpoint and
+#: doubled a small session's restore peak.
+_UNPACK_BLOCK = 1 << 14
+
+#: Magnitude limit of the numpy pack path: ``|v| < 2^62`` zigzags into
+#: ``[0, 2^63)``, at most nine 7-bit groups.
+_INT64_LIMIT = 1 << 62
+
+#: Longest varint the numpy unpack path decodes: nine groups hold 63
+#: bits, so the OR-reduced word cannot overflow.
+_MAX_FAST_VARINT = 9
+
+_LOW7 = np.uint64(0x7F)
 
 
 def _wide_zigzag(value: int) -> int:
@@ -54,11 +94,13 @@ def _zigzag_decode(encoded: int) -> int:
     return encoded >> 1
 
 
-def pack_ints(values: Iterable[int]) -> bytes:
-    """Encode a sequence of (possibly huge, possibly negative) ints."""
+def _pack_exact(values: Iterable[int]) -> bytes:
+    """Arbitrary-precision varint encoder: the exact path and the oracle
+    of the numpy blocks (``operator.index`` refuses floats and turns
+    numpy integers into Python ints)."""
     chunks = bytearray()
     for value in values:
-        encoded = _wide_zigzag(value)
+        encoded = _wide_zigzag(operator.index(value))
         while True:
             byte = encoded & 0x7F
             encoded >>= 7
@@ -70,8 +112,9 @@ def pack_ints(values: Iterable[int]) -> bytes:
     return bytes(chunks)
 
 
-def unpack_ints(data: bytes) -> list[int]:
-    """Inverse of :func:`pack_ints`."""
+def _unpack_exact(data: bytes) -> list[int]:
+    """Arbitrary-precision varint decoder: the exact path and the oracle
+    of the numpy windows."""
     values = []
     current = 0
     shift = 0
@@ -85,6 +128,87 @@ def unpack_ints(data: bytes) -> list[int]:
             shift = 0
     if shift != 0:
         raise ValueError("truncated varint stream")
+    return values
+
+
+def _int64_block(block) -> np.ndarray | None:
+    """``block`` as a 1-d ``int64`` array when every entry is an integer
+    of magnitude below ``2^62``, else ``None`` (exact path).  Floats,
+    bools, objects and wide ints infer a non-integer or unsigned 64-bit
+    dtype, so nothing is ever truncated by a cast."""
+    try:
+        array = np.asarray(block)
+    except (OverflowError, ValueError):
+        return None
+    if array.ndim != 1 or array.dtype.kind not in "iu" or array.dtype.itemsize > 8:
+        return None
+    if int(array.max()) >= _INT64_LIMIT or int(array.min()) <= -_INT64_LIMIT:
+        return None
+    return array.astype(np.int64, copy=False)
+
+
+def _pack_block(values: np.ndarray) -> bytes:
+    """Varints of ``int64`` values with ``|v| < 2^62``."""
+    encoded = ((values << 1) ^ (values >> 63)).view(np.uint64)
+    lengths = np.ones(values.size, dtype=np.int64)
+    for group in range(1, _MAX_FAST_VARINT):
+        lengths += encoded >= np.uint64(1 << (7 * group))
+    offsets = np.cumsum(lengths) - lengths
+    out = np.empty(int(offsets[-1] + lengths[-1]), dtype=np.uint8)
+    for group in range(int(lengths.max())):
+        live = np.flatnonzero(lengths > group)
+        bits = (encoded[live] >> np.uint64(7 * group)) & _LOW7
+        more = (lengths[live] > group + 1).astype(np.uint64) << np.uint64(7)
+        out[offsets[live] + group] = bits | more
+    return out.tobytes()
+
+
+def pack_ints(values: Iterable[int]) -> bytes:
+    """Encode a sequence of (possibly huge, possibly negative) ints."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        values = list(values)
+    parts = []
+    for start in range(0, len(values), _PACK_BLOCK):
+        block = values[start : start + _PACK_BLOCK]
+        array = _int64_block(block)
+        parts.append(_pack_exact(block) if array is None else _pack_block(array))
+    return b"".join(parts)
+
+
+def _unpack_window(window: np.ndarray, ends: np.ndarray) -> list[int]:
+    """Values of ``window``, whole varints whose last bytes sit at
+    ``ends`` (ascending, the last one at the window's end)."""
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    if int((ends - starts).max()) >= _MAX_FAST_VARINT:
+        return _unpack_exact(window.tobytes())
+    owner = np.zeros(window.size, dtype=np.int64)
+    owner[starts[1:]] = 1
+    np.cumsum(owner, out=owner)
+    shifts = (np.arange(window.size, dtype=np.int64) - starts[owner]) * 7
+    groups = (window & 0x7F).astype(np.uint64) << shifts.astype(np.uint64)
+    encoded = np.bitwise_or.reduceat(groups, starts)
+    decoded = (encoded >> np.uint64(1)).view(np.int64) ^ -(encoded & np.uint64(1)).view(np.int64)
+    return decoded.tolist()
+
+
+def unpack_ints(data: bytes) -> list[int]:
+    """Inverse of :func:`pack_ints`."""
+    stream = np.frombuffer(data, dtype=np.uint8)
+    values: list[int] = []
+    start = 0
+    while start < stream.size:
+        window = stream[start : start + _UNPACK_BLOCK]
+        ends = np.flatnonzero(window < 0x80)
+        if ends.size == 0:
+            # No terminator in a whole window: a pathological varint (or
+            # a truncated tail) — the exact loop settles the rest.
+            values.extend(_unpack_exact(stream[start:].tobytes()))
+            return values
+        cut = int(ends[-1]) + 1
+        values.extend(_unpack_window(window[:cut], ends))
+        start += cut
     return values
 
 

@@ -118,6 +118,18 @@ class TestDenseLazyIdentity:
         lazy = _run_passes(ConnectivityChecker(VertexSpace.sparse(n), "dig"), stream)
         assert dense.state_digest() == lazy.state_digest()
 
+    def test_state_digest_is_chunking_independent(self):
+        # A pair netting to zero inside a 512-token chunk interns no row,
+        # split across 97-token chunks it leaves an all-zero resident row:
+        # equal wires must still digest equally.
+        n = 96
+        stream = mixed_workload_stream(n, 2500, "digest-chunks")
+        wide = _run_passes(ConnectivityChecker(n, "dig"), stream, 512)
+        narrow = _run_passes(ConnectivityChecker(VertexSpace.sparse(n), "dig"), stream, 97)
+        assert wide._sketch._samplers.resident_rows() != narrow._sketch._samplers.resident_rows()
+        assert _states(wide) == _states(narrow)
+        assert wide.state_digest() == narrow.state_digest()
+
     def test_spanner(self):
         n = 24
         stream = mixed_workload_stream(n, 2000, "sparse-id-spanner")

@@ -168,6 +168,36 @@ def test_checkpoint_counters_and_bytes(tracer, tmp_path):
     assert phases["checkpoint.load"] > 0
 
 
+def test_checkpoint_codec_spans_nest_with_item_counts(tracer, tmp_path):
+    """The payload's varint encode and decode are their own spans inside
+    save and load, carrying the ints and bytes they handled."""
+    records = []
+
+    class Sink:
+        def write(self, record):
+            records.append(record)
+
+        def close(self):
+            pass
+
+    tracer.sink = Sink()
+    session = _session()
+    session.ingest_batch([EdgeUpdate(0, 1, +1), EdgeUpdate(1, 2, +1)])
+    path = tmp_path / "ckpt.bin"
+    save_session(session, path)
+    load_session(path)
+
+    phases = tracer.phase_seconds()
+    assert 0 < phases["checkpoint.save/checkpoint.encode"] <= phases["checkpoint.save"]
+    assert 0 < phases["checkpoint.load/checkpoint.decode"] <= phases["checkpoint.load"]
+    spans = {r["path"]: r.get("attrs") for r in records if r["type"] == "span"}
+    encoded = spans["checkpoint.save/checkpoint.encode"]
+    decoded = spans["checkpoint.load/checkpoint.decode"]
+    assert encoded["ints"] == decoded["ints"] > 0
+    data = path.read_bytes()
+    assert 0 < decoded["bytes"] < len(data)
+
+
 # -- sketch hot paths --------------------------------------------------
 
 

@@ -100,6 +100,30 @@ def test_checkpoint_preserves_mid_session_weights(tmp_path):
     assert restored.weight_bounds == session.weight_bounds
 
 
+@pytest.mark.parametrize("kind", ["dense", "weighted", "lazy"])
+def test_restored_state_digest_equals_live(tmp_path, kind):
+    """The digest reads the summarized vectors, not the resident rows: a
+    restored session interns only the rows its wire ships, while the
+    live one keeps rows whose deltas netted to zero, yet both digest the
+    same."""
+    from repro.graph.vertex_space import VertexSpace
+
+    n = 24
+    space = VertexSpace.sparse(n) if kind == "lazy" else n
+    bounds = (1.0, 8.0) if kind == "weighted" else None
+    session = GraphSession(space, f"digest-{kind}", enable_spanner=False,
+                           enable_sparsifier=False, weight_bounds=bounds)
+    stream = mixed_workload_stream(n, 900, seed=f"digest-{kind}", weights=bounds)
+    for chunk in stream.iter_batches(50):
+        session.ingest_batch(chunk)
+    path = tmp_path / f"{kind}.bin"
+    session.checkpoint(path)
+    restored = load_session(path)
+    live, back = session._connectivity, restored._connectivity
+    assert live.shard_state_ints(0) == back.shard_state_ints(0)
+    assert live.state_digest() == back.state_digest()
+
+
 def test_restore_continues_epoch_and_counters(tmp_path):
     session = GraphSession(8, 3, enable_spanner=False, enable_sparsifier=False)
     stream = mixed_workload_stream(8, 90, seed=4)

@@ -28,6 +28,7 @@ from repro.core.two_pass_spanner import TwoPassSpannerBuilder
 from repro.graph.vertex_space import VertexSpace
 from repro.service import GraphSession, load_session
 from repro.sketch.columnar import L0SamplerStack, SketchStack
+from repro.sketch.hashing import MERSENNE_61
 from repro.sketch.l0sampler import L0Sampler
 from repro.sketch.sparse_recovery import SparseRecoverySketch
 from repro.stream.batching import aggregate_updates, updates_to_arrays
@@ -149,6 +150,20 @@ class TestSketchStack:
             other.load_row_state(row, stack.row_state_ints(row))
             assert other.row_state_ints(row) == stack.row_state_ints(row)
 
+    def test_spilled_digest_carries_cells_past_int64(self):
+        # The spill exists for cells int64 cannot hold; its digest must
+        # hash them exactly, in key order, skipping rows that net to zero.
+        def spilled(order):
+            stack = SketchStack(4, 50, 4, "wide-digest", rows=3)
+            for row, index, delta in order:
+                stack.update_row(row, index, delta)
+            assert stack.is_spilled()
+            return _digest(stack)
+
+        updates = [(1, 3, 1 << 62), (1, 3, 1 << 62), (2, 5, 1 << 62), (0, 4, 7), (0, 4, -7)]
+        assert spilled(updates) == spilled(updates[::-1][:3] + updates[:2][::-1])
+        assert spilled(updates) != spilled(updates[:2] + [(2, 5, 1 << 61)])
+
     @pytest.mark.parametrize("touched", [False, True])
     def test_grouped_rows_out_of_range_raise(self, touched):
         # Row num_rows of group 0 would be row 0 of group 1: every reader
@@ -259,6 +274,174 @@ class TestSketchStack:
         assert not restored.is_spilled()
         assert restored.sparse_state_ints() == grouped.sparse_state_ints()
         assert_grouped(restored)
+
+
+def _digest(stack):
+    hasher = hashlib.sha256()
+    stack.state_digest(hasher)
+    return hasher.hexdigest()
+
+
+def _grouped_stack():
+    return SketchStack(6, 80, 4, None, rows=3, group_seeds=["w0", "w1", "w2"])
+
+
+def _fed_stack():
+    stack = _grouped_stack()
+    rows, idxs, ds = random_incidences("wire-decode", 400, 6, 80)
+    groups = np.arange(rows.size, dtype=np.int64) % 3
+    stack.scatter(rows, idxs, ds, groups)
+    return stack
+
+
+def _outcome(target, wire):
+    """Load ``wire`` into ``target``: (cursor or exception, state seen)."""
+    try:
+        result = target.load_sparse_state(wire)
+    except Exception as error:  # noqa: BLE001 - compared, not swallowed
+        result = (type(error), str(error))
+    return result, target
+
+
+class TestSparseWireDecode:
+    """The block decode of :meth:`SketchStack.load_sparse_state` leaves
+    exactly the state, errors and slot order of per-row loading, on the
+    fast path and on every fallback."""
+
+    @staticmethod
+    def _both(make, wire, monkeypatch):
+        bulk = _outcome(make(), wire)
+        with monkeypatch.context() as patch:
+            patch.setattr(SketchStack, "_load_block", lambda self, chunk, count, group: False)
+            rowwise = _outcome(make(), wire)
+        assert bulk[0] == rowwise[0]
+        left, right = bulk[1], rowwise[1]
+        assert left.is_spilled() == right.is_spilled()
+        assert left.sparse_state_ints() == right.sparse_state_ints()
+        assert _digest(left) == _digest(right)
+        assert left.resident_rows() == right.resident_rows()
+        assert left.cell_bound == right.cell_bound
+        if not left.is_spilled():
+            assert left._slot_keys == right._slot_keys
+        return left
+
+    @staticmethod
+    def _row(wire, stack, group, position):
+        """Offset of row ``position`` of ``group``'s block in ``wire``."""
+        width = 1 + stack.row_state_len()
+        cursor = 0
+        for _ in range(group):
+            cursor += 1 + wire[cursor] * width
+        return cursor + 1 + position * width
+
+    def test_fast_path_round_trips(self, monkeypatch):
+        source = _fed_stack()
+        wire = source.sparse_state_ints()
+        loaded = []
+        original = SketchStack._load_block
+
+        def spy(self, *args):
+            loaded.append(original(self, *args))
+            return loaded[-1]
+
+        monkeypatch.setattr(SketchStack, "_load_block", spy)
+        target = _grouped_stack()
+        assert target.load_sparse_state(wire) == len(wire)
+        assert loaded == [True, True, True]
+        assert target.sparse_state_ints() == wire
+        assert _digest(target) == _digest(source)
+        monkeypatch.undo()
+        self._both(_grouped_stack, wire, monkeypatch)
+
+    def test_spilled_stack(self, monkeypatch):
+        def spilled():
+            stack = _grouped_stack()
+            stack.update_row(5, 3, 1 << 62, group=1)
+            assert stack.is_spilled()
+            return stack
+
+        stack = self._both(spilled, _fed_stack().sparse_state_ints(), monkeypatch)
+        assert stack.is_spilled()
+
+    @pytest.mark.parametrize("plane", [0, 1])
+    def test_counter_at_the_spill_bound(self, monkeypatch, plane):
+        stack = _fed_stack()
+        wire = stack.sparse_state_ints()
+        wire[self._row(wire, stack, 1, 0) + 1 + plane * stack.cells] = -(1 << 61)
+        assert self._both(_grouped_stack, wire, monkeypatch).is_spilled()
+
+    def test_values_past_int64(self, monkeypatch):
+        stack = _fed_stack()
+        wire = stack.sparse_state_ints()
+        row = self._row(wire, stack, 2, 1)
+        at = row + 1 + 2 * stack.cells
+        wire[at] = MERSENNE_61 + 5  # fingerprints load reduced mod p
+        loaded = self._both(_grouped_stack, wire, monkeypatch)
+        assert loaded.row_state_ints(wire[row], 2)[2 * stack.cells] == 5
+        wire[at] = 2**70 + 3  # past int64: the per-row path, still no spill
+        assert not self._both(_grouped_stack, wire, monkeypatch).is_spilled()
+        wire[at] = -(2**63) - 1
+        self._both(_grouped_stack, wire, monkeypatch)
+
+    @pytest.mark.parametrize("swap", ["reversed", "repeated"])
+    def test_rows_out_of_order_or_repeated(self, monkeypatch, swap):
+        stack = _fed_stack()
+        wire = stack.sparse_state_ints()
+        first, second = self._row(wire, stack, 0, 0), self._row(wire, stack, 0, 1)
+        if swap == "reversed":
+            wire[first], wire[second] = wire[second], wire[first]
+        else:
+            wire[second] = wire[first]
+        self._both(_grouped_stack, wire, monkeypatch)
+
+    @pytest.mark.parametrize("row_id", [-1, 6])
+    def test_row_out_of_range_raises(self, monkeypatch, row_id):
+        # First or last in its block, so the ids still ascend: an id
+        # past either end would alias a row of the neighbouring group.
+        stack = _fed_stack()
+        wire = stack.sparse_state_ints()
+        last = wire[self._row(wire, stack, 1, 0) - 1] - 1
+        wire[self._row(wire, stack, 1, 0 if row_id < 0 else last)] = row_id
+        with pytest.raises(IndexError):
+            _grouped_stack().load_sparse_state(wire)
+        self._both(_grouped_stack, wire, monkeypatch)
+
+    def test_all_zero_rows_are_not_interned(self, monkeypatch):
+        stack = _grouped_stack()
+        stack.scatter([0, 2, 4, 2], [3, 5, 7, 11], [1, -2, 1, 1], [0, 0, 0, 1])
+        zero = [0] * stack.row_state_len()
+        rows = [stack.row_state_ints(row, 0) for row in (0, 2, 4)]
+        # Group 0's block gains all-zero rows 1, 3 and 5 between and after
+        # its nonzero ones; groups 1 and 2 keep their blocks.
+        padded = [6, 0, *rows[0], 1, *zero, 2, *rows[1], 3, *zero, 4, *rows[2], 5, *zero]
+        wire = stack.sparse_state_ints()
+        padded += wire[1 + 3 * (1 + stack.row_state_len()) :]
+        fresh = self._both(_grouped_stack, padded, monkeypatch)
+        assert fresh.touched_row_ids(0) == [0, 2, 4]
+        assert fresh.sparse_state_ints() == wire
+
+        def preloaded():
+            target = _grouped_stack()
+            target.update_row(5, 9, 4, group=0)
+            target.update_row(1, 9, 4, group=2)
+            return target
+
+        overwritten = self._both(preloaded, padded, monkeypatch)
+        assert overwritten.touched_row_ids(0) == [0, 2, 4, 5]
+        assert overwritten.is_row_zero(5, 0)
+        # Rows absent from the wire are not cleared by a load.
+        assert not overwritten.is_row_zero(1, 2)
+
+    @pytest.mark.parametrize(
+        "cut,error", [(0, IndexError), (1, ValueError), (7, ValueError)]
+    )
+    def test_short_block_raises(self, monkeypatch, cut, error):
+        stack = _fed_stack()
+        wire = stack.sparse_state_ints()
+        short = wire[: self._row(wire, stack, 1, 1) + cut]
+        with pytest.raises(error):
+            _grouped_stack().load_sparse_state(short)
+        self._both(_grouped_stack, short, monkeypatch)
 
 
 class TestBatchIntegerCoercion:
@@ -446,7 +629,7 @@ def _sha256(values):
 def _spanner_pins(builder, tokens, chunk):
     """sha256 of both passes' shard wires and of the sorted spanner edges,
     after feeding ``tokens`` in ``chunk``-token batches (a short last
-    batch rides the scalar token loop)."""
+    batch rides pass 0's scalar token loop and pass 1's store)."""
     for pass_index in range(2):
         for start in range(0, len(tokens), chunk):
             builder.process_batch(tokens[start : start + chunk], pass_index)
@@ -505,6 +688,28 @@ class TestSpannerColumnarIdentity:
         for pass_index in range(2):
             for chunk in stream.iter_batches(512):
                 batched.process_batch(chunk, pass_index)
+            batched.end_pass(pass_index)
+        assert _shard_states(scalar, 0) == _shard_states(batched, 0)
+        assert _shard_states(scalar, 1) == _shard_states(batched, 1)
+        assert (
+            scalar.finalize().spanner.edge_set()
+            == batched.finalize().spanner.edge_set()
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 8, 32, 33])
+    def test_small_chunks_match_scalar_path(self, chunk):
+        """Pass 0 loops tokens up to 32 per chunk; pass 1 always takes the
+        pass-2 store.  Both land where the scalar path does."""
+        n = 16
+        tokens = list(mixed_workload_stream(n, 400, "spanner-small-chunks"))
+        scalar = TwoPassSpannerBuilder(n, 2, "spanner-small")
+        batched = TwoPassSpannerBuilder(n, 2, "spanner-small")
+        for pass_index in range(2):
+            for update in tokens:
+                scalar.process(update, pass_index)
+            scalar.end_pass(pass_index)
+            for start in range(0, len(tokens), chunk):
+                batched.process_batch(tokens[start : start + chunk], pass_index)
             batched.end_pass(pass_index)
         assert _shard_states(scalar, 0) == _shard_states(batched, 0)
         assert _shard_states(scalar, 1) == _shard_states(batched, 1)

@@ -1,10 +1,12 @@
 """Tests for sketch-state serialization."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agm import AgmSketch
+from repro.sketch import serialize
 from repro.sketch import (
     CountSketch,
     DistinctElementsSketch,
@@ -51,6 +53,92 @@ class TestVarintCodec:
     @given(values=st.lists(st.integers(min_value=-(2**80), max_value=2**80)))
     def test_round_trip_property(self, values):
         assert unpack_ints(pack_ints(values)) == values
+
+
+#: Values around every edge of the numpy codec: zero, the last value the
+#: int64 block carries (|v| < 2^62), and past int64 altogether.
+_EDGE_VALUES = [0, 1, -1, 2**62 - 1, -(2**62 - 1), 2**62, -(2**62), 2**63, -(2**63), 2**70, -(2**70)]
+
+
+def _random_mix(seed, count):
+    """Mostly wire-like values (small counters, 61-bit residues) with an
+    occasional value the int64 block cannot carry."""
+    rng = np.random.default_rng(seed)
+    small = rng.integers(-300, 300, count)
+    wide = rng.integers(-(2**61), 2**61, count)
+    pick = rng.integers(0, 3, count)
+    values = np.where(pick == 0, small, np.where(pick == 1, wide, 0)).tolist()
+    for where in rng.integers(0, count, 3).tolist():
+        values[where] = 2**63 + where
+    return values
+
+
+class TestNumpyCodec:
+    """The numpy block codec is byte-for-byte the exact Python loop."""
+
+    @pytest.mark.parametrize("value", _EDGE_VALUES)
+    def test_edge_values_match_exact_loop(self, value):
+        for values in ([value], [3, value, -5], [value] * 3):
+            packed = pack_ints(values)
+            assert packed == serialize._pack_exact(values)
+            assert unpack_ints(packed) == serialize._unpack_exact(packed) == values
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_random_mixes_across_block_edges(self, shift):
+        count = 2 * serialize._PACK_BLOCK + shift
+        values = _random_mix(shift + 1, count)
+        packed = pack_ints(values)
+        assert packed == serialize._pack_exact(values)
+        # Several unpack windows, one of them holding a 10-byte varint.
+        assert len(packed) > serialize._UNPACK_BLOCK
+        assert unpack_ints(packed) == serialize._unpack_exact(packed) == values
+
+    def test_int64_only_stream_crosses_windows(self):
+        values = _random_mix(7, 3 * serialize._PACK_BLOCK)
+        values = [v for v in values if abs(v) < 2**62]
+        packed = pack_ints(values)
+        assert packed == serialize._pack_exact(values)
+        assert unpack_ints(packed) == values
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"\x80\x00", b"\xff\x80\x00\x05", b"\x80" * 9 + b"\x01", b"\x81" * 12 + b"\x00"],
+    )
+    def test_overlong_varints_match_exact_loop(self, data):
+        assert unpack_ints(data) == serialize._unpack_exact(data)
+
+    def test_numpy_integer_input(self):
+        values = [0, -1, 2**61, -(2**61) + 5, 2**62 - 1]
+        array = np.array(values, dtype=np.int64)
+        assert pack_ints(array) == serialize._pack_exact(values)
+        assert pack_ints(list(array)) == serialize._pack_exact(values)
+        assert pack_ints(array.astype(np.int32)[:2]) == serialize._pack_exact(values[:2])
+        unsigned = np.array([2**64 - 1, 5], dtype=np.uint64)
+        assert pack_ints(unsigned) == serialize._pack_exact([2**64 - 1, 5])
+        assert pack_ints(v for v in values) == serialize._pack_exact(values)
+
+    def test_bools_pack_as_the_exact_loop_does(self):
+        assert pack_ints([True, False, True]) == serialize._pack_exact([1, 0, 1])
+
+    @pytest.mark.parametrize("bad", [[1.5], [1, 2.0], [2.0**70], np.array([1.0, 2.0]), [1, "2"], [[1, 2]]])
+    def test_non_integers_raise_type_error(self, bad):
+        with pytest.raises(TypeError):
+            pack_ints(bad)
+
+    @pytest.mark.parametrize(
+        "values", [[10**9], [2**70], [1] * (serialize._UNPACK_BLOCK + 5)]
+    )
+    def test_truncated_streams_raise(self, values):
+        packed = pack_ints(values)
+        with pytest.raises(ValueError, match="truncated"):
+            unpack_ints(packed[:-1] + bytes([packed[-1] | 0x80]))
+        with pytest.raises(ValueError, match="truncated"):
+            unpack_ints(packed + b"\x80" * (serialize._UNPACK_BLOCK + 1))
+
+    def test_buffer_types(self):
+        packed = pack_ints([5, -7, 2**61])
+        for data in (bytearray(packed), memoryview(packed)):
+            assert unpack_ints(data) == [5, -7, 2**61]
 
 
 class TestStateInts:
