@@ -29,6 +29,10 @@ subgraph.  This bench pins all three claims on seeded streams:
   files must be byte-identical, and the round trip's rate (checkpoint
   bytes written and read back per second, best of three) is gated like
   the ingest rates.
+* **cold sparsifier snapshot gate** — a weighted dense ``n = 32``
+  session shaped like the lifecycle benchmark's query mix takes a cold
+  sparsifier snapshot after each 600-token ingest; the median's rate
+  (snapshots per second) is gated like the ingest rates.
 
 Measured rates land in ``benchmarks/results/BENCH_sparse.json``;
 ``tools/perf_regress.py`` (run by ``make bench-sparse``) compares them
@@ -52,6 +56,7 @@ from repro.core.parameters import SparsifierParams, SpannerParams
 from repro.graph.vertex_space import VertexSpace
 from repro.service import GraphSession, WorkloadDriver, components_match_ledger
 from repro.stream.generators import (
+    mixed_workload_stream,
     power_law_universe_stream,
     sparse_session_ops,
     sparse_touch_stream,
@@ -354,6 +359,54 @@ def test_checkpoint_round_trip(results, tmp_path):
     ])
     results("bench_sparse_checkpoint", table)
     assert identical, "a restored session re-serialized to different bytes"
+
+
+#: Shape of the cold-sparsifier-snapshot probe: weighted dense n=32 with
+#: slim sparsifier constants, 600-token ingests (the lifecycle
+#: benchmark's query-heavy workload).
+SNAPSHOT_VERTICES = 32
+SNAPSHOT_CHUNK = 600
+SNAPSHOT_COUNT = 7
+SNAPSHOT_SPARSIFIER = SparsifierParams(
+    estimate_levels=2, sampling_levels=2, sampling_rounds_factor=0.01
+)
+
+
+def test_cold_sparsifier_snapshot(results):
+    """Cold sparsifier snapshots per second on a weighted dense session:
+    clone, pass-2 replay from the ledger, one batched decode of every
+    sub-spanner's tables, assembly.  Each ingest opens a new epoch, so
+    every timed snapshot is cold."""
+    seed = "bench-sparse-snapshot"
+    session = GraphSession(
+        SNAPSHOT_VERTICES, seed, k=2, sparsifier_k=1,
+        sparsifier_params=SNAPSHOT_SPARSIFIER, weight_bounds=(1.0, 2.0),
+    )
+    tokens = list(mixed_workload_stream(
+        SNAPSHOT_VERTICES, (SNAPSHOT_COUNT + 5) * SNAPSHOT_CHUNK, seed, weights=(1.0, 2.0)
+    ))
+    chunks = [tokens[i : i + SNAPSHOT_CHUNK] for i in range(0, len(tokens), SNAPSHOT_CHUNK)]
+    for chunk in chunks[:5]:
+        session.ingest_batch(chunk)
+    session.sparsifier_snapshot()  # first layout: derives the tables' randomness
+    timings = []
+    for chunk in chunks[5:]:
+        session.ingest_batch(chunk)
+        begin = time.perf_counter()
+        snapshot = session.sparsifier_snapshot()
+        timings.append(time.perf_counter() - begin)
+    timings.sort()
+    median = timings[len(timings) // 2]
+    _RATES["sparsifier_cold_snapshot"] = round(1.0 / median, 2)
+    table = "\n".join([
+        f"cold sparsifier snapshot, weighted dense n={SNAPSHOT_VERTICES}, "
+        f"{SNAPSHOT_CHUNK}-token ingests, {len(timings)} epochs:",
+        f"  median: {median * 1e3:8.1f} ms  ({1.0 / median:.2f} snapshots/s)",
+        f"  range : {timings[0] * 1e3:8.1f} - {timings[-1] * 1e3:.1f} ms",
+        f"  edges : {snapshot.num_edges()} in the last snapshot",
+    ])
+    results("bench_sparse_sparsifier_snapshot", table)
+    assert snapshot.num_edges() > 0
 
 
 def test_write_rates_json(proportionality_runs, results):

@@ -93,17 +93,24 @@ class RobustConnectivityEstimator:
         """A pair predicate selecting ``E^j_t`` (for spanner builders)."""
         return lambda u, v: self.member(j, t, u, v)
 
-    def member_level_array(self, j: int, pairs: np.ndarray) -> np.ndarray:
-        """Vectorized nesting depths of a batch of pair coordinates.
+    def membership_coefficients(self) -> list[tuple[int, ...]]:
+        """Each sequence ``j``'s nesting-hash coefficients, in ``j`` order,
+        for evaluating every sequence's hash in one stacked pass (see
+        :meth:`member_levels_of_values`)."""
+        return [sampler.coefficients for sampler in self._samplers]
 
-        ``pairs[i]`` belongs to ``E^j_t`` iff the returned depth is
-        ``>= t - 1`` — one hash evaluation per (pair, sequence ``j``)
-        answers membership at *every* depth ``t``, which is how the
-        streaming sparsifier evaluates all its oracle-slot filters in
-        one vectorized pass per chunk.  Bit-identical to :meth:`member`
-        element-wise (the nested sampler is integer-exact).
+    def member_levels_of_values(self, j: int, values: np.ndarray) -> np.ndarray:
+        """Vectorized nesting depths from sequence ``j``'s hash values of
+        a batch of pair coordinates.
+
+        A pair belongs to ``E^j_t`` iff its depth is ``>= t - 1`` — one
+        hash evaluation per (pair, sequence ``j``) answers membership at
+        *every* depth ``t``, which is how the streaming sparsifier
+        evaluates all its oracle-slot filters in one vectorized pass per
+        chunk.  Bit-identical to :meth:`member` element-wise (the nested
+        sampler is integer-exact).
         """
-        return self._samplers[j].level_array(pairs)
+        return self._samplers[j].levels_of_values(values)
 
     def attach_oracle(self, j: int, t: int, spanner: Graph) -> None:
         """Provide the distance oracle (a spanner of ``E^j_t``)."""

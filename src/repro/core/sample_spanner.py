@@ -86,8 +86,16 @@ class SpannerSampleLevels:
         """A pair predicate selecting ``E_{s,j}``."""
         return lambda u, v: self.member(j, u, v)
 
-    def member_array(self, j: int, pairs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`member` over a batch of pair coordinates.
+    def membership_coefficients(self, j: int) -> tuple[int, ...]:
+        """Level ``j``'s membership-hash coefficients, for evaluating many
+        levels' hashes in one stacked pass (see :meth:`member_of_values`)."""
+        if not 1 <= j <= self.levels:
+            raise IndexError(f"level {j} out of [1, {self.levels}]")
+        return self._hashes[j].coefficients
+
+    def member_of_values(self, j: int, values: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`member` from level ``j``'s hash values of a
+        batch of pair coordinates.
 
         One polynomial-hash evaluation per (pair, level) replaces the
         per-token Python filter in the streaming sparsifier's ingest
@@ -95,7 +103,6 @@ class SpannerSampleLevels:
         """
         if not 1 <= j <= self.levels:
             raise IndexError(f"level {j} out of [1, {self.levels}]")
-        values = self._hashes[j].values_array(pairs)
         return values < np.uint64(_rate_threshold(j))
 
     def attach_level_output(self, j: int, recovered_edges: set[tuple[int, int]]) -> None:

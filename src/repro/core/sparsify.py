@@ -43,6 +43,7 @@ from repro.core.sample_spanner import SpannerSampleLevels
 from repro.core.two_pass_spanner import TwoPassSpannerBuilder
 from repro.graph.graph import Graph
 from repro.graph.vertex_space import VertexSpace, as_vertex_space
+from repro.sketch.kernels import polyhash61_multi
 from repro.stream.batching import aggregate_updates, updates_to_arrays
 from repro.stream.pipeline import StreamingAlgorithm, run_passes
 from repro.stream.space import SpaceReport
@@ -63,9 +64,10 @@ __all__ = [
 #: (1-2eps) output probability), so one Y-stack plus repair suffices.
 _SUB_SPANNER_PARAMS = SpannerParams(table_stacks=1, table_capacity_factor=0.75)
 
-#: Below this many chunk tokens the per-token filter loop beats the
-#: vectorized membership machinery.
-_SMALL_BATCH = 32
+#: Up to this many chunk tokens the per-token filter loop beats the
+#: vectorized membership machinery (n=32 slim pipeline, pass 0: loop
+#: ~0.1 ms per token, the stacked-hash path ~0.7-1.2 ms per chunk).
+_SMALL_BATCH = 8
 
 
 class _PipelineCore:
@@ -237,6 +239,14 @@ class StreamingSparsifier(StreamingAlgorithm):
             )
             for s, j in core.sample_slots()
         }
+        # Every slot filter's membership hash, stacked in routing order
+        # (the estimator's sequences, then the sampler levels): a chunk
+        # evaluates them all in one multi-polynomial pass.
+        self._membership = np.array(
+            core.estimator.membership_coefficients()
+            + [core.samplers[s].membership_coefficients(j) for s, j in self._sample_builders],
+            dtype=np.uint64,
+        )
 
     @property
     def passes_required(self) -> int:
@@ -256,9 +266,10 @@ class StreamingSparsifier(StreamingAlgorithm):
         The chunk is unpacked and collapsed to its distinct pairs once;
         every oracle slot's nested-sample filter and every sampler
         level's Bernoulli filter is then a vectorized comparison over
-        those distinct pairs (one hash evaluation per (pair, hash
-        family) instead of one Python predicate call per token per
-        slot), and each sub-spanner receives its surviving pairs through
+        those distinct pairs (every hash family evaluated in one stacked
+        :func:`~repro.sketch.kernels.polyhash61_multi` pass instead of
+        one Python predicate call per token per slot), and each
+        sub-spanner receives its surviving pairs through
         :meth:`~repro.core.two_pass_spanner.TwoPassSpannerBuilder.process_pairs`.
         State is bit-identical to the per-token filter path.
         """
@@ -286,24 +297,36 @@ class StreamingSparsifier(StreamingAlgorithm):
                     lows[mask], highs[mask], pairs[mask], net[mask], pass_index
                 )
 
+        values = polyhash61_multi(self._membership, pairs)
         for j in range(core.estimator.reps):
-            depth = core.estimator.member_level_array(j, pairs)
+            depth = core.estimator.member_levels_of_values(j, values[j])
             for t in range(1, core.estimator.depths + 1):
                 mask = None if t <= 1 else depth >= np.int64(t - 1)
                 route(self._oracle_builders[(j, t)], mask)
-        for (s, j), builder in self._sample_builders.items():
-            route(builder, core.samplers[s].member_array(j, pairs))
+        for row, ((s, j), builder) in enumerate(
+            self._sample_builders.items(), start=core.estimator.reps
+        ):
+            route(builder, core.samplers[s].member_of_values(j, values[row]))
 
     def end_pass(self, pass_index: int) -> None:
         for builder in self._all_builders():
             builder.end_pass(pass_index)
 
     def finalize(self) -> Graph:
+        """Decode every sub-spanner's pass-2 tables together
+        (:meth:`~repro.core.two_pass_spanner.TwoPassSpannerBuilder.finalize_many`)
+        and assemble the sparsifier from their outputs."""
+        return self._assemble(TwoPassSpannerBuilder.finalize_many(list(self._all_builders())))
+
+    def _assemble(self, outputs) -> Graph:
+        """Attach the sub-spanners' outputs (in :meth:`_all_builders`
+        order) to the core and assemble."""
         core = self.core
-        for (j, t), builder in self._oracle_builders.items():
-            core.estimator.attach_oracle(j, t, builder.finalize().spanner)
-        for (s, j), builder in self._sample_builders.items():
-            output = builder.finalize()
+        outputs = iter(outputs)
+        for j, t in self._oracle_builders:
+            core.estimator.attach_oracle(j, t, next(outputs).spanner)
+        for s, j in self._sample_builders:
+            output = next(outputs)
             recovered = output.spanner.edge_set() | output.observed_edges
             core.samplers[s].attach_level_output(j, recovered)
         return core.assemble()
@@ -330,6 +353,7 @@ class StreamingSparsifier(StreamingAlgorithm):
         clone._sample_builders = {
             key: builder.clone() for key, builder in self._sample_builders.items()
         }
+        clone._membership = self._membership  # read-only
         return clone
 
     # -- sharded execution protocol (see repro.stream.distributed) -----
@@ -470,9 +494,17 @@ class StreamingWeightedSparsifier(StreamingAlgorithm):
             pipeline.end_pass(pass_index)
 
     def finalize(self) -> Graph:
+        """Decode the sub-spanners of every weight class together, then
+        assemble each class and union the rescaled classes."""
+        builders = [list(pipeline._all_builders()) for pipeline in self._pipelines]
+        outputs = TwoPassSpannerBuilder.finalize_many(
+            [builder for group in builders for builder in group]
+        )
         result = Graph(self.num_vertices)
-        for t, pipeline in enumerate(self._pipelines):
-            class_sparsifier = pipeline.finalize()
+        start = 0
+        for t, (pipeline, group) in enumerate(zip(self._pipelines, builders)):
+            class_sparsifier = pipeline._assemble(outputs[start : start + len(group)])
+            start += len(group)
             representative = self.w_min * self.class_ratio ** t * math.sqrt(self.class_ratio)
             representative = min(representative, self.w_max)
             for u, v, w in class_sparsifier.edges():

@@ -38,8 +38,12 @@ nonzero cells only.  The forest is turned into routing arrays once
 (:class:`_Routing`), so a chunk's distinct pairs fan out to their
 ``(table, key, neighbor, delta)`` incidences in one vectorized step (a
 scalar token is a batch of one); the stores reduce them by cell key on
-the next read, and finalization decodes every table in one batched
-peel.  The pass-2 shard wire renders each nonzero table's dense cells,
+the next read, and finalization decodes the tables in batched blocks
+(:func:`~repro.sketch.table_store.decode_tables`; the sparsifier's
+sub-spanners decode together through :meth:`TwoPassSpannerBuilder.finalize_many`).
+The table randomness is memoized per builder and shared with its
+clones, so a snapshot that lays out the same tables derives nothing.
+The pass-2 shard wire renders each nonzero table's dense cells,
 byte-identical to the per-table layout it replaced.
 
 The class is linear-sketch-based throughout: all pass-1/pass-2 state
@@ -60,6 +64,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.core.cluster_forest import ClusterForest, Copy
 from repro.core.levels import LevelSamples
 from repro.core.offline_spanner import SpannerOutput
@@ -69,7 +74,7 @@ from repro.graph.vertex_space import VertexSpace, as_vertex_space
 from repro.sketch.columnar import SketchStack, fan_out_levels
 from repro.sketch.hashing import NestedSampler
 from repro.sketch.onesparse import DecodeStatus
-from repro.sketch.table_store import NeighborhoodTableStore, SparseRecoveryStore
+from repro.sketch.table_store import NeighborhoodTableStore, SparseRecoveryStore, decode_tables
 from repro.stream.batching import aggregate_updates, updates_to_arrays
 from repro.stream.pipeline import StreamingAlgorithm, run_passes
 from repro.stream.space import SpaceReport
@@ -179,6 +184,11 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         self._active_vertex_levels = self._vertex_levels
         # Per-chunk memo of the (hash-derived) vertex levels.
         self._levels_memo: dict[int, list[int]] = {}
+        # The pass-2 stores' derived randomness, keyed by table (cut)
+        # name and budget: {effective n: (table memo, cut memo)}.  Shared
+        # with clones, so a snapshot that lays out the same tables again
+        # derives nothing.
+        self._random_memo: dict[int, tuple[dict, dict]] = {}
 
         # Filled between passes.
         self.forest: ClusterForest | None = None
@@ -277,7 +287,22 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
             self._allocate_tables()
 
     def finalize(self) -> SpannerOutput:
-        return self._recover_spanner()
+        if self.forest is None:
+            raise RuntimeError("finalize before passes ran")
+        return self._recover_spanner(self._tables.decode())
+
+    @staticmethod
+    def finalize_many(builders: Sequence["TwoPassSpannerBuilder"]) -> list[SpannerOutput]:
+        """:meth:`finalize` of many builders at once — the sparsifier's
+        sub-spanners, whose second passes share pass 2.  Every builder's
+        tables decode together (:func:`~repro.sketch.table_store.decode_tables`:
+        one flush and one peel per block of tables), then each builder
+        recovers its spanner from its own slice of the result."""
+        if any(builder.forest is None for builder in builders):
+            raise RuntimeError("finalize before passes ran")
+        with obs.TRACER.span("sparsifier.pass2.decode", builders=len(builders)):
+            decoded = decode_tables([builder._tables for builder in builders])
+        return [builder._recover_spanner(groups) for builder, groups in zip(builders, decoded)]
 
     def run(self, stream: DynamicStream, batch_size: int | None = None) -> SpannerOutput:
         """Convenience: run both passes over ``stream``.
@@ -376,6 +401,7 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         clone._active_vertex_levels = self._active_vertex_levels
         clone._table_effective_n = self._table_effective_n
         clone._levels_memo = self._levels_memo
+        clone._random_memo = self._random_memo
         clone.forest = self.forest
         clone._terminal_trees = self._terminal_trees
         clone._trees_of_vertex = self._trees_of_vertex
@@ -692,9 +718,9 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
 
     def _table_key(self, group: int) -> tuple[Copy, int, int]:
         """Inverse of :meth:`_table_group`: ``(root, stack, j)``."""
-        rest, j = divmod(group, self._routing.levels)
-        root_index, stack = divmod(rest, self.params.table_stacks)
-        return self._routing.roots[root_index], stack, j
+        return _table_name(
+            self._routing.roots, self.params.table_stacks, self._routing.levels, group
+        )
 
     def _allocate_tables(self) -> None:
         """Fix the pass-2 layout (capacities, ``Y_j`` depth, the table
@@ -709,6 +735,13 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         capacities = [
             self.params.table_capacity(effective_n, root[1], self.k) for root in roots
         ]
+        memo = self._random_memo.get(effective_n)
+        if memo is None:
+            # Capacities are functions of effective n: once it moves, the
+            # old entries' budgets rarely recur, so they are dropped.
+            self._random_memo.clear()
+            memo = self._random_memo[effective_n] = ({}, {})
+        table_memo, cut_memo = memo
         if self.params.repair_budget_factor > 0:
             # Root index i's cut sketch is group i; seeds and budgets are
             # functions of the root, so every same-forest builder forms
@@ -719,17 +752,21 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
                     max(8, math.ceil(self.params.repair_budget_factor * capacity))
                     for capacity in capacities
                 ],
-                partial(_cut_seed, self._seed, roots),
+                roots.__getitem__,
                 rows=3,
+                seed_of=partial(_cut_seed, self._seed),
+                memo=cut_memo,
             )
         self._routing = _Routing(self, roots)
         stacks = self.params.table_stacks
         self._tables = NeighborhoodTableStore(
             self.num_vertices,
             np.repeat(np.array(capacities, dtype=np.int64), stacks * self._routing.levels),
-            partial(_table_seed, self._seed, roots, stacks, self._routing.levels),
+            partial(_table_name, roots, stacks, self._routing.levels),
             rows=self.params.table_rows,
             bucket_factor=self.params.table_bucket_factor,
+            seed_of=partial(_table_seed, self._seed),
+            memo=table_memo,
         )
 
     def _process_second_pass(self, update: EdgeUpdate) -> None:
@@ -791,10 +828,9 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
             deltas[crossing_pairs[crossing_id]],
         )
 
-    def _recover_spanner(self) -> SpannerOutput:
-        """Post-pass-2 recovery (lines 20-33 of Algorithm 2)."""
-        if self.forest is None:
-            raise RuntimeError("finalize before passes ran")
+    def _recover_spanner(self, decoded_groups: dict) -> SpannerOutput:
+        """Post-pass-2 recovery (lines 20-33 of Algorithm 2) from the
+        decoded tables ``{group: decoded}``."""
         spanner = Graph(self.num_vertices)
 
         # Step 1: witness edges of every attached copy.
@@ -802,10 +838,8 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
             if not spanner.has_edge(a, b):
                 spanner.add_edge(a, b)
 
-        # Step 2: decode every table in one batched peel; per terminal
-        # root, take for each outside key the highest-level 1-sparse
-        # payload.
-        decoded_groups = {} if self._tables is None else self._tables.decode()
+        # Step 2: per terminal root, take for each outside key the
+        # highest-level 1-sparse payload of its decoded tables.
         for root, tree in self._terminal_trees.items():
             decoded_tables = {}
             root_index = self._routing.root_index[root]
@@ -929,19 +963,24 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         return self.space_report().total_words()
 
 
-def _cut_seed(master: int, roots: list[Copy], root_index: int) -> int:
-    """Randomness name of the cut sketch of root ``roots[root_index]``."""
-    root = roots[root_index]
+def _cut_seed(master: int, root: Copy) -> int:
+    """Randomness name of the cut sketch of ``root``."""
     return derive_seed(master, "cut-sketch", root[0], root[1])
 
 
-def _table_seed(master: int, roots: list[Copy], stacks: int, levels: int, group: int) -> int:
-    """Randomness name of pass-2 table ``group`` — the historical
-    per-``(root, stack, j)`` table seed."""
+def _table_name(roots: list[Copy], stacks: int, levels: int, group: int) -> tuple[Copy, int, int]:
+    """The ``(root, stack, j)`` of pass-2 table ``group`` (groups run in
+    sorted ``(root, stack, j)`` order)."""
     rest, j = divmod(group, levels)
     root_index, stack = divmod(rest, stacks)
-    root = roots[root_index]
-    return derive_seed(master, "table", root[0], root[1], stack, j)
+    return roots[root_index], stack, j
+
+
+def _table_seed(master: int, name: tuple[Copy, int, int]) -> int:
+    """Randomness name of pass-2 table ``name`` — the historical
+    per-``(root, stack, j)`` table seed."""
+    (vertex, level), stack, j = name
+    return derive_seed(master, "table", vertex, level, stack, j)
 
 
 class _Routing:

@@ -31,18 +31,19 @@ round trip the distributed runner ships over process boundaries.
 
 The codec runs on numpy blocks — :data:`_PACK_BLOCK` values or
 :data:`_UNPACK_BLOCK` bytes at a time, so its temporaries stay under a
-megabyte however long the message.  Packing zigzags a block in ``int64``,
-counts each value's bytes with threshold compares and writes the 7-bit
-groups byte position by byte position; unpacking finds the terminator
-bytes (high bit clear), shifts every byte by its place in its varint,
-ORs each varint together with ``np.bitwise_or.reduceat`` and
-un-zigzags.  Both are byte-for-byte the arbitrary-precision Python
-loops :func:`_pack_exact` / :func:`_unpack_exact`, which stay as the
-exact path for any block the ``int64`` arithmetic cannot carry — a
-value with ``|v| >= 2^62``, a varint of 10 or more bytes, or input that
-is not an integer array — and as the tests' oracle.  Floats are never
-truncated: a float block takes the exact path, which raises
-``TypeError``.
+megabyte however long the message.  Packing zigzags a block of ``int64``
+into ``uint64`` (every ``int64`` fits, so a weighted ledger's float64
+weight bits stay on this path), counts each value's bytes (up to ten)
+with threshold compares and writes the 7-bit groups byte position by
+byte position; unpacking finds the terminator bytes (high bit clear),
+shifts every byte by its place in its varint, ORs each varint together
+with ``np.bitwise_or.reduceat`` and un-zigzags.  Both are byte-for-byte
+the arbitrary-precision Python loops :func:`_pack_exact` /
+:func:`_unpack_exact`, which stay as the exact path for any block the
+64-bit arithmetic cannot carry — a value outside ``int64``, a varint
+whose value does not fit ``uint64``, or input that is not an integer
+array — and as the tests' oracle.  Floats are never truncated: a float
+block takes the exact path, which raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -72,13 +73,10 @@ _PACK_BLOCK = 1 << 12
 #: doubled a small session's restore peak.
 _UNPACK_BLOCK = 1 << 14
 
-#: Magnitude limit of the numpy pack path: ``|v| < 2^62`` zigzags into
-#: ``[0, 2^63)``, at most nine 7-bit groups.
-_INT64_LIMIT = 1 << 62
-
-#: Longest varint the numpy unpack path decodes: nine groups hold 63
-#: bits, so the OR-reduced word cannot overflow.
-_MAX_FAST_VARINT = 9
+#: Longest varint of the numpy paths: every ``int64`` zigzags into
+#: ``uint64``, at most ten 7-bit groups; a ten-byte varint fits ``uint64``
+#: when its last group is 0 or 1.
+_MAX_FAST_VARINT = 10
 
 _LOW7 = np.uint64(0x7F)
 
@@ -133,8 +131,8 @@ def _unpack_exact(data: bytes) -> list[int]:
 
 def _int64_block(block) -> np.ndarray | None:
     """``block`` as a 1-d ``int64`` array when every entry is an integer
-    of magnitude below ``2^62``, else ``None`` (exact path).  Floats,
-    bools, objects and wide ints infer a non-integer or unsigned 64-bit
+    that fits ``int64``, else ``None`` (exact path).  Floats, bools,
+    objects and wider ints infer a non-integer, object or unsigned 64-bit
     dtype, so nothing is ever truncated by a cast."""
     try:
         array = np.asarray(block)
@@ -142,13 +140,13 @@ def _int64_block(block) -> np.ndarray | None:
         return None
     if array.ndim != 1 or array.dtype.kind not in "iu" or array.dtype.itemsize > 8:
         return None
-    if int(array.max()) >= _INT64_LIMIT or int(array.min()) <= -_INT64_LIMIT:
+    if array.dtype == np.uint64 and int(array.max()) >= 1 << 63:
         return None
     return array.astype(np.int64, copy=False)
 
 
 def _pack_block(values: np.ndarray) -> bytes:
-    """Varints of ``int64`` values with ``|v| < 2^62``."""
+    """Varints of ``int64`` values (zigzag wraps exactly in 64 bits)."""
     encoded = ((values << 1) ^ (values >> 63)).view(np.uint64)
     lengths = np.ones(values.size, dtype=np.int64)
     for group in range(1, _MAX_FAST_VARINT):
@@ -181,7 +179,10 @@ def _unpack_window(window: np.ndarray, ends: np.ndarray) -> list[int]:
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
-    if int((ends - starts).max()) >= _MAX_FAST_VARINT:
+    longest = ends - starts == _MAX_FAST_VARINT - 1
+    if int((ends - starts).max()) >= _MAX_FAST_VARINT or (
+        longest.any() and int(window[ends[longest]].max()) > 1
+    ):
         return _unpack_exact(window.tobytes())
     owner = np.zeros(window.size, dtype=np.int64)
     owner[starts[1:]] = 1

@@ -43,17 +43,26 @@ Seeds, budgets and bucket counts are the standalone sketches' (the same
 cell, :meth:`~SparseRecoveryStore.state_ints` renders exactly its dense
 ``state_ints()`` (the shard wire), and decode results are equal —
 ``tests/sketch/test_table_store.py`` checks this against the scalar
-oracle.  Hash coefficients and fingerprint bases are derived the first
-time a group is touched and shared by clones; the byte-windowed power
-tables are built per block of at most :data:`_GROUP_BLOCK` groups and
-dropped, so memory follows the nonzero cells, not the group count.
+oracle.  Every group has a *name* (a spanner's tables are named
+``(root, stack, j)``); hash coefficients and fingerprint bases are
+looked up by ``(name, budget)`` in a memo the caller may share between
+the stores it lays out over the same names, and derived only on a miss,
+the first time a group is touched.  The byte-windowed power tables are
+built per block of at most :data:`_GROUP_BLOCK` groups and dropped, so
+memory follows the nonzero cells, not the group count.
+
+:func:`decode_tables` decodes the tables of many stores at once (the
+sparsifier's sub-spanners share pass 2): their tables are gathered into
+blocks of at most :data:`_DECODE_BLOCK`, each flushed and peeled as one
+store, with its power tables built once.  :meth:`NeighborhoodTableStore.decode` is that decode applied to
+a single store.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -75,13 +84,20 @@ from repro.sketch.sparse_recovery import (
 )
 from repro.util.rng import derive_seed
 
-__all__ = ["NeighborhoodTableStore", "SparseRecoveryStore"]
+__all__ = ["NeighborhoodTableStore", "SparseRecoveryStore", "decode_tables"]
 
 #: Buffered updates that trigger a map + reduce on the next add.
 _PENDING_LIMIT = 1 << 16
 
 #: Distinct groups whose power tables are built at once (bounds memory).
 _GROUP_BLOCK = 256
+
+#: Touched tables :func:`decode_tables` flushes and peels at once.  A
+#: block pays a few milliseconds of fixed cost, holds ~25 KB per table
+#: while it decodes, and grows the field kernels' pooled scratch to its
+#: size; at 64 a many-sub-spanner snapshot peaks below decoding store by
+#: store, and a small one (16 sub-spanners, n = 16) barely above.
+_DECODE_BLOCK = 64
 
 #: An ``int64`` sum is exact while ``terms * max|term|`` stays below this.
 _INT64_SAFE = 1 << 62
@@ -153,11 +169,14 @@ def _blocks(groups: np.ndarray) -> list[slice]:
     return [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def _positions_terms(coeffs, bases, slots, indices, residues, buckets, top):
+def _positions_terms(coeffs, bases, slots, indices, residues, buckets, top, table=None):
     """:func:`~repro.sketch.kernels.stack_positions_terms` where incidence
     ``t`` belongs to group ``slots[t]`` of ``coeffs`` (``(G, d, k)``) and
     ``bases`` (``G`` fingerprint bases, exponents at most ``top``); the
-    power tables are built for one block of groups at a time."""
+    power tables are built for one block of groups at a time, unless
+    ``table`` already holds all ``G`` groups' (a decode block's)."""
+    if table is not None:
+        return stack_positions_terms(coeffs, table, indices, residues, buckets, slots)
     order = np.argsort(slots, kind="stable")
     positions = np.empty((coeffs.shape[1], slots.size), dtype=np.int64)
     terms = np.empty(slots.size, dtype=np.uint64)
@@ -176,11 +195,16 @@ def _positions_terms(coeffs, bases, slots, indices, residues, buckets, top):
     return positions, terms
 
 
+def _same(name):
+    """The default ``seed_of``: a group's name is its randomness name."""
+    return name
+
+
 class _GroupRandomness:
     """Per-group hash coefficients, bucket counts and fingerprint bases,
-    derived on first touch and shared by clones (pure functions of the
-    group seeds, so filling from any clone is safe).  ``slot[g]`` is
-    group ``g``'s row in the derived arrays, ``-1`` until derived."""
+    filled on first touch and shared by clones (pure functions of the
+    group names, so filling from any clone is safe).  ``slot[g]`` is
+    group ``g``'s row in the filled arrays, ``-1`` until filled."""
 
     __slots__ = ("slot", "coeffs", "buckets", "bases")
 
@@ -200,12 +224,20 @@ class SparseRecoveryStore:
         Coordinates of every group lie in ``[0, domain_size)``.
     budgets:
         Budget ``B`` of each group's sketch; group ``g`` is seed group ``g``.
-    seed_of:
-        ``seed_of(g)`` is the randomness name group ``g`` would be built
-        from as a standalone ``SparseRecoverySketch`` (called once per
-        group, on first touch).
+    name_of:
+        ``name_of(g)`` names group ``g``'s sketch (hashable, cheap).
     rows, bucket_factor:
         Shape of every group's sketch, as ``SparseRecoverySketch``.
+    seed_of:
+        ``seed_of(name)`` is the randomness name the group would be built
+        from as a standalone ``SparseRecoverySketch`` (default: the name
+        itself); called only for names ``memo`` lacks.
+    memo:
+        Derived randomness by ``(name, budget)``, filled on first touch.
+        Stores of one shape (domain, rows, bucket factor) and one
+        ``seed_of`` may share it, so a layout formed again over the same
+        names derives nothing; default: private to this store and its
+        clones.
     """
 
     __slots__ = (
@@ -214,8 +246,11 @@ class SparseRecoveryStore:
         "bucket_factor",
         "budgets",
         "stride",
+        "_name_of",
         "_seed_of",
+        "_memo",
         "_random",
+        "_powers",
         "_touched",
         "_pending",
         "_pending_size",
@@ -229,9 +264,12 @@ class SparseRecoveryStore:
         self,
         domain_size: int,
         budgets,
-        seed_of: Callable[[int], int | str],
+        name_of: Callable[[int], Hashable],
         rows: int = 4,
         bucket_factor: float = 2.0,
+        *,
+        seed_of: Callable[[Hashable], int | str] = _same,
+        memo: dict | None = None,
     ):
         self.domain_size = domain_size
         self.rows = rows
@@ -240,8 +278,13 @@ class SparseRecoveryStore:
         top = int(self.budgets.max()) if self.budgets.size else 1
         # Cell key = group * stride + row * buckets + bucket.
         self.stride = rows * self._buckets_for(top)
+        self._name_of = name_of
         self._seed_of = seed_of
+        self._memo = {} if memo is None else memo
         self._random = _GroupRandomness(self.budgets.size, rows)
+        # Power tables of every filled group, prebuilt for a decode block
+        # (see NeighborhoodTableStore._gathered); None: built per block.
+        self._powers: np.ndarray | None = None
         self._touched: set[int] = set()
         self._pending: list[tuple[np.ndarray, ...]] = []
         self._pending_size = 0
@@ -260,29 +303,44 @@ class SparseRecoveryStore:
         return int(self.budgets.size)
 
     def _slots(self, groups: np.ndarray) -> np.ndarray:
-        """Derived-randomness rows of ``groups``, deriving new groups'."""
+        """Randomness rows of ``groups``, filling new groups' from the
+        memo or, on a miss, deriving them."""
         random = self._random
         fresh = np.unique(groups[random.slot[groups] < 0])
         if fresh.size:
-            coeffs, buckets, bases = [], [], []
-            for group in fresh.tolist():
-                budget = int(self.budgets[group])
-                # SparseRecoverySketch's derivation, unit by unit.
-                key = derive_seed(
-                    self._seed_of(group), "sparse-recovery", self.domain_size, budget, self.rows
-                )
-                coeffs.append([
-                    KWiseHash(_BUCKET_HASH_INDEPENDENCE, derive_seed(key, "row", r)).coefficients
-                    for r in range(self.rows)
-                ])
-                buckets.append(self._buckets_for(budget))
-                bases.append(1 + key % (MERSENNE_61 - 1))
-            used = random.buckets.size
-            random.slot[fresh] = np.arange(used, used + fresh.size, dtype=np.int64)
-            random.coeffs = np.concatenate([random.coeffs, np.array(coeffs, dtype=np.uint64)])
-            random.buckets = np.concatenate([random.buckets, np.array(buckets, dtype=np.int64)])
-            random.bases = np.concatenate([random.bases, np.array(bases, dtype=np.uint64)])
+            entries, derived = [], 0
+            for group, budget in zip(fresh.tolist(), self.budgets[fresh].tolist()):
+                key = (self._name_of(group), budget)
+                entry = self._memo.get(key)
+                if entry is None:
+                    entry = self._memo[key] = self._derive(self._seed_of(key[0]), budget)
+                    derived += 1
+                entries.append(entry)
+            obs.TRACER.count("spanner.pass2.derived_groups", derived)
+            coeffs, buckets, bases = zip(*entries)
+            self._fill(fresh, np.array(coeffs, dtype=np.uint64),
+                       np.array(buckets, dtype=np.int64), np.array(bases, dtype=np.uint64))
         return random.slot[groups]
+
+    def _fill(self, groups, coeffs, buckets, bases) -> None:
+        """Install randomness rows for unfilled ``groups`` (distinct)."""
+        random = self._random
+        used = random.buckets.size
+        random.slot[groups] = np.arange(used, used + groups.size, dtype=np.int64)
+        random.coeffs = np.concatenate([random.coeffs, coeffs])
+        random.buckets = np.concatenate([random.buckets, buckets])
+        random.bases = np.concatenate([random.bases, bases])
+
+    def _derive(self, seed, budget: int) -> tuple:
+        """``SparseRecoverySketch``'s derivation, unit by unit: the bucket
+        hashes' coefficients, the bucket count and the fingerprint base
+        (tuples, so memo entries are immutable)."""
+        key = derive_seed(seed, "sparse-recovery", self.domain_size, budget, self.rows)
+        coeffs = tuple(
+            KWiseHash(_BUCKET_HASH_INDEPENDENCE, derive_seed(key, "row", r)).coefficients
+            for r in range(self.rows)
+        )
+        return coeffs, self._buckets_for(budget), 1 + key % (MERSENNE_61 - 1)
 
     def _cells(self, groups: np.ndarray, coords: np.ndarray, residues: np.ndarray):
         """Cell keys ``(rows, n)`` of coordinates ``coords`` of ``groups``
@@ -292,7 +350,7 @@ class SparseRecoveryStore:
         slots = self._slots(groups)
         raw, terms = _positions_terms(
             self._random.coeffs, self._random.bases, slots, coords, residues,
-            MERSENNE_61, self.domain_size - 1,
+            MERSENNE_61, self.domain_size - 1, self._powers,
         )
         buckets = self._random.buckets[slots]
         base = groups * np.int64(self.stride)
@@ -491,7 +549,7 @@ class SparseRecoveryStore:
         clone = object.__new__(SparseRecoveryStore)
         for name in (
             "domain_size", "rows", "bucket_factor", "budgets", "stride",
-            "_seed_of", "_random", "_pending_size",
+            "_name_of", "_seed_of", "_memo", "_random", "_powers", "_pending_size",
         ):
             setattr(clone, name, getattr(self, name))
         clone._touched = set(self._touched)
@@ -539,10 +597,7 @@ class SparseRecoveryStore:
         """
         self.flush()
         stride = np.int64(self.stride)
-        select = np.zeros(self._keys.size, dtype=bool)
-        for group in groups:
-            begin, end = self._span(group)
-            select[begin:end] = True
+        select = np.isin(self._keys // stride, np.asarray(groups, dtype=np.int64))
         keys = self._keys[select]
         totals = self._totals[select]
         index_sums = self._index_sums[select]
@@ -618,9 +673,9 @@ class SparseRecoveryStore:
         return groups_out, coords_out, values_out.astype(object), failed
 
 
-def _table_sketch_seed(seed_of: Callable[[int], int | str], group: int) -> int:
+def _table_sketch_seed(seed_of: Callable[[Hashable], int | str], name: Hashable) -> int:
     """The seed a standalone ``NeighborhoodHashTable`` gives its sketch."""
-    return derive_seed(derive_seed(seed_of(group), "table"), "linear-hash-table")
+    return derive_seed(derive_seed(seed_of(name), "table"), "linear-hash-table")
 
 
 class NeighborhoodTableStore:
@@ -632,36 +687,53 @@ class NeighborhoodTableStore:
         Key and neighbor domain ``[0, num_vertices)`` of every table.
     capacities:
         Key capacity of each table; table ``g`` is seed group ``g``.
-    seed_of:
-        ``seed_of(g)`` is the randomness name table ``g`` would be built
-        from as a standalone ``NeighborhoodHashTable``.
+    name_of:
+        ``name_of(g)`` names table ``g`` (hashable, cheap).
     rows, bucket_factor:
         Shape of every table's outer sparse-recovery sketch.
+    seed_of:
+        ``seed_of(name)`` is the randomness name the table would be built
+        from as a standalone ``NeighborhoodHashTable`` (default: the name).
+    memo:
+        Derived randomness of the tables, as :class:`SparseRecoveryStore`'s
+        (payload bases under ``(name, None)``); default: private.
     """
 
     __slots__ = (
-        "num_vertices", "_seed_of", "_sketches", "_payload_bases", "_pending", "_pending_size",
+        "num_vertices", "_name_of", "_seed_of", "_memo", "_sketches", "_payload_bases",
+        "_payload_table", "_pending", "_pending_size",
     )
 
     def __init__(
         self,
         num_vertices: int,
         capacities,
-        seed_of: Callable[[int], int | str],
+        name_of: Callable[[int], Hashable],
         rows: int = 3,
         bucket_factor: float = 2.0,
+        *,
+        seed_of: Callable[[Hashable], int | str] = _same,
+        memo: dict | None = None,
     ):
         self.num_vertices = num_vertices
+        self._name_of = name_of
         self._seed_of = seed_of
+        self._memo = {} if memo is None else memo
         # Payload component c of key v is coordinate 3 v + c.
         self._sketches = SparseRecoveryStore(
             3 * num_vertices,
             3 * np.asarray(capacities, dtype=np.int64),
-            partial(_table_sketch_seed, seed_of),
+            name_of,
             rows=rows,
             bucket_factor=bucket_factor,
+            seed_of=partial(_table_sketch_seed, seed_of),
+            memo=self._memo,
         )
-        self._payload_bases: dict[int, int] = {}
+        # Filled on first use and shared by clones; 0 = not yet (every
+        # base lies in [1, p)).
+        self._payload_bases = np.zeros(self._sketches.num_groups, dtype=np.uint64)
+        # Every table's payload power table, prebuilt for a decode block.
+        self._payload_table: np.ndarray | None = None
         self._pending: list[tuple[np.ndarray, ...]] = []
         self._pending_size = 0
 
@@ -670,21 +742,28 @@ class NeighborhoodTableStore:
         """Number of tables in the layout."""
         return self._sketches.num_groups
 
+    def _payload_bases_of(self, groups: np.ndarray) -> np.ndarray:
+        """Each table's payload fingerprint base (its standalone
+        payload-template detector's ``z``), from the memo or derived."""
+        bases = self._payload_bases
+        for group in np.unique(groups[bases[groups] == 0]).tolist():
+            key = (self._name_of(group), None)
+            base = self._memo.get(key)
+            if base is None:
+                template = derive_seed(self._seed_of(key[0]), "payload-template")
+                base = self._memo[key] = 1 + derive_seed(template, "onesparse-z") % (MERSENNE_61 - 1)
+            bases[group] = base
+        return bases[groups]
+
     def _payload_powers(self, groups: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
-        """``z_p^neighbor mod p``, each table's payload fingerprint base
-        (its standalone payload-template detector's ``z``)."""
+        """``z_p^neighbor mod p`` in each table's payload base."""
         tables, slots = np.unique(groups, return_inverse=True)
-        bases = self._payload_bases  # fill-once, seed-derived
-        for table in tables.tolist():
-            if table not in bases:
-                template = derive_seed(self._seed_of(table), "payload-template")
-                key = derive_seed(template, "onesparse-z")
-                bases[table] = 1 + key % (MERSENNE_61 - 1)
         _, powers = _positions_terms(
             np.zeros((tables.size, 1, 1), dtype=np.uint64),  # hashes nothing
-            np.array([bases[table] for table in tables.tolist()], dtype=np.uint64),
+            self._payload_bases_of(tables),
             slots, neighbors, np.ones(neighbors.size, dtype=np.uint64), 1,
             self.num_vertices - 1,
+            None if self._payload_table is None else self._payload_table[tables],
         )
         return powers
 
@@ -715,13 +794,21 @@ class NeighborhoodTableStore:
         if self._pending_size >= _PENDING_LIMIT:
             self.flush()
 
+    def _pending_arrays(self) -> tuple[np.ndarray, ...]:
+        """The buffered ``(groups, keys, neighbors, deltas)`` as one block
+        (kept as the buffer, so a second read concatenates nothing)."""
+        if not self._pending:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty, empty, empty
+        if len(self._pending) > 1:
+            self._pending = [tuple(np.concatenate(part) for part in zip(*self._pending))]
+        return self._pending[0]
+
     def flush(self) -> None:
         """Expand the buffered incidences into sketch coordinates and
         land them (see :meth:`SparseRecoveryStore.flush`)."""
         if self._pending:
-            groups, keys, neighbors, deltas = (
-                np.concatenate(part) for part in zip(*self._pending)
-            )
+            groups, keys, neighbors, deltas = self._pending_arrays()
             self._pending = []
             self._pending_size = 0
             # Net per (table, key, neighbor) before any power is taken.
@@ -792,22 +879,85 @@ class NeighborhoodTableStore:
     def clone(self) -> "NeighborhoodTableStore":
         """Independent copy of the cells; derived randomness is shared."""
         clone = object.__new__(NeighborhoodTableStore)
-        clone.num_vertices = self.num_vertices
-        clone._seed_of = self._seed_of
-        clone._payload_bases = self._payload_bases
+        for name in (
+            "num_vertices", "_name_of", "_seed_of", "_memo", "_payload_bases", "_payload_table",
+        ):
+            setattr(clone, name, getattr(self, name))
         clone._sketches = self._sketches.clone()
         clone._pending = list(self._pending)
         clone._pending_size = self._pending_size
         return clone
 
     def decode(self) -> dict[int, dict[int, OneSparseResult] | None]:
-        """Decode every touched table in one batched peel.
+        """Decode every touched table: :func:`decode_tables` of this store.
 
         Returns ``{group: results}``: ``None`` for an undecodable table,
         otherwise each recovered key's payload
         :class:`~repro.sketch.onesparse.OneSparseResult` — exactly
         ``NeighborhoodHashTable.decode_neighbors()`` per table.
         """
+        return decode_tables([self])[0]
+
+    @staticmethod
+    def _gathered(pieces) -> "NeighborhoodTableStore":
+        """One store holding the tables ``pieces`` names — ``(store,
+        sorted touched groups)`` — renumbered ``0, 1, ...`` in piece
+        order, with their buffered updates, cells and randomness: a flush
+        and peel of it is each table's flush and peel in its own store.
+        The sources only gain derived randomness.  The block's power
+        tables are built once here, for its flush and every peel round."""
+        shape = pieces[0][0].num_vertices, pieces[0][0]._sketches.rows
+        if any((store.num_vertices, store._sketches.rows) != shape for store, _ in pieces):
+            raise ValueError("cannot decode tables of different shapes together")
+        merged = NeighborhoodTableStore(
+            shape[0],
+            np.concatenate([store._sketches.budgets[groups] // 3 for store, groups in pieces]),
+            None,  # never derives: every table it reads is filled below
+            rows=shape[1],
+        )
+        sketches = merged._sketches
+        sketches.stride = stride = max(store._sketches.stride for store, _ in pieces)
+        sketches.touch(np.arange(sketches.num_groups))
+        cells, pending, filled = [], [], []
+        offset = 0
+        for store, groups in pieces:
+            source = store._sketches
+            source.flush()  # empty outside a table flush
+            low, high = int(groups[0]), int(groups[-1]) + 1
+            begin, end = np.searchsorted(source._keys, [low * source.stride, high * source.stride])
+            keys = source._keys[begin:end]
+            owners = keys // source.stride
+            cells.append((
+                (offset + np.searchsorted(groups, owners)) * stride + keys - owners * source.stride,
+                source._totals[begin:end],
+                source._index_sums[begin:end],
+                source._fingerprints[begin:end],
+            ))
+            buffered = store._pending_arrays()
+            inside = (buffered[0] >= low) & (buffered[0] < high)
+            buffered = [part[inside] for part in buffered]
+            needed = np.union1d(owners, buffered[0])
+            buffered[0] = offset + np.searchsorted(groups, buffered[0])
+            pending.append(buffered)
+            slots = source._slots(needed)
+            here = offset + np.searchsorted(groups, needed)
+            merged._payload_bases[here] = store._payload_bases_of(needed)
+            random = source._random
+            filled.append((here, random.coeffs[slots], random.buckets[slots], random.bases[slots]))
+            offset += groups.size
+        sketches._fill(*(np.concatenate(part) for part in zip(*filled)))
+        sketches._powers = build_pow_table(sketches._random.bases, sketches.domain_size - 1)
+        merged._payload_table = build_pow_table(merged._payload_bases, merged.num_vertices - 1)
+        sketches._keys, sketches._totals, sketches._index_sums, sketches._fingerprints = (
+            np.concatenate(part) for part in zip(*cells)
+        )
+        buffered = tuple(np.concatenate(part) for part in zip(*pending))
+        if buffered[0].size:
+            merged._pending, merged._pending_size = [buffered], int(buffered[0].size)
+        return merged
+
+    def _decode_all(self) -> dict[int, dict[int, OneSparseResult] | None]:
+        """Flush, then decode every touched table in one batched peel."""
         self.flush()
         groups = self._sketches.touched_groups()
         found_groups, coords, values, failed = self._sketches.peel(groups)
@@ -848,3 +998,50 @@ class NeighborhoodTableStore:
                 else OneSparseResult(DecodeStatus.ONE_SPARSE, neighbor_id, int(p0[position]))
             )
         return results
+
+
+def _table_blocks(stores: Sequence[NeighborhoodTableStore]):
+    """Blocks of at most :data:`_DECODE_BLOCK` touched tables, each a list
+    of ``(store index, sorted groups)``; a store's tables continue into
+    the next block when they overflow one."""
+    block, room = [], _DECODE_BLOCK
+    for index, store in enumerate(stores):
+        groups = np.array(store.touched_groups(), dtype=np.int64)
+        start = 0
+        while start < groups.size:
+            take = groups[start : start + room]
+            block.append((index, take))
+            start += take.size
+            room -= take.size
+            if room == 0:
+                yield block
+                block, room = [], _DECODE_BLOCK
+    if block:
+        yield block
+
+
+def decode_tables(
+    stores: Sequence[NeighborhoodTableStore],
+) -> list[dict[int, dict[int, OneSparseResult] | None]]:
+    """Decode every touched table of every store: entry ``i`` is exactly
+    ``stores[i].decode()``.
+
+    The tables are gathered into blocks of at most :data:`_DECODE_BLOCK`
+    (so transient memory stays bounded however many stores there are),
+    and each block is flushed and peeled as one store: one netting, one
+    hash-and-reduce and one round-by-round peel serve every table in it,
+    where decoding store by store pays those fixed costs per store.
+    Every store must share the vertex domain and sketch rows; buffered
+    updates stay buffered in the stores.
+    """
+    results: list[dict] = [{} for _ in stores]
+    for block in _table_blocks(stores):
+        obs.TRACER.count("spanner.pass2.decode_blocks")
+        decoded = NeighborhoodTableStore._gathered(
+            [(stores[index], groups) for index, groups in block]
+        )._decode_all()
+        owners = [(index, group) for index, groups in block for group in groups.tolist()]
+        for position, result in decoded.items():
+            index, group = owners[position]
+            results[index][group] = result
+    return results

@@ -53,7 +53,7 @@ class SanitizeError(AssertionError):
 #: across clones on purpose (``KWiseHash.__deepcopy__`` returns self).
 #: Everything else reachable from a clone must be a distinct buffer.
 SHARED_ATTRS = frozenset(
-    {"_zs", "_pow_table", "_pow_built", "_bucket_coeffs"}
+    {"_zs", "_pow_table", "_pow_built", "_bucket_coeffs", "_membership"}
 )
 
 

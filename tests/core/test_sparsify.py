@@ -11,6 +11,7 @@ from repro.core.sparsify import (
     sparsify_stream,
     sparsify_weighted_graph,
 )
+from repro.core.two_pass_spanner import TwoPassSpannerBuilder
 from repro.graph.cuts import max_cut_discrepancy
 from repro.graph.graph import Graph
 from repro.graph.laplacian import spectral_approximation
@@ -162,6 +163,34 @@ class TestStreamingWeightedSparsifier:
         # Loose smoke-scale quality: the spectral ratio stays bounded.
         bounds = spectral_approximation(graph, sparsifier)
         assert bounds.epsilon() < 3.0
+
+    def test_batched_finalize_equals_each_sub_spanner_alone(self):
+        """finalize() decodes every class's sub-spanner tables together;
+        each sub-spanner's output is what its own finalize() gives."""
+        graph = with_random_weights(
+            connected_gnp(14, 0.45, seed=33), seed=33, w_min=1.0, w_max=4.0
+        )
+        stream = stream_from_graph(graph, seed=34, churn=0.3)
+        params = SparsifierParams(sampling_rounds_factor=0.02)
+        algorithm = StreamingWeightedSparsifier(
+            14, seed=35, w_min=1.0, w_max=4.0, k=2, params=params
+        )
+        for pass_index in range(2):
+            for chunk in stream.iter_batches(64):
+                algorithm.process_batch(chunk, pass_index)
+            algorithm.end_pass(pass_index)
+
+        def sub_spanners(sparsifier):
+            return [b for pipeline in sparsifier._pipelines for b in pipeline._all_builders()]
+
+        together = TwoPassSpannerBuilder.finalize_many(sub_spanners(algorithm.clone()))
+        alone = [builder.finalize() for builder in sub_spanners(algorithm.clone())]
+        assert len(together) == len(alone) > algorithm.num_classes
+        for mine, theirs in zip(together, alone):
+            assert mine.spanner.edge_set() == theirs.spanner.edge_set()
+            assert mine.observed_edges == theirs.observed_edges
+            assert mine.diagnostics == theirs.diagnostics
+        assert sorted(algorithm.clone().finalize().edges()) == sorted(algorithm.finalize().edges())
 
     def test_class_routing(self):
         algorithm = StreamingWeightedSparsifier(8, seed=1, w_min=1.0, w_max=8.0)

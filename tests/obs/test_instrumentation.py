@@ -224,6 +224,32 @@ def test_spanner_pass2_spans_and_counters(tracer):
     assert 0 < tracer.counters["spanner.pass2.tables"] <= tracer.counters["spanner.pass2.cells"]
 
 
+def test_sparsifier_pass2_decode_span_and_counters(tracer):
+    """A cold sparsifier snapshot decodes every sub-spanner's tables in
+    one span, in blocks it counts; it derives its tables' randomness once,
+    so the next cold snapshot of the same layout derives none."""
+    from repro.core import SparsifierParams
+
+    slim = SparsifierParams(estimate_levels=2, sampling_levels=2, sampling_rounds_factor=0.01)
+    session = GraphSession(16, "obs-sparsifier", k=2, sparsifier_k=1,
+                           sparsifier_params=slim, weight_bounds=(1.0, 2.0))
+    session.ingest_batch(
+        list(mixed_workload_stream(16, 400, "obs-sparsifier", weights=(1.0, 2.0)))
+    )
+    session.sparsifier_snapshot()
+    phases = tracer.phase_seconds()
+    decode = [path for path in phases if path.endswith("sparsifier.pass2.decode")]
+    assert len(decode) == 1 and phases[decode[0]] > 0
+    assert any(path.startswith(decode[0] + "/") for path in phases)  # reduce, peel
+    assert tracer.counters["spanner.pass2.decode_blocks"] >= 1
+    assert tracer.counters["spanner.pass2.derived_groups"] > 0
+    derived = tracer.counters["spanner.pass2.derived_groups"]
+    clone = session._sparsifier.clone()
+    session._replay_second_pass(clone)
+    clone.finalize()
+    assert tracer.counters["spanner.pass2.derived_groups"] == derived
+
+
 # -- distributed runner ------------------------------------------------
 
 

@@ -768,6 +768,26 @@ class TestSparsifierColumnarIdentity:
         assert _shard_states(scalar, 1) == _shard_states(batched, 1)
         assert scalar.finalize().edge_set() == batched.finalize().edge_set()
 
+    @pytest.mark.parametrize("chunk", [1, 8, 9, 33])
+    def test_small_chunks_match_scalar_path(self, chunk):
+        """Chunks of up to 8 tokens loop the per-token filters; larger
+        ones evaluate every slot's membership hash in one stacked pass.
+        Both land where the scalar path does."""
+        n = 12
+        tokens = list(mixed_workload_stream(n, 300, "sparsify-small-chunks"))
+        scalar = StreamingSparsifier(n, "sparsify-small", k=1, params=SLIM)
+        batched = StreamingSparsifier(n, "sparsify-small", k=1, params=SLIM)
+        for pass_index in range(2):
+            for update in tokens:
+                scalar.process(update, pass_index)
+            scalar.end_pass(pass_index)
+            for start in range(0, len(tokens), chunk):
+                batched.process_batch(tokens[start : start + chunk], pass_index)
+            batched.end_pass(pass_index)
+        assert _shard_states(scalar, 0) == _shard_states(batched, 0)
+        assert _shard_states(scalar, 1) == _shard_states(batched, 1)
+        assert sorted(scalar.finalize().edges()) == sorted(batched.finalize().edges())
+
     def test_weighted_bit_identical(self):
         n, length = 12, 1200
         stream = mixed_workload_stream(

@@ -135,6 +135,53 @@ class TestNumpyCodec:
         with pytest.raises(ValueError, match="truncated"):
             unpack_ints(packed + b"\x80" * (serialize._UNPACK_BLOCK + 1))
 
+    def test_full_int64_range_stays_on_numpy_path(self, monkeypatch):
+        """A weighted ledger's float64 weight bits reach 2^62 at weight
+        2.0: every int64 packs on the numpy path, byte-for-byte."""
+        values = [2**63 - 1, -(2**63), 2**62, -(2**62) - 1, 4611686018427387904, 7]
+        expected = serialize._pack_exact(values)
+        spy = []
+        monkeypatch.setattr(
+            serialize, "_pack_exact", lambda block: spy.append(block) or expected
+        )
+        assert pack_ints(values) == expected
+        assert pack_ints(np.array(values, dtype=np.int64)) == expected
+        assert spy == []
+        assert unpack_ints(expected) == values
+
+    def test_weighted_checkpoint_never_takes_exact_pack(self, monkeypatch, tmp_path):
+        from repro.core import SparsifierParams
+        from repro.service import GraphSession, load_session
+        from repro.stream import EdgeUpdate, mixed_workload_stream
+
+        session = GraphSession(
+            16, "weighted-wire", k=2, sparsifier_k=1, weight_bounds=(1.0, 2.0),
+            sparsifier_params=SparsifierParams(
+                estimate_levels=2, sampling_levels=2, sampling_rounds_factor=0.01
+            ),
+        )
+        session.ingest_batch(list(mixed_workload_stream(14, 600, "wire", weights=(1.0, 2.0))))
+        # Weight 2.0's float64 bits are exactly 2^62.
+        session.ingest_batch([EdgeUpdate(14, 15, +1, 2.0), EdgeUpdate(13, 15, +1, 2.0)])
+        exact = serialize._pack_exact
+        spy = []
+        monkeypatch.setattr(
+            serialize, "_pack_exact", lambda block: spy.append(len(block)) or exact(block)
+        )
+        session.checkpoint(tmp_path / "weighted.bin")
+        assert spy == []
+        restored = load_session(tmp_path / "weighted.bin")
+        assert sorted(restored.live_graph().edges()) == sorted(session.live_graph().edges())
+
+    @pytest.mark.parametrize(
+        "data", [b"\x80" * 9 + b"\x01", b"\xff" * 9 + b"\x01", b"\x80" * 9 + b"\x02"]
+    )
+    def test_ten_byte_varints(self, data):
+        """Ten-byte varints decode on the numpy path when they fit uint64,
+        and on the exact loop when they do not."""
+        assert unpack_ints(data) == serialize._unpack_exact(data)
+        assert unpack_ints(b"\x05" + data + b"\x03") == [-3, *serialize._unpack_exact(data), -2]
+
     def test_buffer_types(self):
         packed = pack_ints([5, -7, 2**61])
         for data in (bytearray(packed), memoryview(packed)):

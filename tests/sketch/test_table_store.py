@@ -15,6 +15,7 @@ all agree, on the scalar, batched, clone and 3-shard-merge paths.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 
@@ -25,7 +26,8 @@ from repro.core.two_pass_spanner import TwoPassSpannerBuilder
 from repro.graph.vertex_space import VertexSpace
 from repro.sketch.linear_hash_table import NeighborhoodHashTable
 from repro.sketch.sparse_recovery import SparseRecoverySketch
-from repro.sketch.table_store import SparseRecoveryStore
+from repro.sketch import table_store
+from repro.sketch.table_store import SparseRecoveryStore, decode_tables
 from repro.stream.generators import mixed_workload_stream, power_law_universe_stream
 from repro.stream.updates import EdgeUpdate
 from repro.util.rng import derive_seed
@@ -242,6 +244,53 @@ class TestStoreMatchesScalarTables:
                 rebuilt.load_shard_state_ints(1, worker.shard_state_ints(1))
                 coordinator.merge_second_pass(rebuilt)
         _assert_same(store, oracle)
+
+
+@pytest.mark.parametrize("block", [1, 2, 64])
+def test_batched_decode_matches_each_store_and_the_oracle(monkeypatch, block):
+    """One batched decode over stores of different capacities (hence
+    budgets and strides) equals each store's own decode and the scalar
+    oracle's, store by store — with blocks forced down to one and two
+    tables, so a store's tables span blocks and a block spans stores."""
+    monkeypatch.setattr(table_store, "_DECODE_BLOCK", block)
+    tokens = list(mixed_workload_stream(24, 900, "batched-decode"))
+    pairs = []
+    for index, factor in enumerate((0.05, 0.75, 3.0)):
+        make = partial(
+            TwoPassSpannerBuilder, 24, 2, f"batched-decode-{index}",
+            params=SpannerParams(table_capacity_factor=factor),
+        )
+        store, oracle = _pair(make, tokens[index::2], 100)
+        for builder in (store, oracle):
+            _feed(builder, tokens[index::2], 1, 100)
+        pairs.append((store, oracle))
+    stores = [store._tables for store, _ in pairs]
+    assert len({store._sketches.stride for store in stores}) > 1
+    wires = [store.shard_state_ints(1) for store, _ in pairs]
+    batched = decode_tables(stores)
+    assert batched == [store.decode() for store in stores]
+    assert batched == [oracle._tables.decode() for _, oracle in pairs]
+    # Decoding leaves every store's state as it was.
+    assert wires == [store.shard_state_ints(1) for store, _ in pairs]
+    assert any(None in decoded.values() for decoded in batched)  # an overflow
+    outputs = TwoPassSpannerBuilder.finalize_many([store for store, _ in pairs])
+    for output, (_, oracle) in zip(outputs, pairs):
+        expected = oracle.finalize()
+        assert output.spanner.edge_set() == expected.spanner.edge_set()
+        assert output.diagnostics == expected.diagnostics
+
+
+def test_batched_decode_rejects_different_shapes():
+    tokens = list(mixed_workload_stream(16, 400, "batched-shape"))
+    stores = []
+    for rows in (3, 4):
+        builder = TwoPassSpannerBuilder(16, 2, "batched-shape", params=SpannerParams(table_rows=rows))
+        _feed(builder, tokens, 0, 100)
+        builder.end_pass(0)
+        _feed(builder, tokens, 1, 100)
+        stores.append(builder._tables)
+    with pytest.raises(ValueError, match="shapes"):
+        decode_tables(stores)
 
 
 def test_store_rejects_a_different_layout():
