@@ -83,9 +83,9 @@ bench-sparse:
 	$(PYTHON) tools/perf_regress.py sparse
 
 # The kernel-backend gates: limb end-to-end speedup over the committed
-# columnar floor, bit-identical state across reference/limb/native
-# backends (dense and sparse spaces + weighted + kill/restore), the adaptive
-# ladder's grow-without-re-ingest identity past 10^6 touched vertices,
+# columnar floor, bit-identical state across the reference and limb
+# backends (dense and sparse spaces + weighted + kill/restore), the
+# adaptive ladder's grow-without-re-ingest identity past 10^6 touched vertices,
 # then the regression check of the fresh BENCH_kernels.json against
 # the committed floors.  Single-core gates only.
 bench-kernels:

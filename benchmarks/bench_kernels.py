@@ -7,18 +7,16 @@ is that correctness never depends on which implementation is active.
 This bench pins both claims, plus the adaptive sizing ladder's
 grow-without-re-ingest contract at million-vertex scale:
 
-* **primitive rates** — per-backend element throughput for the three
-  hottest kernels (``mulmod61``, ``polyhash61_rows``,
-  ``scatter_sum_mod61``), reported for the regression baseline.  The
-  native backend is measured only when a C compiler produced a real
-  table (its keys are deliberately absent from the committed baseline
-  so compiler-less machines still pass the gate).
+* **primitive rates** — per-backend element throughput for the
+  kernels the engines run per chunk (``mulmod61``, ``polyhash61_multi``,
+  ``stack_positions_terms``, ``scatter_sum_mod61``), reported for the
+  regression baseline.
 * **end-to-end limb floor** — AGM connectivity ingest under the limb
   backend must run >= ``LIMB_SPEEDUP_FLOOR`` times the *committed*
   ``agm_connectivity_columnar`` floor from ``BENCH_columnar.json``:
   the fast path has to show up at algorithm level, not just in
   microbenchmarks.
-* **cross-backend identity** — every available backend lands in the
+* **cross-backend identity** — both backends land in the
   same ``shard_state_ints`` / ``state_digest`` for dense and lazy
   connectivity and the weighted sparsifier, and a session checkpointed
   under ``limb`` then killed and restored under ``reference`` answers
@@ -97,19 +95,13 @@ def _restore_backend():
     kernels.select_backend(before)
 
 
-def _measured_backends() -> list[str]:
-    """Backends worth timing: reference and limb always; native only
-    when a compiler actually produced a table (selection would
-    otherwise silently measure the limb fallback twice)."""
-    names = ["reference", "limb"]
-    if kernels.select_backend("native") == "native":
-        names.append("native")
-    return names
+#: The kernel backends, timed and cross-checked.
+BACKENDS = ("reference", "limb")
 
 
 def _element_rate(func, *arrays) -> float:
     """Elements per second for ``func`` over ``arrays`` (>= 0.25 s)."""
-    func(*arrays)  # warm up (native load, numpy allocator)
+    func(*arrays)  # warm up (scratch pool, numpy allocator)
     reps = 0
     begin = time.perf_counter()
     while True:
@@ -137,17 +129,30 @@ def test_primitive_rates():
     rng = np.random.default_rng(7)
     a = rng.integers(0, MERSENNE_61, PRIMITIVE_ELEMENTS, dtype=np.uint64)
     b = rng.integers(0, MERSENNE_61, PRIMITIVE_ELEMENTS, dtype=np.uint64)
-    coeffs = rng.integers(0, MERSENNE_61, (512, 4), dtype=np.uint64)
-    row_ids = rng.integers(0, 512, PRIMITIVE_ELEMENTS, dtype=np.int64)
+    # Engine shapes: 4 bucket rows of a 6-wise hash per seed group, 16
+    # seed groups, coordinates below 2^40 (six power-table windows).
+    coeffs = rng.integers(0, MERSENNE_61, (4, 6), dtype=np.uint64)
+    bucket_coeffs = rng.integers(0, MERSENNE_61, (16, 4, 6), dtype=np.uint64)
+    bases = rng.integers(2, MERSENNE_61, 16, dtype=np.uint64)
+    indices = rng.integers(0, 1 << 40, PRIMITIVE_ELEMENTS, dtype=np.int64)
+    groups = rng.integers(0, 16, PRIMITIVE_ELEMENTS, dtype=np.int64)
     positions = rng.integers(0, 4096, PRIMITIVE_ELEMENTS, dtype=np.int64)
     terms = rng.integers(0, MERSENNE_61, PRIMITIVE_ELEMENTS, dtype=np.uint64)
-    for backend in _measured_backends():
+    for backend in BACKENDS:
         assert kernels.select_backend(backend) == backend
+        pow_table = kernels.build_pow_table(bases, (1 << 40) - 1)
         _RATES[f"prim_mulmod61_{backend}"] = round(
             _element_rate(kernels.mulmod61, a, b), 1
         )
-        _RATES[f"prim_polyhash61_rows_{backend}"] = round(
-            _element_rate(kernels.polyhash61_rows, coeffs, row_ids, a), 1
+        _RATES[f"prim_polyhash61_multi_{backend}"] = round(
+            _element_rate(kernels.polyhash61_multi, coeffs, a), 1
+        )
+        _RATES[f"prim_stack_positions_terms_{backend}"] = round(
+            _element_rate(
+                kernels.stack_positions_terms,
+                bucket_coeffs, pow_table, indices, a, 4096, groups,
+            ),
+            1,
         )
         _RATES[f"prim_scatter_sum_mod61_{backend}"] = round(
             _element_rate(kernels.scatter_sum_mod61, 4096, positions, terms), 1
@@ -185,7 +190,7 @@ def test_limb_end_to_end_floor():
 def test_backends_bit_identical_dense_and_lazy():
     """Dense and lazy connectivity state is invariant to the backend."""
     states: dict[str, tuple] = {}
-    for backend in _measured_backends():
+    for backend in BACKENDS:
         assert kernels.select_backend(backend) == backend
         dense = ConnectivityChecker(64, "kernel-ident")
         _ingest(dense, mixed_workload_stream(64, IDENTITY_UPDATES, "kernel-ident"))
@@ -202,7 +207,7 @@ def test_backends_bit_identical_dense_and_lazy():
 def test_backends_bit_identical_weighted():
     """The weighted sparsifier pipeline is invariant to the backend."""
     states = {}
-    for backend in _measured_backends():
+    for backend in BACKENDS:
         assert kernels.select_backend(backend) == backend
         sparsifier = StreamingWeightedSparsifier(
             16, "kernel-weighted", 1.0, 4.0, k=1, params=SLIM

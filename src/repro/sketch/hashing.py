@@ -77,7 +77,8 @@ class KWiseHash:
     def coefficients(self) -> tuple[int, ...]:
         """The polynomial's coefficients (read-only; for stacked
         evaluation of many hashes at once — see
-        :func:`repro.sketch.kernels.polyhash61_rows`)."""
+        :func:`repro.sketch.kernels.polyhash61_multi` and
+        :func:`repro.sketch.kernels.stack_positions_terms`)."""
         return tuple(self._coeffs)
 
     # Instances are immutable after construction, so copying is sharing.

@@ -21,7 +21,9 @@ Bit-identity with ``reference`` is a hard contract: both backends
 compute the same canonical residues in ``[0, p)`` on every input
 (``tests/sketch/test_kernel_backends.py`` holds them to it).  Shapes the
 in-place chain does not specialize (0-d, broadcasting, >1-D keys) defer
-to the reference implementation — same values either way.
+to the reference implementation — same values either way — and the
+add/sub kernels, which have nothing to fuse, are the reference ones
+re-exported, so this module serves every dispatched kernel name.
 """
 
 from __future__ import annotations
@@ -30,16 +32,18 @@ import numpy as np
 
 from repro.sketch.hashing import MERSENNE_61
 from repro.sketch.kernels import reference as _ref
+from repro.sketch.kernels.reference import addmod61, submod61
 from repro.util import sanitize as _sanitize
 
 __all__ = [
+    "addmod61",
     "build_pow_table",
     "mulmod61",
     "polyhash61",
     "polyhash61_multi",
-    "polyhash61_rows",
     "scatter_sum_mod61",
     "stack_positions_terms",
+    "submod61",
 ]
 
 _M61 = np.uint64(MERSENNE_61)
@@ -201,25 +205,6 @@ def polyhash61_multi(coeff_matrix: np.ndarray, xs: np.ndarray) -> np.ndarray:
     for t in range(1, coeff_matrix.shape[1]):
         _mul_into(acc, x_hi, x_lo, acc, s1, s2, s3)
         _add_canonical(acc, coeff_matrix[:, t : t + 1], s1)
-    return acc
-
-
-def polyhash61_rows(coeff_matrix: np.ndarray, row_ids: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Per-row-polynomial Horner with scratch-pooled coefficient gathers."""
-    xs = np.asarray(xs)
-    row_ids = np.asarray(row_ids)
-    if xs.ndim != 1 or xs.size == 0 or row_ids.shape != xs.shape:
-        return _ref.polyhash61_rows(coeff_matrix, row_ids, xs)
-    n = xs.size
-    keys = _canonical_keys(xs, "phr")
-    x_hi, x_lo = _split_keys(keys, "phr")
-    acc = coeff_matrix[row_ids, 0]
-    cbuf = _buf("phr.c", n)
-    s1, s2, s3 = _buf("phr.s1", n), _buf("phr.s2", n), _buf("phr.s3", n)
-    for t in range(1, coeff_matrix.shape[1]):
-        _mul_into(acc, x_hi, x_lo, acc, s1, s2, s3)
-        np.take(coeff_matrix[:, t], row_ids, out=cbuf)
-        _add_canonical(acc, cbuf, s1)
     return acc
 
 

@@ -1,10 +1,10 @@
 """The ``reference`` kernel backend: exact numpy field arithmetic.
 
 These are the original audited mod-``(2^61 - 1)`` kernels, moved here
-verbatim when the backend seam was cut.  They are the **oracle**: every
-other backend (``limb``, ``native``) must land bit-identical values on
-every input, and the property suite in
-``tests/sketch/test_kernel_backends.py`` holds them to it.
+verbatim when the backend seam was cut.  They are the **oracle**: the
+``limb`` fast path must land bit-identical values on every input, and
+the property suite in ``tests/sketch/test_kernel_backends.py`` holds it
+to them.
 
 Everything here is **exact**: products of 61-bit field elements are
 evaluated via 32-bit limb splitting so no intermediate ever exceeds 64
@@ -30,8 +30,6 @@ __all__ = [
     "mulmod61",
     "polyhash61",
     "polyhash61_multi",
-    "polyhash61_rows",
-    "powmod61",
     "scatter_sum_mod61",
     "stack_positions_terms",
     "submod61",
@@ -115,27 +113,6 @@ def polyhash61(coefficients, xs: np.ndarray) -> np.ndarray:
     return acc
 
 
-def polyhash61_rows(coeff_matrix: np.ndarray, row_ids: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Horner evaluation where each element uses its own coefficient row.
-
-    ``coeff_matrix`` has shape ``(num_rows, k)`` (``uint64``, reduced mod
-    ``p``); element ``t`` is hashed with the polynomial of row
-    ``row_ids[t]``.  This is the heterogeneous-seed form of
-    :func:`polyhash61`: :func:`stack_positions_terms` evaluates every
-    incidence's seed-group bucket hash with it in one vectorized pass.
-    Bit-identical to evaluating each row's scalar hash element-wise.
-    """
-    xs = np.asarray(xs)
-    if xs.dtype != np.uint64:
-        xs = np.remainder(xs, MERSENNE_61).astype(np.uint64)
-    else:
-        xs = np.where(xs >= _M61, xs - _M61, xs)
-    acc = coeff_matrix[row_ids, 0]
-    for t in range(1, coeff_matrix.shape[1]):
-        acc = addmod61(mulmod61(acc, xs), coeff_matrix[row_ids, t])
-    return acc
-
-
 def polyhash61_multi(coeff_matrix: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Horner evaluation of ``d`` polynomials over one key batch at once.
 
@@ -169,11 +146,11 @@ def build_pow_table(bases, max_exponent: int) -> np.ndarray:
     ``j`` and every byte position ``i`` of ``max_exponent``; the result
     has shape ``(len(bases), windows, 256)``.  Built once per base (a few
     hundred scalar multiplications — this scalar loop is the oracle the
-    vectorized backends are held to) and reused for every batch: a
-    square-and-multiply :func:`powmod61` costs ``bit_length(max exponent)``
-    vectorized rounds per call, which dominates huge-coordinate domains
-    (``n^2 ~ 10^14`` exponents), while the windowed gather in
-    :func:`stack_positions_terms` costs one multiply per byte.
+    vectorized backend is held to) and reused for every batch: the
+    windowed gather in :func:`stack_positions_terms` then costs one
+    multiply per exponent byte, where square-and-multiply would cost
+    ``bit_length(max exponent)`` vectorized rounds per call (dominant on
+    huge-coordinate domains, ``n^2 ~ 10^14`` exponents).
     """
     bases = [int(base) % MERSENNE_61 for base in np.ravel(np.asarray(bases, dtype=object))]
     windows = pow_table_windows(max_exponent)
@@ -206,33 +183,6 @@ def _pow_windowed_grouped(pow_table: np.ndarray, groups: np.ndarray, exponents: 
         window = (exp >> np.uint64(8 * i)) & np.uint64(0xFF)
         if window.any():
             result = mulmod61(result, rows[first_row + i, window])
-    return result
-
-
-def powmod61(base: int, exponents: np.ndarray) -> np.ndarray:
-    """Vectorized ``pow(base, e, p)`` by square-and-multiply.
-
-    ``base`` is a scalar field element (the fingerprint base ``z``);
-    ``exponents`` are non-negative integers (sketch coordinates).  Runs
-    ``bit_length(max exponent)`` vectorized rounds.
-    """
-    exponents = np.asarray(exponents)
-    if np.any(exponents < 0):
-        raise ValueError("exponents must be non-negative")
-    exp = exponents.astype(np.uint64)
-    result = np.ones(exp.shape, dtype=np.uint64)
-    square = base % MERSENNE_61
-    while True:
-        top = int(exp.max()) if exp.size else 0
-        if top == 0:
-            break
-        odd = (exp & np.uint64(1)).astype(bool)
-        if odd.any():
-            result[odd] = mulmod61(result[odd], np.uint64(square))
-        exp = exp >> np.uint64(1)
-        if int(exp.max()) == 0:
-            break
-        square = square * square % MERSENNE_61
     return result
 
 
@@ -274,8 +224,8 @@ def stack_positions_terms(
     ``bucket_coeffs[groups[t]]`` (shape ``(G, d, k)``) and whose
     fingerprint base is tabulated in ``pow_table[groups[t]]`` (shape
     ``(G, windows, 256)``, from :func:`build_pow_table`).  Hash every
-    coordinate with its group's rows (gathered-coefficient
-    ``polyhash61_rows``), raise its group's base to it, and weight by the
+    coordinate with its group's rows (one :func:`polyhash61` per group
+    present and row), raise its group's base to it, and weight by the
     field residues.  Returns ``(positions, terms)``: ``int64`` of shape
     ``(d, len(indices))`` and ``uint64`` of shape ``(len(indices),)``.
     A shared-seed stack is the ``G = 1`` case.  Backends may fuse the
@@ -285,8 +235,11 @@ def stack_positions_terms(
     groups = np.asarray(groups, dtype=np.int64)
     powers = _pow_windowed_grouped(pow_table, groups, indices)
     terms = mulmod61(residues, powers)
-    positions = np.empty((bucket_coeffs.shape[1], indices.size), dtype=np.int64)
-    for r in range(bucket_coeffs.shape[1]):
-        hashed = polyhash61_rows(bucket_coeffs[:, r, :], groups, indices)
-        positions[r] = hashed % np.uint64(buckets)
+    hashed = np.empty((bucket_coeffs.shape[1], indices.size), dtype=np.uint64)
+    present, inverse = np.unique(groups, return_inverse=True)
+    for slot, group in enumerate(present):
+        members = inverse == slot
+        for r in range(bucket_coeffs.shape[1]):
+            hashed[r, members] = polyhash61(bucket_coeffs[group, r], indices[members])
+    positions = (hashed % np.uint64(buckets)).astype(np.int64)
     return positions, terms

@@ -32,10 +32,11 @@ from repro.sketch import (
 )
 from repro.sketch.table_store import NeighborhoodTableStore
 from repro.sketch.kernels import (
+    build_pow_table,
     mulmod61,
     polyhash61,
-    powmod61,
     scatter_sum_mod61,
+    stack_positions_terms,
 )
 
 DOMAIN = 2_000
@@ -69,7 +70,17 @@ class TestKernels:
     )
     @settings(max_examples=100, deadline=None)
     def test_powmod61_matches_pow(self, base, exponents):
-        values = powmod61(base, np.array(exponents, dtype=np.int64))
+        # Powers come from build_pow_table's byte windows, gathered by
+        # stack_positions_terms: unit residues leave base^e as the term.
+        table = build_pow_table([base], max(exponents))
+        _, values = stack_positions_terms(
+            np.zeros((1, 1, 2), dtype=np.uint64),
+            table,
+            np.array(exponents, dtype=np.int64),
+            np.ones(len(exponents), dtype=np.uint64),
+            1,
+            np.zeros(len(exponents), dtype=np.int64),
+        )
         for exponent, value in zip(exponents, values):
             assert int(value) == pow(base, exponent, MERSENNE_61)
 

@@ -1,17 +1,16 @@
 """Cross-backend bit-identity for the pluggable field kernels.
 
-The dispatch seam (:mod:`repro.sketch.kernels`) promises that every
-backend — ``reference`` (the audited numpy oracle), ``limb`` (the fused
-in-place fast path) and ``native`` (the optional C kernels) — lands the
-*same canonical residues* in ``[0, p)`` on every input.  This suite is
-that promise's enforcement: hypothesis drives random operands, the
-boundary rail pins the field's edge cases (0, ``p - 1``, ``p``,
-``2^61``, ``2^64 - 1``), and the selection tests pin the env-var /
-fallback semantics the CI kernel matrix relies on.
+The dispatch seam (:mod:`repro.sketch.kernels`) promises that both
+backends — ``reference`` (the audited numpy oracle) and ``limb`` (the
+fused in-place fast path) — land the *same canonical residues* in
+``[0, p)`` on every input.  This suite is that promise's enforcement:
+hypothesis drives random operands, the boundary rail pins the field's
+edge cases (0, ``p - 1``, ``p``, ``2^61``, ``2^64 - 1``), and the
+selection tests pin the env-var semantics the CI kernel matrix relies
+on.
 """
 
 import os
-import shutil
 import subprocess
 
 import numpy as np
@@ -22,7 +21,6 @@ from hypothesis import strategies as st
 from repro.sketch import kernels
 from repro.sketch.hashing import MERSENNE_61
 from repro.sketch.kernels import limb as limb_mod
-from repro.sketch.kernels import native as native_mod
 from repro.sketch.kernels import reference as ref_mod
 
 P = MERSENNE_61
@@ -41,23 +39,8 @@ BOUNDARY = [
 #: Raw 64-bit keys for the hash kernels, which normalize internally.
 RAW_KEYS = [0, 1, P - 1, P, P + 1, 1 << 61, (1 << 61) + 5, 2 * P - 1]
 
-_NATIVE_TABLE, _NATIVE_REASON = native_mod.load()
-
-#: Backend tables under test: the limb overrides always, the native
-#: table when this machine can build it (CI exercises both paths).
+#: Backend modules held to the reference oracle.
 BACKENDS = [pytest.param(limb_mod, id="limb")]
-if _NATIVE_TABLE is not None:
-    BACKENDS.append(pytest.param(_NATIVE_TABLE, id="native"))
-
-
-def impl(backend, name):
-    """Backend's kernel, falling back through limb to reference (the
-    layering rule: native inherits what it does not override)."""
-    return (
-        getattr(backend, name, None)
-        or getattr(limb_mod, name, None)
-        or getattr(ref_mod, name)
-    )
 
 
 def uint64s(min_size=0, max_size=64):
@@ -90,7 +73,7 @@ def test_mulmod61_matches_reference(backend, pairs):
     pairs = pairs + [(a, b) for a in BOUNDARY for b in BOUNDARY]
     a = as_u64([p[0] for p in pairs])
     b = as_u64([p[1] for p in pairs])
-    assert_same(ref_mod.mulmod61(a, b), impl(backend, "mulmod61")(a, b))
+    assert_same(ref_mod.mulmod61(a, b), backend.mulmod61(a, b))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -100,8 +83,8 @@ def test_add_sub_match_reference(backend, values):
     # add/sub take canonical residues (their callers guarantee it).
     canon = as_u64([v % P for v in values + BOUNDARY])
     rolled = np.roll(canon, 1)
-    assert_same(ref_mod.addmod61(canon, rolled), impl(backend, "addmod61")(canon, rolled))
-    assert_same(ref_mod.submod61(canon, rolled), impl(backend, "submod61")(canon, rolled))
+    assert_same(ref_mod.addmod61(canon, rolled), backend.addmod61(canon, rolled))
+    assert_same(ref_mod.submod61(canon, rolled), backend.submod61(canon, rolled))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -113,7 +96,7 @@ def test_polyhash61_matches_reference(backend, coeffs, xs):
     coefficients = [c % P for c in coeffs]
     assert_same(
         ref_mod.polyhash61(coefficients, keys),
-        impl(backend, "polyhash61")(coefficients, keys),
+        backend.polyhash61(coefficients, keys),
     )
 
 
@@ -128,32 +111,7 @@ def test_polyhash61_multi_matches_reference(backend, matrix, xs):
     keys = as_u64([x % (2 * P) for x in xs] + RAW_KEYS)
     assert_same(
         ref_mod.polyhash61_multi(coeff_matrix, keys),
-        impl(backend, "polyhash61_multi")(coeff_matrix, keys),
-    )
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@given(
-    matrix=st.lists(uint64s(min_size=3, max_size=3), min_size=2, max_size=5),
-    data=st.data(),
-)
-@settings(max_examples=50, deadline=None)
-def test_polyhash61_rows_matches_reference(backend, matrix, data):
-    coeff_matrix = as_u64([[c % P for c in row] for row in matrix])
-    n = data.draw(st.integers(min_value=0, max_value=48))
-    row_ids = np.array(
-        data.draw(st.lists(
-            st.integers(min_value=0, max_value=len(matrix) - 1),
-            min_size=n, max_size=n,
-        )),
-        dtype=np.int64,
-    )
-    keys = as_u64(data.draw(st.lists(
-        st.integers(min_value=0, max_value=P - 1), min_size=n, max_size=n,
-    )))
-    assert_same(
-        ref_mod.polyhash61_rows(coeff_matrix, row_ids, keys),
-        impl(backend, "polyhash61_rows")(coeff_matrix, row_ids, keys),
+        backend.polyhash61_multi(coeff_matrix, keys),
     )
 
 
@@ -166,7 +124,7 @@ def test_polyhash61_rows_matches_reference(backend, matrix, data):
 def test_build_pow_table_matches_reference(backend, bases, max_exponent):
     bases = bases + [1, 2, P - 1]
     want = ref_mod.build_pow_table(bases, max_exponent)
-    got = impl(backend, "build_pow_table")(as_u64(bases), max_exponent)
+    got = backend.build_pow_table(as_u64(bases), max_exponent)
     assert_same(want, got)
     windows = got.shape[1]
     assert got.shape == (len(bases), windows, 256)
@@ -201,7 +159,7 @@ def test_scatter_sum_mod61_matches_reference(backend, cells, data):
     )))
     assert_same(
         ref_mod.scatter_sum_mod61(cells, positions, terms),
-        impl(backend, "scatter_sum_mod61")(cells, positions, terms),
+        backend.scatter_sum_mod61(cells, positions, terms),
     )
 
 
@@ -236,7 +194,7 @@ def test_stack_positions_terms_matches_reference(backend, data):
     want_pos, want_terms = ref_mod.stack_positions_terms(
         bucket_coeffs, table, indices, residues, buckets, groups
     )
-    got_pos, got_terms = impl(backend, "stack_positions_terms")(
+    got_pos, got_terms = backend.stack_positions_terms(
         bucket_coeffs, table, indices, residues, buckets, groups
     )
     assert_same(want_pos, got_pos)
@@ -261,14 +219,31 @@ def test_stack_positions_terms_matches_reference(backend, data):
 @given(deltas=st.lists(st.integers(min_value=-(1 << 62), max_value=1 << 62), max_size=64))
 @settings(max_examples=50, deadline=None)
 def test_negative_deltas_coerce_identically(deltas):
-    """Signed deltas enter the kernels via as_field_array; both fast
-    backends must multiply the resulting residues identically."""
+    """Signed deltas enter the kernels via as_field_array; the limb
+    backend must multiply the resulting residues like the reference."""
     residues = kernels.as_field_array(np.array(deltas + [-1, -(P - 1), -P], dtype=object))
     other = np.roll(residues, 1)
     want = ref_mod.mulmod61(residues, other)
     assert_same(want, limb_mod.mulmod61(residues, other))
-    if _NATIVE_TABLE is not None:
-        assert_same(want, _NATIVE_TABLE.mulmod61(residues, other))
+
+
+@pytest.mark.parametrize("values", [
+    [(1 << 86), -(1 << 86), (1 << 86) + 5, -(1 << 86) - 5],
+    [-(1 << 63), (1 << 63) - 1, -1, 0, 1],
+    [P - 1, P, P + 1, -(P - 1), -P, -(P + 1), 2 * P, -2 * P],
+    [3, -3, 1 << 70, -(1 << 70), 7, -7],
+    [],
+])
+def test_as_field_array_is_exact(values):
+    """The object-array reduction is Python's non-negative ``%``: exact
+    far past 64 bits, at ``int64`` min, around ``p``, on mixed signs,
+    and on empty input, whether the deltas come as a list or an object
+    array."""
+    want = np.array([int(v) % P for v in values], dtype=np.uint64)
+    assert_same(want, kernels.as_field_array(values))
+    assert_same(want, kernels.as_field_array(np.array(values, dtype=object)))
+    if all(-(1 << 63) <= v < (1 << 63) for v in values):
+        assert_same(want, kernels.as_field_array(np.array(values, dtype=np.int64)))
 
 
 # -- scratch-buffer independence ---------------------------------------
@@ -336,26 +311,20 @@ def test_env_var_is_honored_in_a_fresh_process():
         assert result.stdout.strip() == expect
 
 
-def test_native_without_compiler_falls_back_to_limb(restore_backend, monkeypatch):
-    """No compiler -> selecting native silently serves limb, and the
-    reason is inspectable (the CI matrix asserts this on bare runners)."""
-    monkeypatch.setattr(shutil, "which", lambda name: None)
-    monkeypatch.setattr(native_mod, "_CACHE", {})
-    assert kernels.select_backend("native") == "limb"
-    reason = kernels.native_fallback_reason()
-    assert reason is not None and "compiler" in reason
-    # The fallback still computes — through the limb table.
-    a, b = as_u64([3, P - 2]), as_u64([5, P - 1])
-    assert_same(ref_mod.mulmod61(a, b), kernels.mulmod61(a, b))
+def test_native_is_an_unknown_backend(restore_backend):
+    """Only the two numpy backends exist: ``native`` is rejected like
+    any other unknown name, and the active backend stays in place."""
+    assert kernels.select_backend("limb") == "limb"
+    with pytest.raises(ValueError, match="unknown kernel backend"):
+        kernels.select_backend("native")
+    assert kernels.active_backend() == "limb"
 
 
-def test_native_selection_on_this_machine(restore_backend):
-    """Whatever this container has, selecting native must land on a
-    working backend and stay bit-identical to the oracle."""
-    landed = kernels.select_backend("native")
-    assert landed in ("native", "limb")
-    if landed == "limb":
-        assert kernels.native_fallback_reason() is not None
-    a = as_u64(BOUNDARY)
-    b = np.roll(a, 3)
-    assert_same(ref_mod.mulmod61(a, b), kernels.mulmod61(a, b))
+def test_every_backend_module_serves_every_kernel(restore_backend):
+    """The active backend is a module, so each must define every
+    dispatched name (``limb`` re-exports what it does not override)."""
+    for name, module in (("reference", ref_mod), ("limb", limb_mod)):
+        assert kernels.select_backend(name) == name
+        assert kernels.active_backend() == name
+        for kernel in kernels.KERNEL_NAMES:
+            assert callable(getattr(module, kernel)), (name, kernel)

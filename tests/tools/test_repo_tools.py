@@ -3,9 +3,11 @@
 ``perf_regress`` promises *distinct* exit codes per failure mode (ok /
 regressed / invalid / missing) so CI scripts can branch on them; each is
 pinned here against fixture suites, with the real benchmark tree left
-untouched.
+untouched.  The lifecycle benchmark's kernel tracing is checked against
+the dispatch seam's kernel table the same read-only way.
 """
 
+import importlib.util
 import json
 
 import pytest
@@ -104,3 +106,16 @@ def test_module_name_maps_src_tree():
     path = _repo.SRC_DIR / "repro" / "sketch" / "columnar.py"
     assert _repo.module_name(path) == "repro.sketch.columnar"
     assert _repo.module_name(_repo.REPO_ROOT / "scratch.py") == "scratch"
+
+
+def test_lifecycle_tracing_counts_every_kernel():
+    # benchmarks/lifecycle/tracing.py wraps every kernels.KERNEL_NAMES
+    # entry and looks up its element counter in KERNEL_ELEMENTS; a kernel
+    # added or renamed without a counter would crash `run.py --trace 1`.
+    from repro.sketch.kernels import KERNEL_NAMES
+
+    path = _repo.REPO_ROOT / "benchmarks" / "lifecycle" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_lifecycle_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert set(KERNEL_NAMES) <= set(tracing.KERNEL_ELEMENTS)

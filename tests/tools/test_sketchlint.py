@@ -261,7 +261,7 @@ def test_backend_module_import_flagged(tmp_path):
     result = lint_source(
         tmp_path,
         """
-        import repro.sketch.kernels.native
+        import repro.sketch.kernels.reference
         from repro.sketch.kernels import limb
         from repro.sketch.kernels.reference import mulmod61
         """,

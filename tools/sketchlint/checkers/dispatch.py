@@ -4,9 +4,9 @@ The field kernels are pluggable (``repro.sketch.kernels`` selects a
 backend once per process from ``REPRO_KERNEL``): the *only* supported
 way to call a kernel entry point from outside the kernels package is
 through that dispatch facade.  Importing a backend module directly
-(``kernels.reference`` / ``kernels.limb`` / ``kernels.native``) pins a
-caller to one implementation — it silently stops honoring the selected
-backend and escapes the cross-backend bit-identity oracle.  Re-defining
+(``kernels.reference`` / ``kernels.limb``) pins a caller to one
+implementation — it silently stops honoring the selected backend and
+escapes the cross-backend bit-identity oracle.  Re-defining
 a function with a kernel entry point's name shadows the dispatch surface
 the same way.
 
@@ -81,7 +81,7 @@ def _check_file(index: RepoIndex, source: SourceFile) -> Iterable[Diagnostic]:
                 continue
             if module == dispatch:
                 for alias in node.names:
-                    if alias.name in ("reference", "limb", "native"):
+                    if alias.name in ("reference", "limb"):
                         yield _diag(
                             source, node,
                             f"kernel backend module {dispatch}.{alias.name} "

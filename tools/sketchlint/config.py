@@ -27,7 +27,6 @@ class Config:
             "repro.sketch.kernels",
             "repro.sketch.kernels.reference",
             "repro.sketch.kernels.limb",
-            "repro.sketch.kernels.native",
         }
     )
 
@@ -45,9 +44,7 @@ class Config:
             "submod61",
             "mulmod61",
             "polyhash61",
-            "polyhash61_rows",
             "polyhash61_multi",
-            "powmod61",
             "build_pow_table",
             "scatter_sum_mod61",
             "stack_positions_terms",
