@@ -33,6 +33,10 @@ subgraph.  This bench pins all three claims on seeded streams:
   session shaped like the lifecycle benchmark's query mix takes a cold
   sparsifier snapshot after each 600-token ingest; the median's rate
   (snapshots per second) is gated like the ingest rates.
+* **cold AGM forest gate** — a connectivity session shaped like the
+  lifecycle benchmark's powerlaw-500 workload extracts a cold spanning
+  forest after each 200-token ingest; the median's rate (forests per
+  second) is gated like the ingest rates.
 
 Measured rates land in ``benchmarks/results/BENCH_sparse.json``;
 ``tools/perf_regress.py`` (run by ``make bench-sparse``) compares them
@@ -54,7 +58,7 @@ import pytest
 from repro.agm.connectivity import ConnectivityChecker
 from repro.core.parameters import SparsifierParams, SpannerParams
 from repro.graph.vertex_space import VertexSpace
-from repro.service import GraphSession, WorkloadDriver, components_match_ledger
+from repro.service import GraphSession, SketchLadder, WorkloadDriver, components_match_ledger
 from repro.stream.generators import (
     mixed_workload_stream,
     power_law_universe_stream,
@@ -407,6 +411,50 @@ def test_cold_sparsifier_snapshot(results):
     ])
     results("bench_sparse_sparsifier_snapshot", table)
     assert snapshot.num_edges() > 0
+
+
+#: Shape of the cold-forest probe: the powerlaw-500 lifecycle workload's
+#: session (10^7-id universe, 500 power-law touched ids, the sizing
+#: ladder from capacity 128) with connectivity only.
+FOREST_TOUCHED = 500
+FOREST_UPDATES = 15_000
+FOREST_EPOCHS = 7
+FOREST_CHUNK = 200
+
+
+def test_cold_agm_forest(results):
+    """Cold AGM spanning forests per second on a huge-universe power-law
+    session: one batched Borůvka step per round over every component's
+    L0 sampler.  Each timed forest follows an ingest, so it is cold."""
+    seed = "bench-sparse-forest"
+    session = GraphSession(
+        VertexSpace.sparse(UNIVERSE), seed, enable_spanner=False,
+        enable_sparsifier=False, ladder=SketchLadder(start_capacity=128),
+    )
+    tokens = list(power_law_universe_stream(
+        UNIVERSE, FOREST_TOUCHED, FOREST_UPDATES, seed, exponent=1.2
+    ))
+    warm = len(tokens) - FOREST_EPOCHS * FOREST_CHUNK
+    for start in range(0, warm, 1_000):
+        session.ingest_batch(tokens[start : min(start + 1_000, warm)])
+    timings = []
+    for start in range(warm, len(tokens), FOREST_CHUNK):
+        session.ingest_batch(tokens[start : start + FOREST_CHUNK])
+        begin = time.perf_counter()
+        forest = session.spanning_forest()
+        timings.append(time.perf_counter() - begin)
+    timings.sort()
+    median = timings[len(timings) // 2]
+    _RATES["agm_cold_forest"] = round(1.0 / median, 2)
+    table = "\n".join([
+        f"cold AGM forest, {UNIVERSE:,}-id universe, {FOREST_TOUCHED} power-law "
+        f"touched ids, {len(timings)} epochs:",
+        f"  median: {median * 1e3:8.1f} ms  ({1.0 / median:.2f} forests/s)",
+        f"  range : {timings[0] * 1e3:8.1f} - {timings[-1] * 1e3:.1f} ms",
+        f"  edges : {len(forest)} in the last forest",
+    ])
+    results("bench_sparse_agm_forest", table)
+    assert components_match_ledger(session)
 
 
 def test_write_rates_json(proportionality_runs, results):

@@ -17,8 +17,13 @@ membership hashes in one stacked pass, and lands every ``(round, level,
 vertex)`` contribution with exactly one scatter — bucket hashes and
 fingerprint powers gathered per incidence from its group's seeds.
 State stays bit-identical to the per-sampler scalar sequence
-(``tests/sketch/test_columnar.py``), the wire is unchanged, and the
-Borůvka component sums become one gathered column reduction per round.
+(``tests/sketch/test_columnar.py``) and the wire is unchanged.  A
+Borůvka round samples every component at once
+(:meth:`~repro.sketch.columnar.L0SamplerStack.sample_row_sums`): one
+gather and segment sum of the round's resident rows, and one batched
+peel per sampler level walked, instead of one summed ``L0Sampler`` per
+component (``tests/agm/test_batched_boruvka.py`` holds the forests to
+that per-component loop).
 
 Two extra properties the paper relies on are implemented here:
 
@@ -317,23 +322,21 @@ class AgmSketch:
                 else:
                     first_of_group[group] = vertex
 
+        rows = np.asarray(vertices, dtype=np.int64)
         forest: list[tuple[int, int]] = []
         for r in range(self.rounds):
-            members: dict[int, list[int]] = {}
-            for vertex in vertices:
-                members.setdefault(dsu.find(vertex), []).append(vertex)
-            if len(members) <= 1:
+            # Components labelled in order of their first vertex; every
+            # component samples from its round-start sum, then the
+            # samples union in label order.
+            label_of: dict[int, int] = {}
+            labels = [label_of.setdefault(dsu.find(v), len(label_of)) for v in vertices]
+            if len(label_of) <= 1:
                 break
             merged_any = False
-            for root, component in members.items():
-                # The component sum, as one gathered column reduction
-                # over the round's levels (identical to pairwise combines).
-                combined = self._samplers.rows_sum_sampler(component, r)
-                sampled = combined.sample()
+            for sampled in self._samplers.sample_row_sums(rows, labels, r):
                 if sampled is None:
                     continue
-                coordinate, _ = sampled
-                a, b = decode_edge(coordinate, self.num_vertices)
+                a, b = decode_edge(sampled[0], self.num_vertices)
                 if dsu.union(a, b):
                     forest.append((a, b))
                     merged_any = True

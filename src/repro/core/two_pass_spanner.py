@@ -184,6 +184,10 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         self._active_vertex_levels = self._vertex_levels
         # Per-chunk memo of the (hash-derived) vertex levels.
         self._levels_memo: dict[int, list[int]] = {}
+        # Each forest vertex's deepest Y_j level per stack, uncapped by
+        # the layout (hash-derived; shared with clones, so a snapshot
+        # hashes only vertices no earlier snapshot routed).
+        self._y_depth_memo: dict[int, tuple[int, ...]] = {}
         # The pass-2 stores' derived randomness, keyed by table (cut)
         # name and budget: {effective n: (table memo, cut memo)}.  Shared
         # with clones, so a snapshot that lays out the same tables again
@@ -401,6 +405,7 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         clone._active_vertex_levels = self._active_vertex_levels
         clone._table_effective_n = self._table_effective_n
         clone._levels_memo = self._levels_memo
+        clone._y_depth_memo = self._y_depth_memo
         clone._random_memo = self._random_memo
         clone.forest = self.forest
         clone._terminal_trees = self._terminal_trees
@@ -568,6 +573,24 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
             levels = [r for r in self.levels.levels_of(vertex) if r != 0]
             self._levels_memo[vertex] = levels
         return levels
+
+    def _y_depths(self, vertices: np.ndarray) -> np.ndarray:
+        """``(stacks, len(vertices))`` deepest ``Y_j`` levels, capped at
+        the layout's active depth (raw levels memoized per vertex)."""
+        memo = self._y_depth_memo
+        listed = vertices.tolist()
+        fresh = [v for v in listed if v not in memo]
+        if fresh:
+            fresh_array = np.array(fresh, dtype=np.int64)
+            raw = np.array(
+                [sampler.level_array(fresh_array) for sampler in self._y_samplers],
+                dtype=np.int64,
+            ).reshape(len(self._y_samplers), len(fresh))
+            memo.update(zip(fresh, map(tuple, raw.T.tolist())))
+        depth = np.array([memo[v] for v in listed], dtype=np.int64)
+        return np.minimum(
+            depth.reshape(vertices.size, len(self._y_samplers)).T, self._active_vertex_levels
+        )
 
     def _process_first_pass(self, update: EdgeUpdate) -> None:
         pair = edge_index(update.u, update.v, self.num_vertices)
@@ -1021,10 +1044,4 @@ class _Routing:
             ],
             dtype=np.int64,
         ))
-        self.y_depth = np.array(
-            [
-                np.minimum(sampler.level_array(self.vertices), builder._active_vertex_levels)
-                for sampler in builder._y_samplers
-            ],
-            dtype=np.int64,
-        ).reshape(len(builder._y_samplers), self.vertices.size)
+        self.y_depth = builder._y_depths(self.vertices)

@@ -584,8 +584,8 @@ class GraphSession:
 
         def compute():
             # No clone here: AGM forest extraction is read-only by
-            # construction (Boruvka copies samplers before combining), so
-            # the snapshot discipline costs nothing on this hot path.
+            # construction (Boruvka sums rows into fresh arrays), so the
+            # snapshot discipline costs nothing on this hot path.
             with obs.TRACER.span("session.snapshot.forest"):
                 if faults.ACTIVE is not None:
                     faults.ACTIVE.maybe_fail_decode("forest")

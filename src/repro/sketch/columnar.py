@@ -104,6 +104,7 @@ from repro.sketch.sparse_recovery import (
     as_index_array,
     max_abs_int64,
 )
+from repro.sketch.table_store import peel_cells
 from repro.util.rng import derive_seed
 
 __all__ = ["SketchStack", "L0SamplerStack", "fan_out_levels"]
@@ -117,6 +118,13 @@ _INT64_SAFE_BOUND = 1 << 61
 #: bounds the pass's temporaries (a dozen arrays of ``rows x block``
 #: words) however large the fused batch, at no measurable speed cost.
 _LAND_BLOCK = 1 << 14
+
+#: Resident ``(level, row)`` rows one block of
+#: :meth:`L0SamplerStack.sample_row_sums` gathers and sums at once
+#: (whole components: a block closes at the first component boundary
+#: past this many rows), bounding the batched Borůvka's transient memory
+#: to a few ``rows x cells`` planes however many components a round has.
+_SAMPLE_BLOCK = 1 << 14
 
 #: Signed-int64 low-limb mask for the exact cross-row column sums.
 _MASK32_I64 = np.int64((1 << 32) - 1)
@@ -133,7 +141,7 @@ def fan_out_levels(deepest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return source, np.arange(source.size, dtype=np.int64) - np.repeat(starts, counts)
 
 
-def _segment_sum_mod61(selected: np.ndarray, starts: np.ndarray) -> list[list[int]]:
+def _segment_sum_mod61(selected: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Exact per-segment column ``sum mod p`` of a ``uint64`` gather.
 
     ``selected`` holds field-element rows; segment ``s`` is rows
@@ -141,7 +149,8 @@ def _segment_sum_mod61(selected: np.ndarray, starts: np.ndarray) -> list[list[in
     handful of 61-bit values overflows ``uint64``, so the 32-bit limbs
     are accumulated separately (exact for up to ``2^31`` rows) and
     recombined mod ``p`` — the column form of
-    :func:`repro.sketch.kernels.scatter_sum_mod61`.
+    :func:`repro.sketch.kernels.scatter_sum_mod61`.  Returns a
+    ``(segments, columns)`` ``uint64`` array.
     """
     lo = np.add.reduceat(selected & MASK32, starts, axis=0).reshape(-1)
     hi = np.add.reduceat(selected >> np.uint64(32), starts, axis=0).reshape(-1)
@@ -150,29 +159,26 @@ def _segment_sum_mod61(selected: np.ndarray, starts: np.ndarray) -> list[list[in
     summed = addmod61(
         lo_red, mulmod61(hi_red, np.full_like(hi_red, (1 << 32) % MERSENNE_61))
     )
-    return summed.reshape(starts.size, selected.shape[1]).tolist()
+    return summed.reshape(starts.size, selected.shape[1])
 
 
-def _segment_sum_exact(selected: np.ndarray, starts: np.ndarray) -> list[list[int]]:
-    """Exact per-segment column sum of an ``int64`` gather, as Python ints.
+def _segment_sum_exact(selected: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Exact per-segment column sum of an ``int64`` gather.
 
     A straight sum can wrap once per-cell magnitudes (up to the ``2^61``
     guard) meet large row counts — the Borůvka component sums over
     huge-coordinate domains hit exactly that regime.  Summing the 32-bit
     limbs separately keeps every accumulator far inside ``int64`` (rows
     < ``2^31``); the recombination stays in ``int64`` when the high
-    limbs are small enough to make it provably exact, and falls back to
-    Python integers otherwise.
+    limbs are small enough to make it provably exact, and otherwise
+    returns an object array of Python integers.
     """
     lo = np.add.reduceat(selected & _MASK32_I64, starts, axis=0)
     hi = np.add.reduceat(selected >> np.int64(32), starts, axis=0)
     # |hi * 2^32| < 2^62 and lo < rows * 2^32 < 2^52: the int64 sum is exact.
     if selected.shape[0] < (1 << 20) and int(np.abs(hi).max()) < 1 << 30:
-        return ((hi << np.int64(32)) + lo).tolist()
-    return [
-        [(int(h) << 32) + int(l) for h, l in zip(hi_row, lo_row)]
-        for hi_row, lo_row in zip(hi, lo)
-    ]
+        return (hi << np.int64(32)) + lo
+    return hi.astype(object) * (1 << 32) + lo.astype(object)
 
 
 class SketchStack:
@@ -603,6 +609,21 @@ class SketchStack:
             tops = top[touched].tolist()
         return touched, [v * max(t, 1) for v, t in zip(volumes, tops)]
 
+    def _cells_and_powers(self, groups: np.ndarray, coords: np.ndarray):
+        """``(rows, m)`` cells of each coordinate in its group's sketch,
+        and the group's fingerprint power ``z^coord`` (power tables
+        built: see :meth:`_ensure_pow_tables`)."""
+        positions, powers = stack_positions_terms(
+            self._bucket_coeffs,
+            self._pow_table,
+            coords,
+            np.ones(coords.size, dtype=np.uint64),
+            self.buckets,
+            groups,
+        )
+        row_offsets = np.arange(self.rows, dtype=np.int64) * np.int64(self.buckets)
+        return positions + row_offsets[:, None], powers
+
     def _ensure_pow_tables(self, groups: np.ndarray) -> None:
         """Build the fingerprint power tables of ``groups`` not built yet
         (vectorized over the groups, once per group for the stack's
@@ -790,13 +811,13 @@ class SketchStack:
             owner = present // rows.size
             starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
             taken = slots[present]
-            totals = _segment_sum_exact(self._totals[taken], starts)
-            index_sums = _segment_sum_exact(self._index_sums[taken], starts)
+            totals = _segment_sum_exact(self._totals[taken], starts).tolist()
+            index_sums = _segment_sum_exact(self._index_sums[taken], starts).tolist()
             fingerprints = self._fingerprints[taken]
-            # Borůvka sums many components whose high sample levels hold
-            # no contributions at all — skip the modular sum for those.
+            # Many sums hold no contributions at all — skip the modular
+            # sum for those.
             fingerprint_sums = (
-                _segment_sum_mod61(fingerprints, starts)
+                _segment_sum_mod61(fingerprints, starts).tolist()
                 if fingerprints.any()
                 else [None] * starts.size
             )
@@ -1207,6 +1228,150 @@ class L0SamplerStack:
         column reduction over all levels."""
         groups = self._family_groups(family)
         return self._sampler(family, self._store.rows_sum_sketches(row_ids, groups))
+
+    def sample_row_sums(self, row_ids, labels, family: int = 0) -> list:
+        """Sample every labelled row set's summed sampler in one batch.
+
+        Entry ``c`` is exactly ``rows_sum_sampler(rows labelled c,
+        family).sample()`` for every label ``c`` in ``0 ..
+        max(labels)``: ``(coordinate, value)``, or ``None`` (``row_ids``
+        distinct; a label no row carries samples the zero vector).  This
+        is one Borůvka round for every component at once:
+
+        * the family's resident ``(level, row)`` rows are read off the
+          store's sorted key snapshot (no probe per level and row), and
+          summed per ``(label, level)`` with the exact limb-split
+          segment sums;
+        * each label walks its nonzero levels top down: the current
+          level of every label is decoded in one batched peel
+          (:func:`~repro.sketch.table_store.peel_cells`, hashing with the
+          stack's own bucket coefficients and power tables), and only the
+          labels whose decode failed or netted to empty move down;
+        * a decoded label samples its ``(tiebreak(i), i)``-least
+          coordinate, as :meth:`L0Sampler.sample` does.
+
+        Labels are processed in blocks of whole labels of about
+        :data:`_SAMPLE_BLOCK` resident rows.  A spilled stack (cells past
+        ``int64``) samples each label through its exact scalar sampler.
+        """
+        rows = as_index_array(row_ids)
+        labels = as_index_array(labels)
+        if rows.shape != labels.shape:
+            raise ValueError("row_ids and labels must be of equal length")
+        groups = self._family_groups(family)
+        count = int(labels.max()) + 1 if labels.size else 0
+        samples: list = [None] * count
+        if rows.size == 0:
+            return samples
+        if int(rows.min()) < 0 or int(rows.max()) >= self.num_rows:
+            raise IndexError(f"row selection leaves [0, {self.num_rows})")
+        if int(labels.min()) < 0:
+            raise ValueError("labels must be non-negative")
+        store = self._store
+        if store.is_spilled():
+            members: list[list[int]] = [[] for _ in range(count)]
+            for row, label in zip(rows.tolist(), labels.tolist()):
+                members[label].append(row)
+            return [
+                self.rows_sum_sampler(member, family).sample() if member else None
+                for member in members
+            ]
+        # The family's resident rows, each tagged with its row's label.
+        order = np.argsort(rows)
+        rows, labels = rows[order], labels[order]
+        known = store._snapshot()
+        span = np.searchsorted(known, [int(groups[0]) * self.num_rows,
+                                       (int(groups[-1]) + 1) * self.num_rows])
+        keys = known[span[0] : span[1]]
+        slots = store._sorted_slots[span[0] : span[1]]
+        resident_rows = keys % self.num_rows
+        at = np.minimum(np.searchsorted(rows, resident_rows), rows.size - 1)
+        chosen = rows[at] == resident_rows
+        keys, slots, at = keys[chosen], slots[chosen], at[chosen]
+        if keys.size == 0:
+            return samples
+        store._ensure_pow_tables(np.unique(keys // self.num_rows))
+        level = keys // self.num_rows - int(groups[0])
+        label = labels[at]
+        # Label-major, each label's levels top down.
+        order = np.lexsort((-level, label))
+        level, label, slots = level[order], label[order], slots[order]
+        label_starts = np.flatnonzero(np.r_[True, label[1:] != label[:-1]])
+        cuts = label_starts[np.r_[True, np.diff(label_starts // _SAMPLE_BLOCK) > 0]]
+        for begin, end in zip(cuts.tolist(), cuts[1:].tolist() + [label.size]):
+            self._sample_block(
+                family, label[begin:end], level[begin:end], slots[begin:end], samples
+            )
+        return samples
+
+    def _sample_block(self, family, label, level, slots, samples) -> None:
+        """:meth:`sample_row_sums` for one block of whole labels (rows
+        sorted by label, then level descending): sum, walk, peel."""
+        store = self._store
+        cells = store.cells
+        starts = np.flatnonzero(
+            np.r_[True, (label[1:] != label[:-1]) | (level[1:] != level[:-1])]
+        )
+        totals = _segment_sum_exact(store._totals[slots], starts)
+        index_sums = _segment_sum_exact(store._index_sums[slots], starts)
+        fingerprints = _segment_sum_mod61(store._fingerprints[slots], starts)
+        # Only nonzero (label, level) sums can decode to a sample.
+        nonzero = ((totals != 0) | (index_sums != 0) | (fingerprints != 0)).any(axis=1)
+        keep = np.flatnonzero(nonzero)
+        totals, index_sums, fingerprints = totals[keep], index_sums[keep], fingerprints[keep]
+        label, level = label[starts[keep]], level[starts[keep]]
+        if label.size == 0:
+            return
+        top = np.flatnonzero(np.r_[True, label[1:] != label[:-1]])
+        bottom = np.r_[top[1:], label.size]
+        current = top.copy()  # each label's level under decode
+        walking = np.arange(top.size)
+        tiebreak = self._tiebreaks[family]
+        first_group = family * self.levels
+        while walking.size:
+            segment = current[walking]
+            obs.TRACER.count("sketch.decode.attempt", int(segment.size))
+            mask = (
+                (totals[segment] != 0)
+                | (index_sums[segment] != 0)
+                | (fingerprints[segment] != 0)
+            )
+            owner, cell = np.nonzero(mask)
+            obs.TRACER.count("sketch.decode.peel_iterations", int(owner.size))
+            stack_groups = first_group + level[segment]
+
+            def cells_of(owners, coords):
+                at, powers = store._cells_and_powers(stack_groups[owners], coords)
+                return owners * np.int64(cells) + at, powers
+
+            found, coords, values, failed = peel_cells(
+                owner * np.int64(cells) + cell,
+                totals[segment][mask].astype(object),
+                index_sums[segment][mask].astype(object),
+                fingerprints[segment][mask],
+                cells,
+                store.rows,
+                store.domain_size,
+                cells_of,
+            )
+            obs.TRACER.count("sketch.decode.fail", int(failed.size))
+            ok = ~np.isin(found, failed)
+            found, coords, values = found[ok], coords[ok], values[ok]
+            # Each decoded owner's (tiebreak(i), i)-least coordinate.
+            order = np.lexsort((coords, tiebreak.values_array(coords), found))
+            found, coords, values = found[order], coords[order], values[order]
+            head = np.flatnonzero(np.diff(found, prepend=-1) != 0)
+            decoded = found[head]
+            for position, coordinate, value in zip(
+                label[segment[decoded]].tolist(), coords[head].tolist(), values[head].tolist()
+            ):
+                samples[position] = (coordinate, int(value))
+            # Failed or empty: down one nonzero level, if any is left.
+            undecoded = np.ones(segment.size, dtype=bool)
+            undecoded[decoded] = False
+            walking = walking[undecoded]
+            current[walking] += 1
+            walking = walking[current[walking] < bottom[walking]]
 
     def touched_row_ids(self) -> list[int]:
         """Sorted logical ids of rows ever updated (every update reaches

@@ -29,7 +29,9 @@ three counter planes):
         to zero leave the store.
     Peel
         :meth:`~SparseRecoveryStore.decode` peels the singleton cells of
-        every group in rounds over all nonzero cells at once.
+        every group in rounds over all nonzero cells at once
+        (:func:`peel_cells`, which also peels the AGM Borůvka's component
+        sums in :meth:`~repro.sketch.columnar.L0SamplerStack.sample_row_sums`).
 :class:`NeighborhoodTableStore`
     The neighborhood hash tables on top: an update ``(table, key,
     neighbor, delta)`` is the three coordinates ``3 key + c`` of the
@@ -84,7 +86,7 @@ from repro.sketch.sparse_recovery import (
 )
 from repro.util.rng import derive_seed
 
-__all__ = ["NeighborhoodTableStore", "SparseRecoveryStore", "decode_tables"]
+__all__ = ["NeighborhoodTableStore", "SparseRecoveryStore", "decode_tables", "peel_cells"]
 
 #: Buffered updates that trigger a map + reduce on the next add.
 _PENDING_LIMIT = 1 << 16
@@ -584,93 +586,118 @@ class SparseRecoveryStore:
     def peel(self, groups: list[int]):
         """Peel the cells of ``groups``: ``(groups, coordinates, values)``
         of every recovered nonzero coordinate (values exact), and the set
-        of groups that left a residual.
-
-        Rounds over all the groups' nonzero cells at once: a round
-        verifies its candidate cells as 1-sparse (divisibility, range,
-        fingerprint — each distinct coordinate's power computed once),
-        extracts each verified coordinate once, and subtracts it from
-        its cell in every row; the cells it changed are the next round's
-        candidates.  Every verified extraction removes its coordinate
-        completely, so the order is immaterial, as in the scalar
-        queue-based peel.
-        """
+        of groups that left a residual — :func:`peel_cells` over the
+        groups' stored cells."""
         self.flush()
         stride = np.int64(self.stride)
         select = np.isin(self._keys // stride, np.asarray(groups, dtype=np.int64))
         keys = self._keys[select]
-        totals = self._totals[select]
-        index_sums = self._index_sums[select]
-        fingerprints = self._fingerprints[select]
         obs.TRACER.count("spanner.pass2.cells", int(keys.size))
-        obs.TRACER.count("spanner.pass2.tables", np.unique(keys // stride).size)
-        found_groups, found_coords, found_values = [], [], []
+        if obs.TRACER.enabled:
+            obs.TRACER.count("spanner.pass2.tables", np.unique(keys // stride).size)
         with obs.TRACER.span("spanner.pass2.peel"):
-            candidates = np.flatnonzero(totals != 0)
-            while candidates.size:
-                t = totals[candidates]
-                live = t != 0
-                candidates, t = candidates[live], t[live]
-                s = index_sums[candidates]
-                whole = (s % t) == 0
-                candidates, t, s = candidates[whole], t[whole], s[whole]
-                coords = s // t
-                inside = (coords >= 0) & (coords < self.domain_size)
-                candidates, t = candidates[inside], t[inside]
-                if candidates.size == 0:
-                    break
-                u_groups, u_coords, inverse = _unique_pairs(
-                    keys[candidates] // stride, coords[inside].astype(np.int64)
-                )
-                ones = np.ones(u_groups.size, dtype=np.uint64)
-                cells, powers = self._cells(u_groups, u_coords, ones)
-                terms = mulmod61(as_field_array(t), powers[inverse])
-                verified = terms == fingerprints[candidates]
-                if not verified.any():
-                    break
-                # A coordinate alone in several of its cells extracts once.
-                _, first = np.unique(inverse[verified], return_index=True)
-                pick = np.flatnonzero(verified)[first]
-                claimed = inverse[pick]
-                t, terms = t[pick], terms[pick]
-                found_groups.append(u_groups[claimed])
-                found_coords.append(u_coords[claimed])
-                found_values.append(t)
-                cells = cells[:, claimed].reshape(-1)
-                # A target absent from the cells (only a fingerprint
-                # collision can name one) joins them as a zero cell.
-                targets = np.searchsorted(keys, cells)
-                missing = keys[np.minimum(targets, keys.size - 1)] != cells
-                if missing.any():
-                    missing = np.unique(cells[missing])
-                    at = np.searchsorted(keys, missing)
-                    keys = np.insert(keys, at, missing)
-                    totals = np.insert(totals, at, 0)
-                    index_sums = np.insert(index_sums, at, 0)
-                    fingerprints = np.insert(fingerprints, at, np.uint64(0))
-                    targets = np.searchsorted(keys, cells)
-                np.subtract.at(totals, targets, np.tile(t, self.rows))
-                np.subtract.at(
-                    index_sums, targets, np.tile(t * u_coords[claimed].astype(object), self.rows)
-                )
-                changed, where = np.unique(targets, return_inverse=True)
-                fingerprints[changed] = submod61(
-                    fingerprints[changed],
-                    scatter_sum_mod61(changed.size, where, np.tile(terms, self.rows)),
-                )
-                candidates = changed
-        residual = (totals != 0) | (index_sums != 0) | (fingerprints != 0)
-        failed = set((keys[residual] // stride).tolist())
-        if not found_groups:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty, np.zeros(0, dtype=object), failed
-        # A re-extracted coordinate sums; one that nets to zero drops.
-        groups_out, coords_out, values_out = _net(
-            np.concatenate(found_groups),
-            np.concatenate(found_coords),
-            np.concatenate([value.astype(object) for value in found_values]),
+            found_groups, found_coords, found_values, failed = peel_cells(
+                keys,
+                self._totals[select],
+                self._index_sums[select],
+                self._fingerprints[select],
+                self.stride,
+                self.rows,
+                self.domain_size,
+                lambda owners, coords: self._cells(
+                    owners, coords, np.ones(coords.size, dtype=np.uint64)
+                ),
+            )
+        return found_groups, found_coords, found_values, set(failed.tolist())
+
+
+def peel_cells(keys, totals, index_sums, fingerprints, stride, rows, domain_size, cells_of):
+    """Peel many sparse-recovery sketches at once, from their nonzero cells.
+
+    Cell ``keys`` are sorted ``owner * stride + cell``; ``totals`` and
+    ``index_sums`` are exact object arrays (Python integers),
+    ``fingerprints`` ``uint64`` residues.  ``cells_of(owners, coords)``
+    returns the ``(rows, m)`` cell keys of each coordinate in its
+    owner's sketch and the owner's fingerprint power ``z^coord``.
+    Returns ``(owners, coordinates, values)`` of every recovered nonzero
+    coordinate (values exact) and the sorted owners that left a
+    residual — per owner exactly ``SparseRecoverySketch.decode()``: an
+    owner with a residual failed, one without decoded to its recovered
+    coordinates (none: the zero vector).
+
+    Rounds over all the owners' nonzero cells at once: a round verifies
+    its candidate cells as 1-sparse (divisibility, range, fingerprint —
+    each distinct coordinate's power computed once), extracts each
+    verified coordinate once, and subtracts it from its cell in every
+    row; the cells it changed are the next round's candidates.  Every
+    verified extraction removes its coordinate completely, so the order
+    is immaterial, as in the scalar queue-based peel.  The arrays are
+    the caller's to lose: they are updated in place.
+    """
+    stride = np.int64(stride)
+    found_owners, found_coords, found_values = [], [], []
+    candidates = np.flatnonzero(totals != 0)
+    while candidates.size:
+        t = totals[candidates]
+        live = t != 0
+        candidates, t = candidates[live], t[live]
+        s = index_sums[candidates]
+        whole = (s % t) == 0
+        candidates, t, s = candidates[whole], t[whole], s[whole]
+        coords = s // t
+        inside = (coords >= 0) & (coords < domain_size)
+        candidates, t = candidates[inside], t[inside]
+        if candidates.size == 0:
+            break
+        u_owners, u_coords, inverse = _unique_pairs(
+            keys[candidates] // stride, coords[inside].astype(np.int64)
         )
-        return groups_out, coords_out, values_out.astype(object), failed
+        cells, powers = cells_of(u_owners, u_coords)
+        terms = mulmod61(as_field_array(t), powers[inverse])
+        verified = terms == fingerprints[candidates]
+        if not verified.any():
+            break
+        # A coordinate alone in several of its cells extracts once.
+        _, first = np.unique(inverse[verified], return_index=True)
+        pick = np.flatnonzero(verified)[first]
+        claimed = inverse[pick]
+        t, terms = t[pick], terms[pick]
+        found_owners.append(u_owners[claimed])
+        found_coords.append(u_coords[claimed])
+        found_values.append(t)
+        cells = cells[:, claimed].reshape(-1)
+        # A target absent from the cells (only a fingerprint collision
+        # can name one) joins them as a zero cell.
+        targets = np.searchsorted(keys, cells)
+        missing = keys[np.minimum(targets, keys.size - 1)] != cells
+        if missing.any():
+            missing = np.unique(cells[missing])
+            at = np.searchsorted(keys, missing)
+            keys = np.insert(keys, at, missing)
+            totals = np.insert(totals, at, 0)
+            index_sums = np.insert(index_sums, at, 0)
+            fingerprints = np.insert(fingerprints, at, np.uint64(0))
+            targets = np.searchsorted(keys, cells)
+        np.subtract.at(totals, targets, np.tile(t, rows))
+        np.subtract.at(index_sums, targets, np.tile(t * u_coords[claimed].astype(object), rows))
+        changed, where = np.unique(targets, return_inverse=True)
+        fingerprints[changed] = submod61(
+            fingerprints[changed],
+            scatter_sum_mod61(changed.size, where, np.tile(terms, rows)),
+        )
+        candidates = changed
+    residual = (totals != 0) | (index_sums != 0) | (fingerprints != 0)
+    failed = np.unique(keys[residual] // stride)
+    if not found_owners:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, np.zeros(0, dtype=object), failed
+    # A re-extracted coordinate sums; one that nets to zero drops.
+    owners_out, coords_out, values_out = _net(
+        np.concatenate(found_owners),
+        np.concatenate(found_coords),
+        np.concatenate([value.astype(object) for value in found_values]),
+    )
+    return owners_out, coords_out, values_out.astype(object), failed
 
 
 def _table_sketch_seed(seed_of: Callable[[Hashable], int | str], name: Hashable) -> int:

@@ -12,6 +12,7 @@ with the memo cleared and with it warm.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.core import SparsifierParams
@@ -56,6 +57,7 @@ def _sub_spanners(sparsifier):
 def _clear_memos(session):
     for builder in _sub_spanners(session._sparsifier) + [session._spanner]:
         builder._random_memo.clear()
+        builder._y_depth_memo.clear()
 
 
 def _cold_snapshot(session):
@@ -79,8 +81,9 @@ def test_memo_state_changes_no_answer_and_no_byte(tmp_path, kind):
     _clear_memos(session)
     sha_cleared = _checkpoint_sha(session, tmp_path / "cleared.bin")
     _, wire_cold, cold = _cold_snapshot(session)
-    # The memo is warm now (filled by the snapshot's clones).
+    # The memos are warm now (filled by the snapshot's clones).
     assert all(builder._random_memo for builder in _sub_spanners(session._sparsifier))
+    assert any(builder._y_depth_memo for builder in _sub_spanners(session._sparsifier))
     _, wire_warm, warm = _cold_snapshot(session)
     assert sorted(warm.edges()) == sorted(cold.edges())
     assert wire_warm == wire_cold
@@ -119,3 +122,39 @@ def test_memo_resets_when_effective_n_changes():
     # More touched vertices: new effective sizes, older entries dropped.
     assert all(after >= before for before, after in zip(*layouts))
     assert layouts[0] != layouts[1]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_routing_depths_come_from_the_shared_memo(kind):
+    """Every routed vertex's ``Y_j`` depths are hashed once per builder
+    and kept in the memo its clones share: a snapshot routes with the
+    memo's raw levels capped at its layout's depth, exactly as hashing
+    them afresh, and the spanner and sparsifier come out unchanged."""
+    session, tokens = _session_and_tokens(kind)
+    session.ingest_batch(tokens)
+    _clear_memos(session)
+    spanner = session._spanner.clone()
+    session._replay_second_pass(spanner)
+    cold_spanner = spanner.finalize()
+    clone, _, cold = _cold_snapshot(session)
+    for builder in [spanner] + _sub_spanners(clone):
+        routing = builder._routing
+        if routing is None:
+            continue
+        fresh = np.array(
+            [
+                np.minimum(sampler.level_array(routing.vertices), builder._active_vertex_levels)
+                for sampler in builder._y_samplers
+            ],
+            dtype=np.int64,
+        ).reshape(routing.y_depth.shape)
+        assert np.array_equal(routing.y_depth, fresh)
+        assert set(routing.vertices.tolist()) <= set(builder._y_depth_memo)
+    assert session._spanner._y_depth_memo is spanner._y_depth_memo
+    warm_spanner = session._spanner.clone()
+    session._replay_second_pass(warm_spanner)
+    warm_output = warm_spanner.finalize()
+    assert sorted(warm_output.spanner.edges()) == sorted(cold_spanner.spanner.edges())
+    assert warm_output.observed_edges == cold_spanner.observed_edges
+    _, _, warm = _cold_snapshot(session)
+    assert sorted(warm.edges()) == sorted(cold.edges())
