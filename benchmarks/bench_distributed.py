@@ -31,6 +31,7 @@ from functools import partial
 import pytest
 
 from repro.agm import ConnectivityChecker
+from repro.core.two_pass_spanner import TwoPassSpannerBuilder
 from repro.stream import ShardedRunner, run_passes
 from repro.stream.stream import DynamicStream
 from repro.stream.updates import EdgeUpdate
@@ -78,32 +79,48 @@ def _dynamic_stream(num_vertices: int, length: int, seed: int) -> DynamicStream:
 
 
 def test_distributed_equivalence_and_wire_determinism(results):
-    """Every backend/discipline combo: same components, same bytes."""
+    """Every backend/discipline combo: same answer, same bytes — for the
+    one-pass connectivity checker and the two-pass spanner (whose pass-1
+    messages are the nonzero table and cut-sketch cells)."""
     stream = _dynamic_stream(NUM_VERTICES, 4_000, seed=23)
-    factory = partial(ConnectivityChecker, NUM_VERTICES, 5)
-    single = factory().run(stream, batch_size=512)
-    reference = sorted(map(sorted, single))
-
+    legs = [
+        (
+            "connectivity",
+            partial(ConnectivityChecker, NUM_VERTICES, 5),
+            lambda output: sorted(map(sorted, output)),
+        ),
+        (
+            "spanner",
+            partial(TwoPassSpannerBuilder, NUM_VERTICES, 2, 5),
+            lambda output: sorted(output.spanner.edge_set()),
+        ),
+    ]
     rows = ["sharded vs single-stream on a 4,000-update stream (3 servers):"]
-    bytes_by_discipline: dict[str, int] = {}
-    for backend in ("serial", "mp"):
-        for discipline in ("round-robin", "by-edge"):
-            runner = ShardedRunner(
-                3, backend=backend, discipline=discipline, batch_size=512
-            )
-            result = runner.run(stream, factory)
-            assert sorted(map(sorted, result.output)) == reference, (
-                f"{backend}/{discipline} diverged from the single-stream run"
-            )
-            total = result.communication.total_bytes()
-            expected = bytes_by_discipline.setdefault(discipline, total)
-            assert total == expected, (
-                f"{backend}/{discipline} message bytes differ between backends"
-            )
-            rows.append(
-                f"  {backend:<7} {discipline:<12} output identical, "
-                f"{total:,} B on the wire"
-            )
+    for name, factory, answer in legs:
+        reference = answer(factory().run(stream, batch_size=512))
+        bytes_by_discipline: dict[str, list[int]] = {}
+        for backend in ("serial", "mp"):
+            for discipline in ("round-robin", "by-edge"):
+                runner = ShardedRunner(
+                    3, backend=backend, discipline=discipline, batch_size=512
+                )
+                result = runner.run(stream, factory)
+                assert answer(result.output) == reference, (
+                    f"{name} {backend}/{discipline} diverged from the single-stream run"
+                )
+                per_pass = [
+                    trace.uplink_bytes() + trace.downlink_bytes()
+                    for trace in result.communication.rounds
+                ]
+                expected = bytes_by_discipline.setdefault(discipline, per_pass)
+                assert per_pass == expected, (
+                    f"{name} {backend}/{discipline} message bytes differ between backends"
+                )
+                rows.append(
+                    f"  {name:<12} {backend:<7} {discipline:<12} output identical, "
+                    f"{sum(per_pass):,} B on the wire "
+                    f"({' + '.join(f'{size:,}' for size in per_pass)} per pass)"
+                )
     results("bench_distributed_equivalence", "\n".join(rows))
 
 

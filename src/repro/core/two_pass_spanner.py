@@ -26,9 +26,8 @@ the vertex — sketches of different vertices must be summable — so each
 stream chunk is first collapsed to its net delta
 per distinct edge pair (:func:`~repro.stream.batching.aggregate_updates`),
 fanned out to its ``(vertex, r, j)`` incidences, and landed with one
-scatter — bit-identical to the historical per-sketch state, including
-the allocation bookkeeping (``shard_state_ints`` still ships exactly the
-``(vertex, r, j)`` rows the scalar path would have allocated).
+scatter — bit-identical to the historical per-sketch state.  The pass-0
+shard wire ships the stack's nonzero ``(vertex, r, j)`` rows.
 
 Pass 2 is sized by what it holds.  Every ``(root, stack, j)`` table is a
 seed group of one :class:`~repro.sketch.table_store.NeighborhoodTableStore`
@@ -43,8 +42,9 @@ the next read, and finalization decodes the tables in batched blocks
 sub-spanners decode together through :meth:`TwoPassSpannerBuilder.finalize_many`).
 The table randomness is memoized per builder and shared with its
 clones, so a snapshot that lays out the same tables derives nothing.
-The pass-2 shard wire renders each nonzero table's dense cells,
-byte-identical to the per-table layout it replaced.
+The pass-2 shard wire ships what the stores hold: one ``(key, total,
+index sum, fingerprint)`` record per nonzero cell of the tables, then of
+the cut sketches.
 
 The class is linear-sketch-based throughout: all pass-1/pass-2 state
 supports addition of same-seeded instances, so sketches computed on
@@ -150,16 +150,14 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
 
         # Pass-1 sketches S^r_j(u): one store with a seed group per
         # (r >= 1, j) (see _cluster_group) and a row per vertex; k = 1
-        # has no target level and no store.  ``_cluster_live`` maps a
-        # group to the vertices it saw, zero-delta tokens included: the
-        # historical per-(vertex, r, j) allocation the pass-0 wire
-        # ships.  Every stream endpoint also lands in ``_touched``
-        # (chunking-independent: canceled tokens count too), which is
-        # what the forest registers copies from — the dense engine
-        # registered every universe vertex, but untouched vertices can
-        # only ever form empty singleton trees, so restricting to the
-        # touched set leaves the spanner output unchanged while keeping
-        # the forest/table layout proportional to touched vertices.
+        # has no target level and no store.  Every stream endpoint lands
+        # in ``_touched`` (chunking-independent: canceled tokens count
+        # too), which is what the forest registers copies from — the
+        # dense engine registered every universe vertex, but untouched
+        # vertices can only ever form empty singleton trees, so
+        # restricting to the touched set leaves the spanner output
+        # unchanged while keeping the forest/table layout proportional
+        # to touched vertices.
         self._cluster_store = (
             SketchStack(
                 num_vertices,
@@ -176,7 +174,6 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
             if k > 1
             else None
         )
-        self._cluster_live: dict[int, set[int]] = {}
         self._touched: set[int] = set()
         # Pass-2 table layout bound: vertex-sample levels actually
         # allocated, derived from the *touched* count once the forest is
@@ -277,8 +274,8 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         vectorized on the distinct pairs of each chunk and routes the
         survivors here, skipping the per-token ``edge_filter`` Python
         loop entirely.  Pass-0 callers must keep zero-delta pairs (they
-        drive the touched-vertex and cluster-row bookkeeping); pass-1
-        callers should drop them.
+        drive the touched-vertex bookkeeping); pass-1 callers should
+        drop them.
         """
         if pass_index == 0:
             self._first_pass_pairs(us, vs, pairs, deltas)
@@ -334,8 +331,6 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         if self._cluster_store is not None:
             self._cluster_store.combine(other._cluster_store)
         self._touched |= other._touched
-        for group, live in other._cluster_live.items():
-            self._cluster_live.setdefault(group, set()).update(live)
 
     def adopt_forest_from(self, other: "TwoPassSpannerBuilder") -> None:
         """Take the between-pass state (forest + table layout) from a
@@ -398,9 +393,6 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         clone._cluster_store = (
             None if self._cluster_store is None else self._cluster_store.clone()
         )
-        clone._cluster_live = {
-            group: set(live) for group, live in self._cluster_live.items()
-        }
         clone._touched = set(self._touched)
         clone._active_vertex_levels = self._active_vertex_levels
         clone._table_effective_n = self._table_effective_n
@@ -420,24 +412,26 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
     # -- sharded execution protocol (see repro.stream.distributed) -----
 
     def shard_state_ints(self, pass_index: int) -> list[int]:
-        """Serialize one pass's sketch state as a flat int sequence.
+        """Serialize one pass's sketch state as a flat int sequence: the
+        nonzero state of the stores that hold it.
 
-        Pass 0 ships the lazily allocated cluster sketch rows as
-        ``[count, (vertex, r, j, cells...) ...]`` — different shards
-        allocate different key sets, so keys travel with the states
-        (the columnar storage reproduces the per-(vertex, r, j)
-        allocation exactly, so the wire format is unchanged).
-        Pass 1 ships the *materialized* hash tables key-tagged in sorted
-        order (lazy allocation means different shards touch different
-        table sets), then the repair sketches — whose layout is
-        determined by the (broadcast) forest, so only cell values travel.
+        Pass 0 ships the sorted touched vertices, then the cluster
+        stack's nonzero rows as ``[count, (vertex, r, j, cells...) ...]``
+        in ``(vertex, r, j)`` order — different shards hold different
+        rows, so keys travel with the states.  Pass 1 ships the table
+        store's nonzero cells, then the cut store's (see
+        :meth:`~repro.sketch.table_store.SparseRecoveryStore.sparse_state_ints`):
+        the (broadcast) forest fixes both layouts, so a cell key names
+        its table or cut sketch.
         """
         if pass_index == 0:
+            store = self._cluster_store
             # Group order is (r, j) order, so keys sort as (vertex, r, j).
-            keys = sorted(
-                (int(vertex), group)
-                for group, live in self._cluster_live.items()
-                for vertex in live
+            keys = [] if store is None else sorted(
+                (vertex, group)
+                for group in range(store.num_groups)
+                for vertex in store.touched_row_ids(group)
+                if not store.is_row_zero(vertex, group)
             )
             touched = sorted(self._touched)
             flat: list[int] = [len(touched)]
@@ -446,87 +440,60 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
             for vertex, group in keys:
                 r, j = divmod(group, self._edge_levels + 1)
                 flat.extend((vertex, r + 1, j))
-                flat.extend(self._cluster_store.row_state_ints(vertex, group))
+                flat.extend(store.row_state_ints(vertex, group))
             return flat
-        # Nonzero tables only: materialization depends on chunk
-        # boundaries (canceled-in-chunk tokens), nonzero-ness does not —
-        # so every engine and chunking emits the identical wire.  Groups
-        # number the tables in sorted (root, stack, j) order, and each
-        # renders its dense cells.
-        live = [] if self._tables is None else self._tables.nonzero_groups()
-        flat = [len(live)]
-        for group in live:
-            (vertex, level), stack, j = self._table_key(group)
-            flat.extend((vertex, level, stack, j))
-            flat.extend(self._tables.state_ints(group))
+        flat = [0] if self._tables is None else self._tables.sparse_state_ints()
         if self._cuts is not None:
-            for root_index in range(self._cuts.num_groups):
-                flat.extend(self._cuts.state_ints(root_index))
+            flat.extend(self._cuts.sparse_state_ints())
         return flat
 
     def load_shard_state_ints(self, pass_index: int, values: list[int]) -> None:
         """Inverse of :meth:`shard_state_ints` on a fresh same-seed
         builder (pass 1 additionally requires the adopted forest, which
-        fixes the table layout)."""
+        fixes the table layout).  The whole wire is checked before any
+        state changes.  An all-zero pass-0 row loads as a no-op, so a
+        wire that still ships zero rows restores the same state."""
         if pass_index == 0:
-            touched_count = int(values[0])
-            cursor = 1
-            self._touched.update(
-                int(v) for v in values[cursor : cursor + touched_count]
-            )
-            cursor += touched_count
-            count = values[cursor]
+            touched_count = int(values[0]) if values else -1
+            cursor = 1 + touched_count
+            if touched_count < 0 or cursor >= len(values):
+                raise ValueError("pass-0 wire ends inside its touched list")
+            touched = [int(v) for v in values[1:cursor]]
+            if touched and not (0 <= min(touched) and max(touched) < self.num_vertices):
+                raise ValueError(f"touched id out of [0, {self.num_vertices})")
+            count = int(values[cursor])
             cursor += 1
+            need = 0 if self._cluster_store is None else self._cluster_store.row_state_len()
+            rows = []
             for _ in range(count):
+                if cursor + 3 + need > len(values):
+                    raise ValueError("pass-0 wire ends inside a cluster sketch row")
                 vertex, r, j = (int(v) for v in values[cursor : cursor + 3])
-                cursor += 3
                 if not (1 <= r < self.k and 0 <= j <= self._edge_levels):
                     # Out of range, (r, j) would alias another slot's group.
                     raise ValueError(f"cluster sketch key (r={r}, j={j}) out of range")
-                group = self._cluster_group(r, j)
-                self._cluster_live.setdefault(group, set()).add(vertex)
-                need = self._cluster_store.row_state_len()
-                self._cluster_store.load_row_state(
-                    vertex, values[cursor : cursor + need], group
-                )
-                cursor += need
+                if not 0 <= vertex < self.num_vertices:
+                    raise ValueError(f"cluster sketch row {vertex} out of range")
+                rows.append((vertex, self._cluster_group(r, j), cursor + 3))
+                cursor += 3 + need
             if cursor != len(values):
                 raise ValueError(f"expected {cursor} state ints, got {len(values)}")
+            self._touched.update(touched)
+            for vertex, group, at in rows:
+                self._cluster_store.load_row_state(vertex, values[at : at + need], group)
             return
         if self.forest is None:
             raise RuntimeError("adopt the coordinator forest before loading pass-2 state")
-        # Validate the whole wire before any state changes: every table
-        # key must name a (terminal root, stack, j) of this layout once.
-        blocks: dict[int, list[int]] = {}
-        cursor = 1
-        for _ in range(int(values[0])):
-            if cursor + 4 > len(values):
-                raise ValueError("pass-2 wire ends inside a table key")
-            vertex, level, stack, j = (int(v) for v in values[cursor : cursor + 4])
-            cursor += 4
-            root_index = self._routing.root_index.get((vertex, level))
-            if root_index is None:
-                raise ValueError(f"pass-2 table root {(vertex, level)} is not a terminal root")
-            if not 0 <= stack < self.params.table_stacks:
-                raise ValueError(f"pass-2 table stack {stack} out of range")
-            if not 0 <= j < self._routing.levels:
-                raise ValueError(f"pass-2 table level j={j} out of range")
-            group = self._table_group(root_index, stack, j)
-            if group in blocks:
-                raise ValueError(f"pass-2 table {(vertex, level, stack, j)} shipped twice")
-            need = self._tables.state_len(group)
-            blocks[group] = values[cursor : cursor + need]
-            cursor += need
-        cut_blocks: dict[int, list[int]] = {}
-        for root_index in range(0 if self._cuts is None else self._cuts.num_groups):
-            need = self._cuts.state_len(root_index)
-            cut_blocks[root_index] = values[cursor : cursor + need]
-            cursor += need
+        # Load into copies and install them only once the whole wire
+        # checked out, so a bad cut block leaves the tables untouched too.
+        tables = self._tables.clone()
+        cursor = tables.load_sparse_state(values)
+        cuts = None if self._cuts is None else self._cuts.clone()
+        if cuts is not None:
+            cursor = cuts.load_sparse_state(values, cursor)
         if cursor != len(values):
             raise ValueError(f"expected {cursor} state ints, got {len(values)}")
-        self._tables.from_state_ints(blocks)
-        if self._cuts is not None:
-            self._cuts.from_state_ints(cut_blocks)
+        self._tables, self._cuts = tables, cuts
 
     def merge_shard(self, other: "TwoPassSpannerBuilder", pass_index: int) -> None:
         """Sum a shard builder's pass state into ours (linearity)."""
@@ -601,7 +568,6 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
             for r in self._vertex_levels_of(other):
                 first = self._cluster_group(r, 0)
                 for group in range(first, first + deepest_j + 1):
-                    self._cluster_live.setdefault(group, set()).add(endpoint)
                     self._cluster_store.update_row(endpoint, pair, update.sign, group)
 
     def _first_pass_pairs(
@@ -613,9 +579,8 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         ``(endpoint, r)`` incidences, the nested sample levels ``E_j``
         (one vectorized pass over the pairs) fan each of those out to
         its ``(r, j)`` groups, and the cluster store lands the whole
-        chunk in one scatter.  Zero-delta pairs still mark their rows
-        live (the scalar path allocates their sketches too) but
-        contribute no cell changes.
+        chunk in one scatter.  Zero-delta pairs only mark their
+        endpoints touched.
         """
         if pairs.size == 0:
             return
@@ -638,8 +603,6 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         row_ids = np.array(rows, dtype=np.int64)[source]
         groups = np.array(first_groups, dtype=np.int64)[source] + depth
         take = take[source]
-        for group, row in set(zip(groups.tolist(), row_ids.tolist())):
-            self._cluster_live.setdefault(group, set()).add(row)
         self._cluster_store.scatter(row_ids, pairs[take], deltas[take], groups)
 
     def _build_forest(self) -> None:
@@ -663,12 +626,17 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
             for vertex in members_of[level]:
                 forest.register_copy((vertex, level))
 
+        store = self._cluster_store
+        # Rows the stack never interned are zero: read its rows once.
+        resident = [] if store is None else [
+            set(store.touched_row_ids(group)) for group in range(store.num_groups)
+        ]
         for level in range(self.k - 1):
             target = level + 1
             for vertex in members_of[level]:
                 copy: Copy = (vertex, level)
                 tree = forest.subtree_vertices(copy)
-                attached = self._attach_via_sketches(forest, copy, tree, target)
+                attached = self._attach_via_sketches(forest, copy, tree, target, resident)
                 if not attached:
                     forest.mark_terminal(copy)
         for vertex in members_of[self.k - 1]:
@@ -680,16 +648,17 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         self._trees_of_vertex = forest.trees_containing()
 
     def _attach_via_sketches(
-        self, forest: ClusterForest, copy: Copy, tree: set[int], target: int
+        self, forest: ClusterForest, copy: Copy, tree: set[int], target: int, resident
     ) -> bool:
         """Decode ``Q^{target}_j = sum_{v in tree} S^{target}_j(v)`` from
-        the sparsest level down; attach on the first usable edge."""
+        the sparsest level down; attach on the first usable edge.
+        ``resident[group]`` holds the cluster stack's resident rows: the
+        other members' rows are zero."""
         for j in range(self._edge_levels, -1, -1):
             group = self._cluster_group(target, j)
-            live = self._cluster_live.get(group, ())
-            members = [v for v in tree if v in live]
+            members = [v for v in tree if v in resident[group]]
             if not members:
-                continue  # no member saw any edge at this level
+                continue  # no member holds a row at this level
             combined = self._cluster_store.rows_sum_sketch(members, group)
             decoded = combined.decode()
             if decoded is None:
@@ -738,12 +707,6 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         """Store group of table ``H^root_j`` of one ``Y_j`` stack (ints or
         arrays): groups run in sorted ``(root, stack, j)`` order."""
         return (root_index * self.params.table_stacks + stack) * self._routing.levels + j
-
-    def _table_key(self, group: int) -> tuple[Copy, int, int]:
-        """Inverse of :meth:`_table_group`: ``(root, stack, j)``."""
-        return _table_name(
-            self._routing.roots, self.params.table_stacks, self._routing.levels, group
-        )
 
     def _allocate_tables(self) -> None:
         """Fix the pass-2 layout (capacities, ``Y_j`` depth, the table
@@ -967,13 +930,15 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         report.add("edge-sample seeds", self._edge_sampler.space_words())
         for sampler in self._y_samplers:
             report.add("vertex-sample seeds", sampler.space_words())
-        for live in self._cluster_live.values():
-            row_words = self._cluster_store.row_space_words()
-            report.add(
-                "pass1 cluster sketches",
-                len(live) * row_words,
-                universe_words=self.num_vertices * row_words,
-            )
+        store = self._cluster_store
+        for group in range(0 if store is None else store.num_groups):
+            rows = store.resident_rows(group)
+            if rows:
+                report.add(
+                    "pass1 cluster sketches",
+                    rows * store.row_space_words(),
+                    universe_words=self.num_vertices * store.row_space_words(),
+                )
         if self._tables is not None:
             report.add("pass2 hash tables", self._tables.space_words())
         if self._cuts is not None:

@@ -41,15 +41,19 @@ three counter planes):
     key's payload as a 1-sparse detector.
 
 Seeds, budgets and bucket counts are the standalone sketches' (the same
-``derive_seed`` units), so every cell equals the standalone sketch's
-cell, :meth:`~SparseRecoveryStore.state_ints` renders exactly its dense
-``state_ints()`` (the shard wire), and decode results are equal —
+``derive_seed`` units), so every stored cell equals the standalone
+sketch's cell (its dense ``state_ints()`` holds the group's stored cells
+and zeros elsewhere), and decode results are equal —
 ``tests/sketch/test_table_store.py`` checks this against the scalar
-oracle.  Every group has a *name* (a spanner's tables are named
-``(root, stack, j)``); hash coefficients and fingerprint bases are
-looked up by ``(name, budget)`` in a memo the caller may share between
-the stores it lays out over the same names, and derived only on a miss,
-the first time a group is touched.  The byte-windowed power tables are
+oracle.  The shard wire is what the store holds:
+:meth:`~SparseRecoveryStore.sparse_state_ints` ships one ``(key, total,
+index sum, fingerprint)`` record per nonzero cell, and
+:meth:`~SparseRecoveryStore.load_sparse_state` checks a block whole
+before it overwrites the store.  Every group has a *name* (a spanner's
+tables are named ``(root, stack, j)``); hash coefficients and
+fingerprint bases are looked up by ``(name, budget)`` in a memo the
+caller may share between the stores it lays out over the same names,
+and derived only on a miss, the first time a group is touched.  The byte-windowed power tables are
 built per block of at most :data:`_GROUP_BLOCK` groups and dropped, so
 memory follows the nonzero cells, not the group count.
 
@@ -64,6 +68,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import chain
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
@@ -452,38 +457,6 @@ class SparseRecoveryStore:
         """Sorted groups ever touched (the scalar path's materialized set)."""
         return sorted(self._touched)
 
-    def nonzero_groups(self) -> list[int]:
-        """Sorted groups holding a nonzero cell — chunking-independent."""
-        self.flush()
-        return np.unique(self._keys // np.int64(self.stride)).tolist()
-
-    def _span(self, group: int) -> tuple[int, int]:
-        low = group * self.stride
-        begin, end = np.searchsorted(self._keys, [low, low + self.stride])
-        return int(begin), int(end)
-
-    def state_len(self, group: int) -> int:
-        """Length of group ``group``'s dense :meth:`state_ints`."""
-        return 3 * self.rows * self._buckets_for(int(self.budgets[group]))
-
-    def state_ints(self, group: int) -> list[int]:
-        """Group ``group``'s dense state, exactly as the standalone
-        sketch's ``state_ints()``: totals, index sums and fingerprints of
-        every ``(row, bucket)`` cell."""
-        self.flush()
-        cells = self.state_len(group) // 3
-        begin, end = self._span(group)
-        where = (self._keys[begin:end] - group * self.stride).tolist()
-        flat = [0] * (3 * cells)
-        for offset, values in (
-            (0, self._totals[begin:end].tolist()),
-            (cells, self._index_sums[begin:end].tolist()),
-            (2 * cells, self._fingerprints[begin:end].tolist()),
-        ):
-            for cell, value in zip(where, values):
-                flat[offset + cell] = int(value)
-        return flat
-
     def space_words(self, groups=None) -> int:
         """Words ``groups`` (default: the touched ones) charge in the
         paper's accounting — each the standalone sketch's
@@ -491,7 +464,8 @@ class SparseRecoveryStore:
         hashes, and the fingerprint base."""
         groups = self._touched if groups is None else groups
         return sum(
-            self.state_len(group) + self.rows * _BUCKET_HASH_INDEPENDENCE + 1
+            3 * self.rows * self._buckets_for(int(self.budgets[group]))
+            + self.rows * _BUCKET_HASH_INDEPENDENCE + 1
             for group in groups
         )
 
@@ -499,37 +473,69 @@ class SparseRecoveryStore:
     # Wire, linearity, copies
     # ------------------------------------------------------------------
 
-    def from_state_ints(self, blocks: dict[int, list[int]]) -> None:
-        """Overwrite groups from dense :meth:`state_ints` blocks
-        (``{group: values}``); every block is checked before any group
-        changes.  Loaded groups count as touched."""
-        for group, values in blocks.items():
-            if not 0 <= group < self.num_groups:
-                raise IndexError(f"group {group} out of [0, {self.num_groups})")
-            if len(values) != self.state_len(group):
-                raise ValueError(
-                    f"group {group} expects {self.state_len(group)} state ints, got {len(values)}"
-                )
+    def sparse_state_ints(self) -> list[int]:
+        """The stored cells, ``[count, (key, total, index sum,
+        fingerprint) ...]`` in ascending key order, ``key = group *
+        stride + row * buckets + bucket``.  Zero cells are never stored,
+        so the block is a function of the summarized vectors: every
+        chunking and engine emits the same ints."""
         self.flush()
-        keep = np.ones(self._keys.size, dtype=bool)
-        parts = []
-        for group, values in blocks.items():
-            begin, end = self._span(group)
-            keep[begin:end] = False
-            planes = np.array([int(v) for v in values], dtype=object).reshape(3, -1)
-            planes[2] = planes[2] % MERSENNE_61
-            where = np.flatnonzero((planes != 0).any(axis=0))
-            parts.append((
-                group * np.int64(self.stride) + where,
-                planes[0, where],
-                planes[1, where],
-                planes[2, where].astype(np.uint64),
-            ))
-        self._keys, self._totals, self._index_sums, self._fingerprints = (
-            self._keys[keep], self._totals[keep], self._index_sums[keep], self._fingerprints[keep]
-        )
-        self._merge(parts)
-        self._touched.update(blocks)
+        flat = [int(self._keys.size)]
+        flat.extend(chain.from_iterable(zip(
+            self._keys.tolist(),
+            self._totals.tolist(),
+            self._index_sums.tolist(),
+            self._fingerprints.tolist(),
+        )))
+        return flat
+
+    def load_sparse_state(self, values: list[int], cursor: int = 0) -> int:
+        """Inverse of :meth:`sparse_state_ints` from ``values[cursor]``;
+        returns the cursor past the block.
+
+        The whole block is checked before any state changes: the count
+        fits, keys strictly increase, each key names a cell of a group
+        of the layout (below that group's ``rows * buckets``), every
+        fingerprint is a residue in ``[0, p)`` and no cell is all-zero.
+        The block then overwrites the store: cells it lacks are zero,
+        buffered updates are dropped, and its groups count as touched.
+        """
+        if not 0 <= cursor < len(values):
+            raise ValueError("cell block ends before its count")
+        count = int(values[cursor])
+        end = cursor + 1 + 4 * count
+        if count < 0 or end > len(values):
+            raise ValueError(f"cell count {count} overruns the wire")
+        records = values[cursor + 1 : end]
+        try:
+            keys = np.array(records[0::4], dtype=np.int64)
+            fingerprints = np.array(records[3::4], dtype=np.int64)
+        except OverflowError as error:
+            raise ValueError("cell key or fingerprint leaves int64") from error
+        totals = np.array(records[1::4], dtype=object)
+        index_sums = np.array(records[2::4], dtype=object)
+        groups = keys // np.int64(self.stride)
+        if count:
+            if np.any(keys[1:] <= keys[:-1]):
+                raise ValueError("cell keys must strictly increase")
+            if keys[0] < 0 or groups[-1] >= self.num_groups:
+                raise ValueError(f"cell key names a group outside [0, {self.num_groups})")
+            budgets, which = np.unique(self.budgets[groups], return_inverse=True)
+            sizes = np.array(
+                [self.rows * self._buckets_for(budget) for budget in budgets.tolist()],
+                dtype=np.int64,
+            )
+            if np.any(keys - groups * np.int64(self.stride) >= sizes[which]):
+                raise ValueError("cell key lies past its group's cells")
+            if np.any((fingerprints < 0) | (fingerprints >= MERSENNE_61)):
+                raise ValueError("cell fingerprint outside [0, p)")
+            if not np.all((totals != 0) | (index_sums != 0) | (fingerprints != 0)):
+                raise ValueError("an all-zero cell is on the wire")
+        self._pending, self._pending_size = [], 0
+        self._keys, self._totals, self._index_sums = keys, totals, index_sums
+        self._fingerprints = fingerprints.astype(np.uint64)
+        self._touched.update(np.unique(groups).tolist())
+        return end
 
     def combine(self, other: "SparseRecoveryStore") -> None:
         """In-place ``self += other`` group by group; the layouts (and
@@ -868,20 +874,11 @@ class NeighborhoodTableStore:
         """Sorted tables ever touched (the scalar path's materialized set)."""
         return self._sketches.touched_groups()
 
-    def nonzero_groups(self) -> list[int]:
-        """Sorted tables holding a nonzero cell — chunking-independent."""
+    def sparse_state_ints(self) -> list[int]:
+        """The tables' stored cells: table ``g`` is group ``g`` of
+        :meth:`SparseRecoveryStore.sparse_state_ints`."""
         self.flush()
-        return self._sketches.nonzero_groups()
-
-    def state_len(self, group: int) -> int:
-        """Length of table ``group``'s dense :meth:`state_ints`."""
-        return self._sketches.state_len(group)
-
-    def state_ints(self, group: int) -> list[int]:
-        """Table ``group``'s dense state, exactly as the standalone
-        ``NeighborhoodHashTable.state_ints()``."""
-        self.flush()
-        return self._sketches.state_ints(group)
+        return self._sketches.sparse_state_ints()
 
     def space_words(self) -> int:
         """Words the touched tables charge in the paper's accounting —
@@ -889,11 +886,13 @@ class NeighborhoodTableStore:
         the payload detector's four words)."""
         return self._sketches.space_words() + 4 * len(self._sketches.touched_groups())
 
-    def from_state_ints(self, blocks: dict[int, list[int]]) -> None:
-        """Overwrite tables from dense :meth:`state_ints` blocks
-        (``{group: values}``), all checked before any table changes."""
-        self.flush()
-        self._sketches.from_state_ints(blocks)
+    def load_sparse_state(self, values: list[int], cursor: int = 0) -> int:
+        """Inverse of :meth:`sparse_state_ints`, checked and then
+        overwriting as :meth:`SparseRecoveryStore.load_sparse_state`
+        (buffered incidences are dropped too); returns the cursor."""
+        cursor = self._sketches.load_sparse_state(values, cursor)
+        self._pending, self._pending_size = [], 0
+        return cursor
 
     def combine(self, other: "NeighborhoodTableStore") -> None:
         """In-place ``self += other`` table by table (layouts must match)."""

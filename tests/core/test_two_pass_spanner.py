@@ -9,7 +9,7 @@ from repro.core.parameters import SpannerParams
 from repro.core.two_pass_spanner import TwoPassSpannerBuilder
 from repro.graph.distances import evaluate_multiplicative_stretch
 from repro.graph.graph import Graph, edge_index
-from repro.sketch.linear_hash_table import NeighborhoodHashTable
+from repro.sketch.hashing import MERSENNE_61
 from repro.graph.random_graphs import (
     complete_graph,
     connected_gnp,
@@ -146,48 +146,197 @@ class TestMerge:
             TwoPassSpannerBuilder(16, 3, "wire-keys").load_shard_state_ints(0, wire)
 
 
-def _table_key_offsets(wire, builder):
-    """Offsets of every (vertex, level, stack, j) key in a pass-2 wire."""
-    offsets, cursor = [], 1
-    for _ in range(wire[0]):
-        offsets.append(cursor)
-        capacity = builder.params.table_capacity(
-            builder._table_effective_n, wire[cursor + 1], builder.k
+class TestPassZeroWire:
+    """The pass-0 wire: touched ids, then the cluster stack's nonzero
+    rows.  Malformed wires are refused before any state changes."""
+
+    @staticmethod
+    def _source_and_target():
+        stream = list(stream_from_graph(connected_gnp(16, 0.3, seed=6), seed=6, churn=0.3))
+        source = TwoPassSpannerBuilder(16, 3, "wire-zero")
+        source.process_batch(stream, 0)
+        target = TwoPassSpannerBuilder(16, 3, "wire-zero")
+        target.process_batch(stream[: len(stream) // 3], 0)
+        return stream, source, target
+
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (lambda wire: wire.__setitem__(wire[0], 10**6), "touched id"),  # the last one
+            (lambda wire: wire.__setitem__(1, -1), "touched id"),
+            (lambda wire: wire.__setitem__(0, len(wire)), "inside its touched list"),
+            (lambda wire: wire.__setitem__(1 + wire[0], wire[1 + wire[0]] + 1), "inside a cluster"),
+        ],
+        ids=["touched-id-past-universe", "negative-touched-id", "touched-count-overruns",
+             "row-count-overruns"],
+    )
+    def test_malformed_wire_is_refused_before_any_change(self, corrupt, match):
+        """Each is refused with ``ValueError`` at load, not later (an
+        out-of-universe touched id once loaded and failed only at the
+        forest build; an overrunning count raised ``IndexError``)."""
+        _, source, target = self._source_and_target()
+        wire = source.shard_state_ints(0)
+        corrupt(wire)
+        before = target.shard_state_ints(0)
+        with pytest.raises(ValueError, match=match):
+            target.load_shard_state_ints(0, wire)
+        assert target.shard_state_ints(0) == before
+
+    def test_rows_are_the_nonzero_rows(self):
+        _, source, _ = self._source_and_target()
+        wire = source.shard_state_ints(0)
+        width = 3 + source._cluster_store.row_state_len()
+        rows = wire[2 + wire[0] :]
+        assert wire[1 + wire[0]] * width == len(rows) > 0
+        assert all(any(rows[at + 3 : at + width]) for at in range(0, len(rows), width))
+
+    def test_a_wire_carrying_an_all_zero_row_loads_the_same_state(self):
+        """Wires once shipped all-zero rows too; such a row loads as a
+        no-op, so the padded wire restores the same state, space and
+        answers as the wire without it."""
+        stream, source, _ = self._source_and_target()
+        wire = source.shard_state_ints(0)
+        touched = wire[0]
+        width = 3 + source._cluster_store.row_state_len()
+        rows = [wire[at : at + width] for at in range(2 + touched, len(wire), width)]
+        shipped = {tuple(row[:3]) for row in rows}
+        extra = next(
+            (vertex, r, j)
+            for vertex in range(16)
+            for r in (1, 2)
+            for j in range(source._edge_levels + 1)
+            if (vertex, r, j) not in shipped
         )
-        table = NeighborhoodHashTable(
-            builder.num_vertices, capacity, "shape-only",
-            rows=builder.params.table_rows, bucket_factor=builder.params.table_bucket_factor,
-        )
-        cursor += 4 + table.state_len()
-    return offsets
+        rows.append([*extra] + [0] * (width - 3))
+        padded = wire[: 1 + touched] + [len(rows)] + [v for row in sorted(rows) for v in row]
+        plain = TwoPassSpannerBuilder(16, 3, "wire-zero")
+        old = TwoPassSpannerBuilder(16, 3, "wire-zero")
+        plain.load_shard_state_ints(0, wire)
+        old.load_shard_state_ints(0, padded)
+        assert old.shard_state_ints(0) == wire
+        assert old.space_report() == plain.space_report()
+        for builder in (source, plain, old):
+            builder.end_pass(0)
+            builder.process_batch(stream, 1)
+        assert old.shard_state_ints(1) == plain.shard_state_ints(1) == source.shard_state_ints(1)
+        edges = source.finalize().spanner.edge_set()
+        assert old.finalize().spanner.edge_set() == plain.finalize().spanner.edge_set() == edges
+
+
+def _record(wire, block, index):
+    """Offset of record ``index`` (negative: from the end) of a pass-1
+    wire's cell ``block``: 0 the tables, 1 the cut sketches."""
+    start = 0 if block == 0 else 1 + 4 * wire[0]
+    return start + 1 + 4 * (index % wire[start])
+
+
+def _past_group_key(wire, block, store):
+    """``(record index, key)``: a key one past the last cell of a
+    record's group, for a record that is its group's last on the wire
+    (so the keys still increase) and a group that holds fewer cells than
+    the stride (so the key is not the next group's first cell)."""
+    start = 0 if block == 0 else 1 + 4 * wire[0]
+    groups = [wire[_record(wire, block, i)] // store.stride for i in range(wire[start])]
+    for index, group in enumerate(groups):
+        cells = store.rows * max(4, math.ceil(store.bucket_factor * int(store.budgets[group])))
+        if cells < store.stride and groups[index + 1 :][:1] != [group]:
+            return index, group * store.stride + cells
+    raise AssertionError("every shipped group spans the whole stride")
 
 
 class TestPassTwoWireKeys:
-    @pytest.mark.parametrize(
-        "field, value",
-        [(0, 999), (2, 7), (3, 40)],
-        ids=["root-not-terminal", "stack-past-table-stacks", "level-past-active-levels"],
-    )
-    def test_out_of_layout_table_key_is_refused_before_any_change(self, field, value):
-        """A pass-2 wire key must name a (terminal root, stack, j) table
-        of the adopted layout; the whole wire is checked before any
-        table loads, so a bad last key leaves the target untouched."""
+    """Every load check of the pass-1 cell blocks (the tables', then the
+    cut sketches') refuses its own malformed case, before any change:
+    the whole wire is checked before the builder installs either block."""
+
+    @staticmethod
+    def _wire_and_target():
+        # Sparse enough that level-0 roots stay terminal: their tables
+        # and cut sketches hold fewer cells than the level-1 ones.
         params = SpannerParams(table_stacks=1)
-        stream = list(stream_from_graph(connected_gnp(12, 0.4, seed=5), seed=5))
-        source = TwoPassSpannerBuilder(12, 2, "wire-keys-2", params=params)
+        stream = list(stream_from_graph(connected_gnp(40, 0.1, seed=0), seed=0))
+        source = TwoPassSpannerBuilder(40, 2, "wire-keys-2", params=params)
         source.process_batch(stream, 0)
         source.end_pass(0)
         source.process_batch(stream, 1)
         wire = source.shard_state_ints(1)
-        assert wire[0] >= 2
-        wire[_table_key_offsets(wire, source)[-1] + field] = value
-        target = TwoPassSpannerBuilder(12, 2, "wire-keys-2", params=params)
+        assert wire[0] >= 2 and wire[1 + 4 * wire[0]] >= 2
+        target = TwoPassSpannerBuilder(40, 2, "wire-keys-2", params=params)
         target.adopt_forest_from(source)
         target.process_batch(stream[: len(stream) // 2], 1)
+        return source, wire, target
+
+    @staticmethod
+    def _refused(wire, target, match):
         before = target.shard_state_ints(1)
-        with pytest.raises(ValueError, match="pass-2 table"):
+        with pytest.raises(ValueError, match=match):
             target.load_shard_state_ints(1, wire)
         assert target.shard_state_ints(1) == before
+
+    @pytest.mark.parametrize("block", [0, 1], ids=["tables", "cuts"])
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("group", "group outside"),
+            ("cell", "past its group"),
+            ("repeat", "strictly increase"),
+            ("negative", "group outside"),
+        ],
+        ids=["group-past-layout", "cell-past-its-group", "key-not-increasing", "negative-key"],
+    )
+    def test_out_of_layout_table_key_is_refused_before_any_change(self, block, case, match):
+        """A cell key must name a cell of a group of the adopted layout,
+        in strictly increasing order."""
+        source, wire, target = self._wire_and_target()
+        store = (source._tables._sketches, source._cuts)[block]
+        last = _record(wire, block, -1)
+        if case == "group":
+            wire[last] = store.num_groups * store.stride
+        elif case == "cell":
+            index, key = _past_group_key(wire, block, store)
+            wire[_record(wire, block, index)] = key
+        elif case == "repeat":
+            wire[last] = wire[_record(wire, block, -2)]
+        else:
+            wire[_record(wire, block, 0)] = -1
+        self._refused(wire, target, match)
+
+    @pytest.mark.parametrize("block", [0, 1], ids=["tables", "cuts"])
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("count-overruns", "overruns"),
+            ("fingerprint-past-p", "fingerprint outside"),
+            ("negative-fingerprint", "fingerprint outside"),
+            ("all-zero-cell", "all-zero cell"),
+        ],
+        ids=["count-overruns", "fingerprint-past-p", "negative-fingerprint", "all-zero-cell"],
+    )
+    def test_malformed_cell_block_is_refused_before_any_change(self, block, case, match):
+        _, wire, target = self._wire_and_target()
+        last = _record(wire, block, -1)
+        if case == "count-overruns":
+            wire[0 if block == 0 else 1 + 4 * wire[0]] = len(wire)
+        elif case == "fingerprint-past-p":
+            wire[last + 3] = MERSENNE_61
+        elif case == "negative-fingerprint":
+            wire[last + 3] = -1
+        else:
+            wire[last + 1 : last + 4] = [0, 0, 0]
+        self._refused(wire, target, match)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [("truncated", "overruns"), ("trailing-int", "state ints")],
+        ids=["truncated", "trailing-int"],
+    )
+    def test_misframed_wire_is_refused_before_any_change(self, edit, match):
+        _, wire, target = self._wire_and_target()
+        if edit == "truncated":
+            wire.pop()
+        else:
+            wire.append(0)
+        self._refused(wire, target, match)
 
 
 class TestSizeAndSpace:

@@ -307,5 +307,9 @@ class TestNeighborhoodTableBatch:
             [neighbor for _, neighbor, _ in entries],
             [sign for _, _, sign in entries],
         )
-        assert batched.state_ints(0) == scalar.state_ints()
+        # One table: a wire cell key is the cell's index in its dense state.
+        state = scalar.state_ints()
+        cells = len(state) // 3
+        nonzero = [(cell, *state[cell::cells]) for cell in range(cells) if any(state[cell::cells])]
+        assert batched.sparse_state_ints() == [len(nonzero)] + [v for cell in nonzero for v in cell]
         assert batched.decode().get(0, {}) == scalar.decode_neighbors()

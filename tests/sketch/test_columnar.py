@@ -648,16 +648,16 @@ class TestSpannerWirePins:
     def test_dense_n32_k2_is_pinned(self):
         tokens = list(mixed_workload_stream(32, 3020, "spanner-pin-32"))
         assert _spanner_pins(TwoPassSpannerBuilder(32, 2, "spanner-pin"), tokens, 500) == [
-            "60c458299939126339fc420f16850d98f95f7346bdf4cf1920b062f18117dab6",
-            "34b8f769360761fcb3c155f2cfee65f3fe30027911d32ae35d26a1e715a10110",
+            "77e31a7f779c9dff9331371d38f65373f127790c82f9c321942cf2b323759a39",
+            "a6827a09af759fc50d41683a3c910f2d5fc32dd4481d884de6278dd0cbbcfcdd",
             "0e145fda1a73c9f07c8eb91f3c1b6a57bdd8011da3dde8cd5e5302675deb2efb",
         ]
 
     def test_dense_n16_k3_is_pinned(self):
         tokens = list(mixed_workload_stream(16, 2020, "spanner-pin-16"))
         assert _spanner_pins(TwoPassSpannerBuilder(16, 3, "spanner-pin"), tokens, 400) == [
-            "7320e01b80ba78a86b82a34a444574c69a22e8ba63c3a876590ac7f0f2917d23",
-            "f25b1daadb6648c0d22c42e1a2cafcf42b47999826d6dd5ce2df6f445b2be4b5",
+            "3c0c32a3eac38b096c7de8c5d2f71842ba2c60ffa0bc19c65353898c69d7fa97",
+            "d3cc07814b815c71e6f6e3e2a8ae3e454ad7624d05dad07c646be304269bb67d",
             "91c440b90582de03437580d05c92ca1f54f715589106ddcd43aff54fecfb8827",
         ]
 
@@ -669,8 +669,8 @@ class TestSpannerWirePins:
         ))
         builder = TwoPassSpannerBuilder(VertexSpace.sparse(10**7), 3, "spanner-pin-17")
         assert _spanner_pins(builder, tokens, 500) == [
-            "2a2484b2605d1f4d358511f6348619c8eb56c63e5076b4dac6015f0214f44760",
-            "e381ca7e74bb0d562c673fd7b753839022e3931eea164e30b3739ac616dc1ad7",
+            "1cb3bd5eb2f4f18a055d74cf711b75a8ded0c85c714d327fb0b37a32a91e7597",
+            "4472912028be4c48176364437850d1c293ce60222dda484bc45aaae590c80c1b",
             "c344a8551ce4e12c10f171a2e440cabd0abfafcbac0aa257336f31d543442945",
         ]
 

@@ -7,22 +7,25 @@ through a builder twice: once on the store, once with the store swapped
 for :class:`OracleTables` — one standalone
 :class:`~repro.sketch.linear_hash_table.NeighborhoodHashTable` per table,
 fed by scalar ``add_neighbor`` and seeded and sized from the table key
-alone.  Per-table dense ``state_ints``, decode results, the builder's
+alone.  Per-table dense ``state_ints`` (the store's rebuilt from its
+nonzero-cell wire), decode results, the builder's pass-1 wire and
 diagnostics, spanner edges, ``space_report()`` and ``space_words()`` must
 all agree, on the scalar, batched, clone and 3-shard-merge paths.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from functools import partial
+from itertools import chain
 
 import pytest
 
 import numpy as np
 
 from repro.core.parameters import SpannerParams
-from repro.core.two_pass_spanner import TwoPassSpannerBuilder
+from repro.core.two_pass_spanner import TwoPassSpannerBuilder, _table_name
 from repro.graph.vertex_space import VertexSpace
 from repro.sketch.linear_hash_table import NeighborhoodHashTable
 from repro.sketch.sparse_recovery import SparseRecoverySketch
@@ -38,25 +41,41 @@ class OracleTables:
 
     Seeds and capacities come from the table key through the historical
     per-table formulas, not from the store, so a store that drew a
-    table's randomness from the wrong unit disagrees here.
+    table's randomness from the wrong unit disagrees here.  The wire is
+    read off each table's dense ``state_ints()``: one ``(group * stride
+    + cell, total, index sum, fingerprint)`` record per nonzero cell, so
+    the builder's pass-1 wire over the oracle is the store's wire built
+    without the store.
     """
 
     def __init__(self, builder: TwoPassSpannerBuilder):
         self.builder = builder
         self.tables: dict[int, NeighborhoodHashTable] = {}
+        # Wire cell keys are ``group * stride + cell``: stride is the
+        # largest table's cell count.
+        self.stride = max(
+            self._new_table(root, "shape-only").state_len() // 3
+            for root in builder._routing.roots
+        )
+
+    def _new_table(self, root, seed) -> NeighborhoodHashTable:
+        b = self.builder
+        return NeighborhoodHashTable(
+            b.num_vertices,
+            b.params.table_capacity(b._table_effective_n, root[1], b.k),
+            seed,
+            rows=b.params.table_rows,
+            bucket_factor=b.params.table_bucket_factor,
+        )
 
     def table(self, group: int) -> NeighborhoodHashTable:
         found = self.tables.get(group)
         if found is None:
             b = self.builder
-            root, stack, j = b._table_key(group)
-            found = NeighborhoodHashTable(
-                b.num_vertices,
-                b.params.table_capacity(b._table_effective_n, root[1], b.k),
-                derive_seed(b._seed, "table", root[0], root[1], stack, j),
-                rows=b.params.table_rows,
-                bucket_factor=b.params.table_bucket_factor,
+            root, stack, j = _table_name(
+                b._routing.roots, b.params.table_stacks, b._routing.levels, group
             )
+            found = self._new_table(root, derive_seed(b._seed, "table", root[0], root[1], stack, j))
             self.tables[group] = found
         return found
 
@@ -72,15 +91,31 @@ class OracleTables:
     def nonzero_groups(self) -> list[int]:
         return [g for g in sorted(self.tables) if not self.tables[g].is_zero()]
 
-    def state_len(self, group: int) -> int:
-        return self.table(group).state_len()
+    def sparse_state_ints(self) -> list[int]:
+        """The nonzero cells of the tables' dense states, as records."""
+        records = []
+        for group in self.nonzero_groups():
+            state = self.tables[group].state_ints()
+            cells = len(state) // 3
+            for cell in range(cells):
+                record = state[cell::cells]  # total, index sum, fingerprint
+                if any(record):
+                    records.append((group * self.stride + cell, *record))
+        return [len(records), *chain.from_iterable(records)]
 
-    def state_ints(self, group: int) -> list[int]:
-        return self.table(group).state_ints()
-
-    def from_state_ints(self, blocks) -> None:
-        for group, values in blocks.items():
-            self.table(group).from_state_ints(values)
+    def load_sparse_state(self, values, cursor=0) -> int:
+        """Overwrite every table from the records (absent cells: zero)."""
+        count = values[cursor]
+        states = {}
+        for key, *record in zip(*[iter(values[cursor + 1 : cursor + 1 + 4 * count])] * 4):
+            group, cell = divmod(key, self.stride)
+            cells = self.table(group).state_len() // 3
+            state = states.setdefault(group, [0] * (3 * cells))
+            state[cell::cells] = record
+        for group in set(self.tables) | set(states):
+            table = self.table(group)
+            table.from_state_ints(states.get(group, [0] * table.state_len()))
+        return cursor + 1 + 4 * count
 
     def combine(self, other: "OracleTables") -> None:
         for group, table in other.tables.items():
@@ -120,12 +155,27 @@ def _pair(make, tokens, chunk):
     return builders
 
 
+def _dense_states(store: SparseRecoveryStore) -> dict[int, list[int]]:
+    """``{group: dense state_ints}`` of a store's nonzero groups, rebuilt
+    from its nonzero-cell wire alone."""
+    wire = store.sparse_state_ints()
+    states = {}
+    for key, *record in zip(*[iter(wire[1:])] * 4):
+        group, cell = divmod(key, store.stride)
+        cells = store.rows * max(4, math.ceil(store.bucket_factor * int(store.budgets[group])))
+        state = states.setdefault(group, [0] * (3 * cells))
+        state[cell::cells] = record
+    assert len(wire) == 1 + 4 * wire[0]
+    return states
+
+
 def _assert_same(store_builder, oracle_builder):
     store, oracle = store_builder._tables, oracle_builder._tables
     assert store.touched_groups() == oracle.touched_groups()
-    assert store.nonzero_groups() == oracle.nonzero_groups()
-    for group in oracle.touched_groups():
-        assert store.state_ints(group) == oracle.state_ints(group), group
+    store.flush()  # land the buffered incidences in the cells read below
+    assert _dense_states(store._sketches) == {
+        group: oracle.table(group).state_ints() for group in oracle.nonzero_groups()
+    }
     assert store.decode() == oracle.decode()
     assert store_builder.shard_state_ints(1) == oracle_builder.shard_state_ints(1)
     assert store_builder.space_report() == oracle_builder.space_report()
@@ -187,10 +237,10 @@ def _stream(name):
 
 def _check_stream_shape(name, builder, output):
     if name == "cancel-to-zero":
-        # Tables were touched, none holds a cell, none is on the wire.
+        # Tables and cut sketches were touched, none holds a cell: both
+        # blocks of the wire are empty.
         assert builder._tables.touched_groups()
-        assert builder._tables.nonzero_groups() == []
-        assert builder.shard_state_ints(1)[0] == 0
+        assert builder.shard_state_ints(1) == [0, 0]
     if name == "overflowing":
         assert output.diagnostics["pass2_table_overflows"] > 0
 
@@ -343,8 +393,9 @@ def test_sparse_recovery_store_matches_standalone_sketches(domain):
 
     def check(store, oracle):
         assert store.touched_groups() == sorted(oracle)
-        for group, sketch in oracle.items():
-            assert store.state_ints(group) == sketch.state_ints()
+        assert _dense_states(store) == {
+            group: sketch.state_ints() for group, sketch in oracle.items() if not sketch.is_zero()
+        }
         assert store.decode() == {g: sketch.decode() for g, sketch in oracle.items()}
         assert store.space_words() == sum(sketch.space_words() for sketch in oracle.values())
 
@@ -352,21 +403,25 @@ def test_sparse_recovery_store_matches_standalone_sketches(domain):
         check(store, oracle)
         outcomes = store.decode().values()
         assert None in outcomes and any(outcomes)
-    # Wire round trip into a fresh store, then combine both halves.
+    # Wire round trip into a fresh store (which holds exactly the
+    # nonzero groups), then combine both halves.
     first, second = stores
     rebuilt = SparseRecoveryStore(domain, budgets, seed_of, rows=3)
-    rebuilt.from_state_ints({g: first.state_ints(g) for g in first.touched_groups()})
-    check(rebuilt, oracles[0])
+    wire = first.sparse_state_ints()
+    assert rebuilt.load_sparse_state(wire) == len(wire)
+    assert rebuilt.sparse_state_ints() == wire
+    shipped = {g: sketch for g, sketch in oracles[0].items() if not sketch.is_zero()}
+    check(rebuilt, shipped)
     snapshot = rebuilt.clone()
     rebuilt.combine(second)
-    merged = {g: sketch.clone() for g, sketch in oracles[0].items()}
+    merged = {g: sketch.clone() for g, sketch in shipped.items()}
     for group, sketch in oracles[1].items():
         if group in merged:
             merged[group].combine(sketch)
         else:
             merged[group] = sketch.clone()
     check(rebuilt, merged)
-    check(snapshot, oracles[0])  # the clone did not see the combine
+    check(snapshot, shipped)  # the clone did not see the combine
 
 
 def test_sparse_recovery_store_pairs_never_wrap_int64():
@@ -380,6 +435,40 @@ def test_sparse_recovery_store_pairs_never_wrap_int64():
     for coord, value in ((domain - 1, 1), (domain // 3, -2), (7, 1)):
         store.add([groups - 1], [coord], [value])
         oracle.update(coord, value)
-    assert store.state_ints(groups - 1) == oracle.state_ints()
+    assert _dense_states(store) == {groups - 1: oracle.state_ints()}
     assert store.decode() == {groups - 1: oracle.decode()}
     assert oracle.decode() == {domain - 1: 1, domain // 3: -2, 7: 1}
+
+
+def _nonzero_cells(state: list[int]) -> int:
+    """Cells of a dense sketch state with any nonzero plane."""
+    cells = len(state) // 3
+    return sum(1 for cell in range(cells) if any(state[cell::cells]))
+
+
+@pytest.mark.parametrize("name", ["dense-n32-k2", "lazy-1e7", "cancel-to-zero"])
+def test_pass_one_wire_ships_the_nonzero_cells(name):
+    """The pass-1 message is the nonzero state: a count per block (the
+    tables, then the cut sketches) and four ints per nonzero cell of the
+    scalar oracle's tables and of the cut sketches — ``[0, 0]`` when
+    pass 2 nets to zero.  A fresh builder on the same forest loads it,
+    re-ships the identical ints and decodes the identical spanner."""
+    make, tokens = _stream(name)
+    store, oracle = _pair(make, tokens, 250)
+    for builder in (store, oracle):
+        _feed(builder, tokens, 1, 250)
+    table_cells = sum(
+        _nonzero_cells(oracle._tables.table(group).state_ints())
+        for group in oracle._tables.nonzero_groups()
+    )
+    cut_cells = sum(map(_nonzero_cells, _dense_states(store._cuts).values()))
+    wire = store.shard_state_ints(1)
+    assert len(wire) == 2 + 4 * (table_cells + cut_cells)
+    assert wire[0] == table_cells and wire[1 + 4 * table_cells] == cut_cells
+    if name == "cancel-to-zero":
+        assert wire == [0, 0]
+    rebuilt = make()
+    rebuilt.adopt_forest_from(store)
+    rebuilt.load_shard_state_ints(1, wire)
+    assert rebuilt.shard_state_ints(1) == wire
+    assert rebuilt.finalize().spanner.edge_set() == store.finalize().spanner.edge_set()
