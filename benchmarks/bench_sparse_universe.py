@@ -241,7 +241,7 @@ def test_dense_lazy_identity_long_stream(results):
     lazy_rate = updates / (time.perf_counter() - begin)
     _RATES["dense_engine_connectivity"] = round(dense_rate, 1)
     _RATES["lazy_engine_connectivity"] = round(lazy_rate, 1)
-    identical = dense.shard_state_ints(0) == lazy.shard_state_ints(0)
+    identical = list(dense.shard_state_ints(0)) == list(lazy.shard_state_ints(0))
     table = "\n".join([
         f"dense vs lazy engine on the same {n}-id universe "
         f"({updates:,} tokens, batch 8,192):",

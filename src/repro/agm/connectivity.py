@@ -25,6 +25,7 @@ import numpy as np
 from repro.agm.spanning_forest import AgmSketch
 from repro.graph.graph import Graph
 from repro.graph.vertex_space import VertexSpace, as_vertex_space
+from repro.sketch.serialize import concat_ints
 from repro.stream.batching import updates_to_arrays
 from repro.stream.pipeline import StreamingAlgorithm, run_passes
 from repro.stream.stream import DynamicStream
@@ -92,7 +93,7 @@ class ConnectivityChecker(StreamingAlgorithm):
         """Convenience: run the single pass over ``stream``."""
         return run_passes(stream, self, batch_size=batch_size)
 
-    def shard_state_ints(self, pass_index: int) -> list[int]:
+    def shard_state_ints(self, pass_index: int) -> np.ndarray | list[int]:
         """Shardable entry point: the AGM sketch stack's flat state."""
         return self._sketch.state_ints()
 
@@ -188,10 +189,10 @@ class BipartitenessChecker(StreamingAlgorithm):
         """Convenience: run the single pass over ``stream``."""
         return run_passes(stream, self, batch_size=batch_size)
 
-    def shard_state_ints(self, pass_index: int) -> list[int]:
+    def shard_state_ints(self, pass_index: int) -> np.ndarray | list[int]:
         """Shardable entry point: base-sketch state then cover-sketch state
-        (both blocks are self-delimiting sparse-row sequences)."""
-        return self._base.state_ints() + self._cover.state_ints()
+        (both blocks are self-delimiting sparse-cell sequences)."""
+        return concat_ints([self._base.state_ints(), self._cover.state_ints()])
 
     def load_shard_state_ints(self, pass_index: int, values: list[int]) -> None:
         """Shardable entry point: inverse of :meth:`shard_state_ints`."""
@@ -272,12 +273,9 @@ class KConnectivityCertificate(StreamingAlgorithm):
         """Convenience: run the single pass over ``stream``."""
         return run_passes(stream, self, batch_size=batch_size)
 
-    def shard_state_ints(self, pass_index: int) -> list[int]:
+    def shard_state_ints(self, pass_index: int) -> np.ndarray | list[int]:
         """Shardable entry point: concatenated per-stack sketch states."""
-        flat: list[int] = []
-        for stack in self._stacks:
-            flat.extend(stack.state_ints())
-        return flat
+        return concat_ints([stack.state_ints() for stack in self._stacks])
 
     def load_shard_state_ints(self, pass_index: int, values: list[int]) -> None:
         """Shardable entry point: inverse of :meth:`shard_state_ints`

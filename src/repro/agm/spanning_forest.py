@@ -415,32 +415,32 @@ class AgmSketch:
             dense_components.setdefault(dsu.find(vertex), set()).add(vertex)
         return list(dense_components.values())
 
-    def state_ints(self) -> list[int]:
+    def state_ints(self) -> np.ndarray | list[int]:
         """Dynamic state as a flat int sequence (for serialization).
 
         Round-major sparse blocks: every round ships, per geometric
-        level, its *nonzero* rows tagged with their logical vertex ids
-        (:meth:`~repro.sketch.columnar.SketchStack.sparse_state_ints`).
-        Nonzero-ness is a pure function of the summarized vectors, so
-        dense and lazy engines fed the same stream emit byte-identical
-        sequences — which is what lets their checkpoints and shard
-        messages round-trip interchangeably.
+        level, its *nonzero* cells keyed by logical vertex and cell
+        (:meth:`~repro.sketch.columnar.SketchStack.sparse_state_ints`;
+        an ``int64`` array unless the stack spilled).  Nonzero-ness is a
+        pure function of the summarized vectors, so dense and lazy
+        engines fed the same stream emit byte-identical sequences —
+        which is what lets their checkpoints and shard messages
+        round-trip interchangeably.
         """
         return self._samplers.sparse_state_ints()
 
-    def load_state_ints(self, values: list[int], cursor: int = 0) -> int:
+    def load_state_ints(self, values, cursor: int = 0) -> int:
         """Consume one serialized sketch from ``values`` at ``cursor``;
         returns the new cursor (the format is self-delimiting, so
         multi-sketch wires concatenate without length prefixes).
 
-        The wire names nonzero rows only, so the sketch is reset to
-        all-zero first — loading genuinely *overwrites* the dynamic
-        state even on a non-fresh target.
+        The block is checked whole, then *overwrites* the dynamic state
+        even on a non-fresh target (the wire names nonzero cells only);
+        a malformed block raises ``ValueError`` with the state unchanged.
         """
-        self._samplers.reset_state()
         return self._samplers.load_sparse_state(values, cursor)
 
-    def from_state_ints(self, values: list[int]) -> "AgmSketch":
+    def from_state_ints(self, values) -> "AgmSketch":
         """Overwrite the dynamic state from a :meth:`state_ints` sequence.
 
         Exact inverse of :meth:`state_ints` on a same-seed/same-shape
@@ -448,10 +448,14 @@ class AgmSketch:
         rebuild a server's shipped sketch before summing (the
         distributed setting of :mod:`repro.stream.distributed`) — and a
         lazy coordinator materializes exactly the rows the wire names.
+        A sequence longer than the sketch's blocks raises ``ValueError``
+        with the state unchanged (it loads into a copy first).
         """
-        cursor = self.load_state_ints(values, 0)
+        samplers = self._samplers.clone()
+        cursor = samplers.load_sparse_state(values, 0)
         if cursor != len(values):
             raise ValueError(f"expected {cursor} state ints, got {len(values)}")
+        self._samplers = samplers
         return self
 
     def space_words(self) -> int:

@@ -199,7 +199,8 @@ class AdditiveSpannerBuilder(StreamingAlgorithm):
             flat.extend(sampler.state_ints())
         for sketch in self._degree_sketches:
             flat.extend(sketch.state_ints())
-        flat.extend(self._agm.state_ints())
+        agm = self._agm.state_ints()
+        flat.extend(agm if isinstance(agm, list) else agm.tolist())
         return flat
 
     def load_state_ints(self, values: list[int], cursor: int = 0) -> int:

@@ -44,6 +44,7 @@ from repro.core.two_pass_spanner import TwoPassSpannerBuilder
 from repro.graph.graph import Graph
 from repro.graph.vertex_space import VertexSpace, as_vertex_space
 from repro.sketch.kernels import polyhash61_multi
+from repro.sketch.serialize import concat_ints
 from repro.stream.batching import aggregate_updates, updates_to_arrays
 from repro.stream.pipeline import StreamingAlgorithm, run_passes
 from repro.stream.space import SpaceReport
@@ -364,14 +365,11 @@ class StreamingSparsifier(StreamingAlgorithm):
     # Pass-0 blocks are variable-length (each shard allocates different
     # cluster-sketch keys), so every block travels length-prefixed.
 
-    def shard_state_ints(self, pass_index: int) -> list[int]:
+    def shard_state_ints(self, pass_index: int) -> np.ndarray | list[int]:
         """Length-prefixed concatenation of every sub-spanner's state."""
-        flat: list[int] = []
-        for builder in self._all_builders():
-            block = builder.shard_state_ints(pass_index)
-            flat.append(len(block))
-            flat.extend(block)
-        return flat
+        return _length_prefixed(
+            builder.shard_state_ints(pass_index) for builder in self._all_builders()
+        )
 
     def load_shard_state_ints(self, pass_index: int, values: list[int]) -> None:
         """Inverse of :meth:`shard_state_ints`, slot by slot."""
@@ -534,14 +532,11 @@ class StreamingWeightedSparsifier(StreamingAlgorithm):
     # class-wise, each block length-prefixed (mirroring
     # :class:`StreamingSparsifier`).
 
-    def shard_state_ints(self, pass_index: int) -> list[int]:
+    def shard_state_ints(self, pass_index: int) -> np.ndarray | list[int]:
         """Length-prefixed concatenation of every class pipeline's state."""
-        flat: list[int] = []
-        for pipeline in self._pipelines:
-            block = pipeline.shard_state_ints(pass_index)
-            flat.append(len(block))
-            flat.extend(block)
-        return flat
+        return _length_prefixed(
+            pipeline.shard_state_ints(pass_index) for pipeline in self._pipelines
+        )
 
     def load_shard_state_ints(self, pass_index: int, values: list[int]) -> None:
         """Inverse of :meth:`shard_state_ints`, class by class."""
@@ -631,6 +626,15 @@ def sparsify_weighted_graph(
                 weight += result.weight(u, v)
             result.add_edge(u, v, weight)
     return result
+
+
+def _length_prefixed(blocks) -> np.ndarray | list[int]:
+    """One wire of ``[len(block), *block]`` per block (see
+    :func:`~repro.sketch.serialize.concat_ints`)."""
+    parts: list = []
+    for block in blocks:
+        parts += [[len(block)], block]
+    return concat_ints(parts)
 
 
 def _filtered_graph(graph: Graph, predicate) -> Graph:

@@ -74,6 +74,7 @@ from repro.graph.vertex_space import VertexSpace, as_vertex_space
 from repro.sketch.columnar import SketchStack, fan_out_levels
 from repro.sketch.hashing import NestedSampler
 from repro.sketch.onesparse import DecodeStatus
+from repro.sketch.serialize import concat_ints
 from repro.sketch.table_store import NeighborhoodTableStore, SparseRecoveryStore, decode_tables
 from repro.stream.batching import aggregate_updates, updates_to_arrays
 from repro.stream.pipeline import StreamingAlgorithm, run_passes
@@ -411,76 +412,54 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
 
     # -- sharded execution protocol (see repro.stream.distributed) -----
 
-    def shard_state_ints(self, pass_index: int) -> list[int]:
+    def shard_state_ints(self, pass_index: int) -> np.ndarray | list[int]:
         """Serialize one pass's sketch state as a flat int sequence: the
         nonzero state of the stores that hold it.
 
-        Pass 0 ships the sorted touched vertices, then the cluster
-        stack's nonzero rows as ``[count, (vertex, r, j, cells...) ...]``
-        in ``(vertex, r, j)`` order — different shards hold different
-        rows, so keys travel with the states.  Pass 1 ships the table
-        store's nonzero cells, then the cut store's (see
+        Pass 0 ships the sorted touched vertices, ``[count, vertex
+        ...]``, then the cluster stack's nonzero cells (one block per
+        ``(r, j)`` group, keyed by vertex and cell: see
+        :meth:`~repro.sketch.columnar.SketchStack.sparse_state_ints`) —
+        different shards hold different rows, so keys travel with the
+        states.  Pass 1 ships the table store's nonzero cells, then the
+        cut store's (see
         :meth:`~repro.sketch.table_store.SparseRecoveryStore.sparse_state_ints`):
         the (broadcast) forest fixes both layouts, so a cell key names
         its table or cut sketch.
         """
         if pass_index == 0:
-            store = self._cluster_store
-            # Group order is (r, j) order, so keys sort as (vertex, r, j).
-            keys = [] if store is None else sorted(
-                (vertex, group)
-                for group in range(store.num_groups)
-                for vertex in store.touched_row_ids(group)
-                if not store.is_row_zero(vertex, group)
-            )
             touched = sorted(self._touched)
-            flat: list[int] = [len(touched)]
-            flat.extend(touched)
-            flat.append(len(keys))
-            for vertex, group in keys:
-                r, j = divmod(group, self._edge_levels + 1)
-                flat.extend((vertex, r + 1, j))
-                flat.extend(store.row_state_ints(vertex, group))
-            return flat
+            blocks = [[len(touched)], touched]
+            if self._cluster_store is not None:
+                blocks.append(self._cluster_store.sparse_state_ints())
+            return concat_ints(blocks)
         flat = [0] if self._tables is None else self._tables.sparse_state_ints()
         if self._cuts is not None:
             flat.extend(self._cuts.sparse_state_ints())
         return flat
 
-    def load_shard_state_ints(self, pass_index: int, values: list[int]) -> None:
+    def load_shard_state_ints(self, pass_index: int, values) -> None:
         """Inverse of :meth:`shard_state_ints` on a fresh same-seed
         builder (pass 1 additionally requires the adopted forest, which
         fixes the table layout).  The whole wire is checked before any
-        state changes.  An all-zero pass-0 row loads as a no-op, so a
-        wire that still ships zero rows restores the same state."""
+        state changes: blocks load into copies that are installed only
+        once every block and the framing checked out."""
         if pass_index == 0:
-            touched_count = int(values[0]) if values else -1
+            touched_count = int(values[0]) if len(values) else -1
             cursor = 1 + touched_count
-            if touched_count < 0 or cursor >= len(values):
+            if touched_count < 0 or cursor > len(values):
                 raise ValueError("pass-0 wire ends inside its touched list")
             touched = [int(v) for v in values[1:cursor]]
             if touched and not (0 <= min(touched) and max(touched) < self.num_vertices):
                 raise ValueError(f"touched id out of [0, {self.num_vertices})")
-            count = int(values[cursor])
-            cursor += 1
-            need = 0 if self._cluster_store is None else self._cluster_store.row_state_len()
-            rows = []
-            for _ in range(count):
-                if cursor + 3 + need > len(values):
-                    raise ValueError("pass-0 wire ends inside a cluster sketch row")
-                vertex, r, j = (int(v) for v in values[cursor : cursor + 3])
-                if not (1 <= r < self.k and 0 <= j <= self._edge_levels):
-                    # Out of range, (r, j) would alias another slot's group.
-                    raise ValueError(f"cluster sketch key (r={r}, j={j}) out of range")
-                if not 0 <= vertex < self.num_vertices:
-                    raise ValueError(f"cluster sketch row {vertex} out of range")
-                rows.append((vertex, self._cluster_group(r, j), cursor + 3))
-                cursor += 3 + need
+            store = self._cluster_store
+            if store is not None:
+                store = store.clone()
+                cursor = store.load_sparse_state(values, cursor)
             if cursor != len(values):
                 raise ValueError(f"expected {cursor} state ints, got {len(values)}")
             self._touched.update(touched)
-            for vertex, group, at in rows:
-                self._cluster_store.load_row_state(vertex, values[at : at + need], group)
+            self._cluster_store = store
             return
         if self.forest is None:
             raise RuntimeError("adopt the coordinator forest before loading pass-2 state")
@@ -931,8 +910,9 @@ class TwoPassSpannerBuilder(StreamingAlgorithm):
         for sampler in self._y_samplers:
             report.add("vertex-sample seeds", sampler.space_words())
         store = self._cluster_store
-        for group in range(0 if store is None else store.num_groups):
-            rows = store.resident_rows(group)
+        # Rows with a nonzero cell: the rows the wire ships, so a live
+        # builder and its restored copy charge alike.
+        for rows in [] if store is None else store.nonzero_rows().tolist():
             if rows:
                 report.add(
                     "pass1 cluster sketches",

@@ -23,7 +23,7 @@ killed-and-restored session finishes with answers bit-identical to an
 uninterrupted run — the property ``tests/service/test_checkpoint_restore.py``
 pins down for all three algorithms on weighted and unweighted streams.
 
-Durability posture (v3):
+Durability posture (v4):
 
 * **Atomic writes** — temp file + ``os.replace``; a crash *during*
   checkpointing leaves the previous checkpoint intact, and a failed
@@ -53,6 +53,8 @@ import struct
 import zlib
 from pathlib import Path
 
+import numpy as np
+
 from repro import faults, obs
 from repro.core.parameters import SpannerParams, SparsifierParams
 from repro.graph.vertex_space import VertexSpace
@@ -70,10 +72,15 @@ __all__ = [
 #: File magic; bump the suffix on incompatible layout changes.
 #: v3: CRC32-framed sections — header and payload each carry a
 #: ``(length, crc32)`` frame so corruption is detected at load time.
-MAGIC = b"repro-sketchstore-v3\n"
+#: v4: the sketch stacks ship nonzero cells, not nonzero rows.
+MAGIC = b"repro-sketchstore-v4\n"
 
 #: Previous layouts, recognized only to fail with a pointed message.
-_STALE_MAGICS = (b"repro-sketchstore-v1\n", b"repro-sketchstore-v2\n")
+_STALE_MAGICS = (
+    b"repro-sketchstore-v1\n",
+    b"repro-sketchstore-v2\n",
+    b"repro-sketchstore-v3\n",
+)
 
 #: Per-section frame: big-endian (byte length, CRC32 of the bytes).
 _FRAME = struct.Struct(">II")
@@ -157,32 +164,54 @@ def _write_atomic(path: Path, chunks: list[bytes], fail_at_byte: int | None) -> 
     return written
 
 
+def _ledger(session: GraphSession) -> np.ndarray:
+    """The ledger as one ``(L, 4)`` ``int64`` array in sorted pair order:
+    ``(u, v, multiplicity, float64 weight bits)`` per live edge."""
+    pairs = sorted(session._multiplicity)
+    ledger = np.empty((len(pairs), 4), dtype=np.int64)
+    if pairs:
+        ledger[:, :2] = pairs
+        ledger[:, 2] = [session._multiplicity[pair] for pair in pairs]
+        weights = np.array([session._weight[pair] for pair in pairs], dtype=np.float64)
+        ledger[:, 3] = weights.view(np.int64)
+    return ledger
+
+
+def _load_ledger(session: GraphSession, values) -> int:
+    """Fill ``session``'s ledger from ``values[0]`` on (the count, then
+    :func:`_ledger`'s rows, read in one reshape); returns the cursor."""
+    count = int(values[0])
+    end = 1 + 4 * count
+    if count < 0 or end > len(values):
+        raise ValueError(f"ledger of {count} edges overruns the payload")
+    ledger = np.asarray(values[1:end], dtype=np.int64).reshape(count, 4)
+    pairs = list(zip(ledger[:, 0].tolist(), ledger[:, 1].tolist()))
+    session._multiplicity.update(zip(pairs, ledger[:, 2].tolist()))
+    session._weight.update(zip(pairs, ledger[:, 3].copy().view(np.float64).tolist()))
+    return end
+
+
 def save_session(session: GraphSession, path) -> None:
     """Write ``session``'s full state to ``path`` atomically.
 
     Layout: magic line, then two CRC32-framed sections — the JSON
     header and a varint-packed int sequence holding the ledger followed
     by one length-prefixed ``shard_state_ints(0)`` block per enabled
-    algorithm.  Raises :class:`CheckpointError` if the write fails (the
-    temp file is cleaned up and any previous checkpoint is untouched).
+    algorithm.  The sequence is packed block by block, each an ``int64``
+    array where its values fit (varints concatenate, so the bytes are
+    those of the joined sequence).  Raises :class:`CheckpointError` if
+    the write fails (the temp file is cleaned up and any previous
+    checkpoint is untouched).
     """
     with obs.TRACER.span("checkpoint.save"):
-        flat: list[int] = [len(session._multiplicity)]
-        for pair in sorted(session._multiplicity):
-            flat.extend(
-                (
-                    pair[0],
-                    pair[1],
-                    session._multiplicity[pair],
-                    _float_bits(session._weight[pair]),
-                )
-            )
+        ledger = _ledger(session)
+        blocks = [np.array([len(ledger)], dtype=np.int64), ledger]
         for algorithm in session._algorithms():
             block = algorithm.shard_state_ints(0)
-            flat.append(len(block))
-            flat.extend(block)
-        with obs.TRACER.span("checkpoint.encode", ints=len(flat)):
-            payload = pack_ints(flat)
+            blocks += [np.array([len(block)], dtype=np.int64), block]
+        ints = sum(len(block) for block in blocks) + 3 * len(ledger)
+        with obs.TRACER.span("checkpoint.encode", ints=ints):
+            payload = b"".join(pack_ints(block) for block in blocks)
         header = json.dumps(_header(session), sort_keys=True).encode("utf-8")
 
         path = Path(path)
@@ -245,9 +274,9 @@ def _load_session(path) -> GraphSession:
         for stale in _STALE_MAGICS:
             if data.startswith(stale):
                 raise CheckpointError(
-                    f"{path} is a {stale[:-1].decode()} checkpoint; the CRC-framed "
-                    "v3 layout changed the file format — re-create the session "
-                    "and take a fresh checkpoint"
+                    f"{path} is a {stale[:-1].decode()} checkpoint; the "
+                    f"{MAGIC[:-1].decode()} layout changed the file format — "
+                    "re-create the session and take a fresh checkpoint"
                 )
         raise CheckpointError(f"{path} is not a sketch-store checkpoint")
 
@@ -296,21 +325,14 @@ def _load_session(path) -> GraphSession:
         ladder=ladder,
     )
 
-    cursor = 0
     try:
-        ledger_len = values[cursor]
-        cursor += 1
-        for _ in range(ledger_len):
-            u, v, multiplicity, weight_bits = values[cursor : cursor + 4]
-            cursor += 4
-            session._multiplicity[(int(u), int(v))] = int(multiplicity)
-            session._weight[(int(u), int(v))] = _bits_float(int(weight_bits))
+        cursor = _load_ledger(session, values)
         for algorithm in session._algorithms():
             length = int(values[cursor])
             cursor += 1
             algorithm.load_shard_state_ints(0, values[cursor : cursor + length])
             cursor += length
-    except (IndexError, ValueError) as error:
+    except (IndexError, OverflowError, ValueError) as error:
         raise CheckpointError(f"{path}: inconsistent payload: {error}") from error
     if cursor != len(values):
         raise CheckpointError(

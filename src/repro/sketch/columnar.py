@@ -74,9 +74,9 @@ Rows materialize back into the existing sketch classes via
 (shared immutable hash families, copied cells), so every decode,
 ``clone()``, ``combine`` and ``state_ints`` contract is preserved on top
 of the new storage — mixed scalar/columnar state stays summable.  The
-sparse serialization helpers (:meth:`SketchStack.sparse_state_ints`)
-ship, group by group, ``(logical row id, cells)`` pairs for nonzero rows
-only, which is what lets checkpoints and shard messages of dense and
+wire (:meth:`SketchStack.sparse_state_ints`) ships, group by group, the
+nonzero cells only, keyed by logical row and cell, as one ``int64``
+array, which is what lets checkpoints and shard messages of dense and
 sparse vertex spaces round-trip interchangeably.
 """
 
@@ -97,7 +97,7 @@ from repro.sketch.kernels import (
 from repro import obs
 from repro.sketch.hashing import MERSENNE_61, KWiseHash
 from repro.sketch.l0sampler import L0Sampler
-from repro.sketch.serialize import pack_ints
+from repro.sketch.serialize import concat_ints, pack_ints
 from repro.sketch.sparse_recovery import (
     _BUCKET_HASH_INDEPENDENCE,
     SparseRecoverySketch,
@@ -887,12 +887,9 @@ class SketchStack:
 
     def load_row_state(self, row: int, values: list[int], group: int = 0) -> None:
         """Inverse of :meth:`row_state_ints` for row ``row`` of group
-        ``group``.
-
-        Loading an all-zero state into a never-touched row is a no-op,
-        so restoring a sparse checkpoint interns exactly the rows it
-        ships.
-        """
+        ``group`` (the exact per-row path; the wire is
+        :meth:`load_sparse_state`).  Loading an all-zero state into a
+        never-touched row is a no-op, so it interns no row."""
         if len(values) != 3 * self.cells:
             raise ValueError(f"expected {3 * self.cells} state ints, got {len(values)}")
         key = self._key(row, group)
@@ -921,112 +918,147 @@ class SketchStack:
         )
 
     def reset_state(self) -> None:
-        """Drop every cell back to the all-zero state (seeds kept).
-
-        The sparse wire ships nonzero rows only, so *overwriting* a
-        possibly non-fresh stack from a wire block must clear resident
-        state first — rows absent from the message are zero by contract.
-        """
+        """Drop every cell back to the all-zero state (seeds kept)."""
         self._reset_storage()
 
-    def sparse_state_ints(self) -> list[int]:
-        """Self-delimiting nonzero-rows blocks, one per group in group
-        order: ``[count, (row id, row state) ...]`` in ascending logical
-        row order.
+    def sparse_state_ints(self) -> np.ndarray | list[int]:
+        """The stack's nonzero cells, one self-delimiting block per group
+        in group order: ``[count, (key, total, index sum, fingerprint)
+        ...]`` with ``key = row * cells + cell`` strictly increasing —
+        the cell record of
+        :meth:`~repro.sketch.table_store.SparseRecoveryStore.sparse_state_ints`.
 
-        Stacks fed the same updates emit identical blocks whatever order
-        touched their rows — the wire format that checkpoints and shard
-        messages use to carry logical row ids.
+        Zero cells never ship, so stacks fed the same updates emit
+        identical blocks whatever order or chunking touched their rows —
+        the wire checkpoints and shard messages carry.  Built as one
+        ``int64`` array straight from the counter planes (fingerprints
+        are below ``p < 2^63``); a spilled stack, whose counters may
+        leave ``int64``, ships a list of exact ints.
         """
-        keys = self._nonzero_keys()
-        key_groups = keys // self.num_rows
-        counts = np.bincount(key_groups, minlength=self.num_groups)
         if self._spilled is not None:
-            flat: list[int] = []
-            cursor = 0
-            for count in counts.tolist():
-                flat.append(count)
-                for key in keys[cursor : cursor + count].tolist():
-                    flat.append(key % self.num_rows)
-                    flat.extend(self._spilled[key].state_ints())
-                cursor += count
-            return flat
-        # Each group's rows as one int64 block (fingerprints are below
-        # p < 2^63, so the cast is exact): (row id, totals, index sums,
-        # fingerprints) per row, converted group by group.
-        slots = self._lookup_slots(keys)
-        cells = self.cells
+            return self._spilled_cells()
+        keys = self._snapshot()
+        slots = self._sorted_slots
+        totals = self._totals[slots]
+        index_sums = self._index_sums[slots]
+        fingerprints = self._fingerprints[slots]
+        # Row-major over sorted row keys: records come group by group,
+        # each group's in ascending cell key.
+        owner, cell = np.nonzero((totals != 0) | (index_sums != 0) | (fingerprints != 0))
+        row_keys = keys[owner]
+        counts = np.bincount(row_keys // self.num_rows, minlength=self.num_groups)
+        heads = np.arange(self.num_groups) + 4 * (np.cumsum(counts) - counts)
+        wire = np.empty(self.num_groups + 4 * owner.size, dtype=np.int64)
+        wire[heads] = counts
+        records = np.ones(wire.size, dtype=bool)
+        records[heads] = False
+        block = np.empty((owner.size, 4), dtype=np.int64)
+        block[:, 0] = (row_keys % self.num_rows) * self.cells + cell
+        block[:, 1] = totals[owner, cell]
+        block[:, 2] = index_sums[owner, cell]
+        block[:, 3] = fingerprints[owner, cell]
+        wire[records] = block.reshape(-1)
+        return wire
+
+    def _spilled_cells(self) -> list[int]:
+        """:meth:`sparse_state_ints` of a spilled stack, in exact ints."""
         flat: list[int] = []
-        first = 0
-        for count in counts.tolist():
-            flat.append(count)
-            if count:
-                taken = slots[first : first + count]
-                block = np.empty((count, 1 + 3 * cells), dtype=np.int64)
-                block[:, 0] = keys[first : first + count] % self.num_rows
-                block[:, 1 : 1 + cells] = self._totals[taken]
-                block[:, 1 + cells : 1 + 2 * cells] = self._index_sums[taken]
-                block[:, 1 + 2 * cells :] = self._fingerprints[taken]
-                flat.extend(block.reshape(-1).tolist())
-                first += count
+        keys = sorted(self._spilled)
+        at = 0
+        for group in range(self.num_groups):
+            records: list[int] = []
+            low = group * self.num_rows
+            while at < len(keys) and keys[at] < low + self.num_rows:
+                sketch = self._spilled[keys[at]]
+                base = (keys[at] - low) * self.cells
+                at += 1
+                for cell, values in enumerate(
+                    zip(sketch._totals, sketch._index_sums, sketch._fingerprints)
+                ):
+                    if any(values):
+                        records.extend((base + cell, *values))
+            flat.append(len(records) // 4)
+            flat.extend(records)
         return flat
 
-    def load_sparse_state(self, values: list[int], cursor: int = 0) -> int:
-        """Inverse of :meth:`sparse_state_ints`; returns the new cursor.
+    def load_sparse_state(self, values, cursor: int = 0) -> int:
+        """Inverse of :meth:`sparse_state_ints` from ``values[cursor]``
+        (a list or an ``int64`` array); returns the cursor past the block.
 
-        Each group's block loads as one ``(count, width)`` ``int64``
-        array (:meth:`_load_block`); a block that array cannot carry
-        exactly loads row by row through :meth:`load_row_state`, which
-        also raises the errors of malformed input.
+        The whole block is checked before any state changes, else
+        ``ValueError``: every group's count fits the wire, each group's
+        keys strictly increase and lie in ``[0, num_rows * cells)``, every
+        fingerprint is a residue in ``[0, p)`` and no cell is all-zero.
+        The block then overwrites the stack: it is reset and exactly the
+        rows the block names are interned, in one vectorized pass.  A
+        counter at the spill bound (or past ``int64``) loads into a
+        spilled stack, in exact ints.
         """
-        width = 1 + self.row_state_len()
-        for group in range(self.num_groups):
+        start, counts = cursor, []
+        for _ in range(self.num_groups):
+            if not 0 <= cursor < len(values):
+                raise ValueError("cell block ends before a group's count")
             count = int(values[cursor])
-            cursor += 1
-            if count > 0 and self._load_block(values[cursor : cursor + count * width], count, group):
-                cursor += count * width
-                continue
-            for _ in range(count):
-                self.load_row_state(int(values[cursor]), values[cursor + 1 : cursor + width], group)
-                cursor += width
-        return cursor
-
-    def _load_block(self, chunk: list[int], count: int, group: int) -> bool:
-        """Load group ``group``'s wire block of ``count`` rows in bulk —
-        the same slots, cells and bound as :meth:`load_row_state` per
-        row.  Returns ``False`` without touching state when the block
-        needs the per-row path: a spilled stack, a short block, entries
-        that do not fit ``int64``, row ids out of range or not strictly
-        increasing, or a counter at the spill bound."""
-        width = 1 + self.row_state_len()
-        if self._spilled is not None:
-            return False
-        try:  # load_row_state's own cast; a short block cannot reshape
-            block = np.array(chunk, dtype=np.int64).reshape(count, width)
-        except (OverflowError, TypeError, ValueError):
-            return False
-        row_ids = block[:, 0]
-        if row_ids[0] < 0 or row_ids[-1] >= self.num_rows or np.any(row_ids[1:] <= row_ids[:-1]):
-            return False
-        cells = self.cells
-        counters = block[:, 1 : 1 + 2 * cells]
-        magnitude = max(int(counters.max()), -int(counters.min()))
+            if count < 0 or cursor + 1 + 4 * count > len(values):
+                raise ValueError(f"cell count {count} overruns the wire")
+            counts.append(count)
+            cursor += 1 + 4 * count
+        chunk = concat_ints([values[start:cursor]])
+        if isinstance(chunk, list):
+            chunk = np.array(chunk, dtype=object)  # exact ints past int64
+        counts = np.asarray(counts, dtype=np.int64)
+        body = np.ones(len(chunk), dtype=bool)
+        body[np.arange(counts.size) + 4 * (np.cumsum(counts) - counts)] = False
+        records = chunk[body].reshape(-1, 4)
+        try:
+            keys = records[:, 0].astype(np.int64)
+            fingerprints = records[:, 3].astype(np.int64)
+        except OverflowError as error:
+            raise ValueError("cell key or fingerprint leaves int64") from error
+        totals, index_sums = records[:, 1], records[:, 2]
+        groups = np.repeat(np.arange(self.num_groups, dtype=np.int64), counts)
+        span = self.num_rows * self.cells
+        magnitude = 0
+        if keys.size:
+            if int(keys.min()) < 0 or int(keys.max()) >= span:
+                raise ValueError(f"cell key outside [0, {span})")
+            ordered = groups * np.int64(span) + keys
+            if np.any(ordered[1:] <= ordered[:-1]):
+                raise ValueError("cell keys must strictly increase")
+            if np.any((fingerprints < 0) | (fingerprints >= MERSENNE_61)):
+                raise ValueError("cell fingerprint outside [0, p)")
+            if not np.all((totals != 0) | (index_sums != 0) | (fingerprints != 0)):
+                raise ValueError("an all-zero cell is on the wire")
+            magnitude = max(
+                int(totals.max()), -int(totals.min()),
+                int(index_sums.max()), -int(index_sums.min()),
+            )
+        self._reset_storage()
+        row_keys = groups * np.int64(self.num_rows) + keys // self.cells
+        cells = keys % self.cells
         if magnitude >= _INT64_SAFE_BOUND:
-            return False
-        keys = row_ids + group * self.num_rows
-        # All-zero rows load only over rows already interned (as per row).
-        keep = block[:, 1:].any(axis=1)
-        if not keep.all():
-            keep[~keep] = self._lookup_slots(keys[~keep]) >= 0
-            block, keys = block[keep], keys[keep]
+            self._spill()
+            for key, cell, total, index_sum, fingerprint in zip(
+                row_keys.tolist(), cells.tolist(), totals.tolist(),
+                index_sums.tolist(), fingerprints.tolist(),
+            ):
+                sketch = self._spilled_sketch(key, create=True)
+                sketch._totals[cell] = int(total)
+                sketch._index_sums[cell] = int(index_sum)
+                sketch._fingerprints[cell] = fingerprint
+            return cursor
         if keys.size == 0:
-            return True
-        self._bounds[group] = max(int(self._bounds[group]), magnitude)
-        slots = self._slots_for_batch(keys)
-        self._totals[slots] = block[:, 1 : 1 + cells]
-        self._index_sums[slots] = block[:, 1 + cells : 1 + 2 * cells]
-        self._fingerprints[slots] = np.remainder(block[:, 1 + 2 * cells :], MERSENNE_61)
-        return True
+            return cursor
+        totals, index_sums = totals.astype(np.int64), index_sums.astype(np.int64)
+        starts = np.flatnonzero(np.r_[True, row_keys[1:] != row_keys[:-1]])
+        slots = np.repeat(
+            self._slots_for_batch(row_keys[starts]), np.diff(np.r_[starts, row_keys.size])
+        )
+        self._totals[slots, cells] = totals
+        self._index_sums[slots, cells] = index_sums
+        self._fingerprints[slots, cells] = fingerprints
+        np.maximum.at(self._bounds, groups, np.maximum(np.abs(totals), np.abs(index_sums)))
+        return cursor
 
     # ------------------------------------------------------------------
     # Linearity / copying
@@ -1093,9 +1125,15 @@ class SketchStack:
         the standalone sketch's ``space_words()``."""
         return 3 * self.cells + sum(h.space_words() for h in self._hash_objs[0]) + 1
 
+    def nonzero_rows(self) -> np.ndarray:
+        """Rows holding a nonzero cell, per group: the rows the wire
+        ships, so a stack and its restored copy count alike (a row whose
+        cells cancel across chunks stays resident but counts zero)."""
+        return np.bincount(self._nonzero_keys() // self.num_rows, minlength=self.num_groups)
+
     def resident_space_words(self) -> int:
-        """Words actually held: resident (touched) rows only."""
-        return self.resident_rows() * self.row_space_words()
+        """Words held by the rows with a nonzero cell."""
+        return sum(self.nonzero_rows().tolist()) * self.row_space_words()
 
     def universe_space_words(self) -> int:
         """Words a fully dense allocation over the universe would hold."""
@@ -1421,14 +1459,16 @@ class L0SamplerStack:
         """Drop every row back to the all-zero state."""
         self._store.reset_state()
 
-    def sparse_state_ints(self) -> list[int]:
-        """Per-level nonzero-row blocks, family-major (see
+    def sparse_state_ints(self) -> np.ndarray | list[int]:
+        """Per-level nonzero-cell blocks, family-major (see
         :meth:`SketchStack.sparse_state_ints`) — independent of the
         order rows were touched in."""
         return self._store.sparse_state_ints()
 
-    def load_sparse_state(self, values: list[int], cursor: int = 0) -> int:
-        """Inverse of :meth:`sparse_state_ints`; returns the new cursor."""
+    def load_sparse_state(self, values, cursor: int = 0) -> int:
+        """Inverse of :meth:`sparse_state_ints`, checked whole and then
+        overwriting (see :meth:`SketchStack.load_sparse_state`); returns
+        the new cursor."""
         return self._store.load_sparse_state(values, cursor)
 
     # ------------------------------------------------------------------
@@ -1461,21 +1501,23 @@ class L0SamplerStack:
         return self._seed_words() + self.levels * self._store.row_space_words()
 
     def resident_space_words(self) -> int:
-        """Words actually held by the touched rows.
+        """Words held by the rows with a nonzero cell.
 
-        Mirrors the per-sampler accounting (each touched row charges its
-        own membership/tiebreak seeds once per family, and its touched
-        levels), so a stack whose every row is touched at every level
-        reports exactly :meth:`universe_space_words`.  Charging a whole
-        universe regardless of what was touched is a
+        Mirrors the per-sampler accounting (each charged row charges its
+        own membership/tiebreak seeds once per family, and its nonzero
+        levels), so a stack whose every row is nonzero at every level
+        reports exactly :meth:`universe_space_words`.  Only rows holding
+        a nonzero cell count — the rows the wire ships — so a live stack
+        and its restored copy charge alike.  Charging a whole universe
+        regardless of what was touched is a
         :class:`~repro.graph.vertex_space.VertexSpace` policy, applied by
         :meth:`~repro.agm.spanning_forest.AgmSketch.space_words`.
         """
-        level0_rows = sum(
-            self._store.resident_rows(family * self.levels)
-            for family in range(self.families)
+        rows = self._store.nonzero_rows().tolist()
+        return (
+            sum(rows[:: self.levels]) * self._seed_words()
+            + sum(rows) * self._store.row_space_words()
         )
-        return level0_rows * self._seed_words() + self._store.resident_space_words()
 
     def universe_space_words(self) -> int:
         """Words a fully dense universe allocation would hold."""

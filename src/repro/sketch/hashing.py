@@ -30,6 +30,16 @@ import numpy as _np
 MERSENNE_61 = (1 << 61) - 1
 
 
+def _field_element(rng) -> int:
+    """A uniform draw from ``[0, p)``, bit for bit ``rng.randrange(p)``:
+    61 random bits, redrawn while they read ``p`` itself (``randrange``'s
+    own rejection loop, minus its argument checks)."""
+    value = rng.getrandbits(61)
+    while value == MERSENNE_61:
+        value = rng.getrandbits(61)
+    return value
+
+
 class KWiseHash:
     """A ``k``-wise independent hash function ``h: Z -> [0, p)``.
 
@@ -62,7 +72,7 @@ class KWiseHash:
             raise ValueError(f"independence k must be >= 1, got {k}")
         self.k = k
         rng = rng_from_seed(seed, "kwise", k)
-        self._coeffs = [rng.randrange(MERSENNE_61) for _ in range(k)]
+        self._coeffs = [_field_element(rng) for _ in range(k)]
         # A zero leading coefficient is harmless (it only lowers the
         # polynomial degree), so no rejection sampling is needed.
 

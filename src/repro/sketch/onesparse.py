@@ -172,9 +172,9 @@ class OneSparseDetector:
         """
         if len(values) != 3:
             raise ValueError(f"expected 3 state ints, got {len(values)}")
-        self.total = values[0]
-        self.index_sum = values[1]
-        self.fingerprint = values[2] % MERSENNE_61
+        self.total = int(values[0])
+        self.index_sum = int(values[1])
+        self.fingerprint = int(values[2]) % MERSENNE_61
         return self
 
     def space_words(self) -> int:

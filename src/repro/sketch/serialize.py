@@ -44,6 +44,13 @@ the arbitrary-precision Python loops :func:`_pack_exact` /
 whose value does not fit ``uint64``, or input that is not an integer
 array — and as the tests' oracle.  Floats are never truncated: a float
 block takes the exact path, which raises ``TypeError``.
+
+Wires travel as ``int64`` arrays wherever every value fits: the sketch
+stacks build their blocks straight from their counter planes,
+:func:`concat_ints` joins blocks without a per-element pass, an
+``int64`` array packs with no dtype inference, and :func:`unpack_ints`
+returns an ``int64`` array unless some value leaves ``int64`` — then a
+list of exact Python ints, as every consumer accepts either.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ from typing import Iterable
 import numpy as np
 
 __all__ = [
+    "concat_ints",
     "pack_ints",
     "unpack_ints",
     "serialized_size_bytes",
@@ -162,20 +170,51 @@ def _pack_block(values: np.ndarray) -> bytes:
 
 
 def pack_ints(values: Iterable[int]) -> bytes:
-    """Encode a sequence of (possibly huge, possibly negative) ints."""
-    if not isinstance(values, (list, tuple, np.ndarray)):
+    """Encode a sequence of (possibly huge, possibly negative) ints.
+
+    An ``int64`` array (of any shape; packed in C order) goes straight to
+    the numpy blocks; a list or an object array infers each block's
+    dtype and takes the exact path where a value leaves ``int64``."""
+    if isinstance(values, np.ndarray):
+        values = values.reshape(-1)
+    elif not isinstance(values, (list, tuple)):
         values = list(values)
+    int64 = isinstance(values, np.ndarray) and values.dtype == np.int64
     parts = []
     for start in range(0, len(values), _PACK_BLOCK):
         block = values[start : start + _PACK_BLOCK]
-        array = _int64_block(block)
+        array = block if int64 else _int64_block(block)
         parts.append(_pack_exact(block) if array is None else _pack_block(array))
     return b"".join(parts)
 
 
-def _unpack_window(window: np.ndarray, ends: np.ndarray) -> list[int]:
+def concat_ints(blocks) -> np.ndarray | list[int]:
+    """One wire of the given blocks (lists, tuples or arrays of ints), in
+    order: an ``int64`` array when every value fits ``int64``, else a
+    list of exact Python ints.  ``int64`` array blocks are joined without
+    a per-element pass."""
+    arrays = []
+    for block in blocks:
+        if isinstance(block, np.ndarray) and block.dtype == np.int64:
+            array = block.reshape(-1)
+        elif len(block) == 0:
+            continue
+        else:
+            array = _int64_block(block)
+        if array is None:
+            return [
+                operator.index(value)
+                for block in blocks
+                for value in (block.tolist() if isinstance(block, np.ndarray) else block)
+            ]
+        arrays.append(array)
+    return np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int64)
+
+
+def _unpack_window(window: np.ndarray, ends: np.ndarray) -> np.ndarray | list[int]:
     """Values of ``window``, whole varints whose last bytes sit at
-    ``ends`` (ascending, the last one at the window's end)."""
+    ``ends`` (ascending, the last one at the window's end): an ``int64``
+    array, or the exact loop's list where 64 bits cannot carry them."""
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
@@ -190,14 +229,14 @@ def _unpack_window(window: np.ndarray, ends: np.ndarray) -> list[int]:
     shifts = (np.arange(window.size, dtype=np.int64) - starts[owner]) * 7
     groups = (window & 0x7F).astype(np.uint64) << shifts.astype(np.uint64)
     encoded = np.bitwise_or.reduceat(groups, starts)
-    decoded = (encoded >> np.uint64(1)).view(np.int64) ^ -(encoded & np.uint64(1)).view(np.int64)
-    return decoded.tolist()
+    return (encoded >> np.uint64(1)).view(np.int64) ^ -(encoded & np.uint64(1)).view(np.int64)
 
 
-def unpack_ints(data: bytes) -> list[int]:
-    """Inverse of :func:`pack_ints`."""
+def unpack_ints(data: bytes) -> np.ndarray | list[int]:
+    """Inverse of :func:`pack_ints`: an ``int64`` array when every value
+    fits ``int64``, else a list of exact Python ints."""
     stream = np.frombuffer(data, dtype=np.uint8)
-    values: list[int] = []
+    parts: list = []
     start = 0
     while start < stream.size:
         window = stream[start : start + _UNPACK_BLOCK]
@@ -205,12 +244,12 @@ def unpack_ints(data: bytes) -> list[int]:
         if ends.size == 0:
             # No terminator in a whole window: a pathological varint (or
             # a truncated tail) — the exact loop settles the rest.
-            values.extend(_unpack_exact(stream[start:].tobytes()))
-            return values
+            parts.append(_unpack_exact(stream[start:].tobytes()))
+            break
         cut = int(ends[-1]) + 1
-        values.extend(_unpack_window(window[:cut], ends))
+        parts.append(_unpack_window(window[:cut], ends))
         start += cut
-    return values
+    return concat_ints(parts)
 
 
 def serialized_size_bytes(sketch) -> int:

@@ -29,12 +29,8 @@ def derive_seed(master: int | str, *parts: int | str) -> int:
         ``(master, parts)`` always yields the same seed; any change in any
         part yields an (effectively) independent seed.
     """
-    hasher = hashlib.sha256()
-    hasher.update(repr(master).encode("utf-8"))
-    for part in parts:
-        hasher.update(b"/")
-        hasher.update(repr(part).encode("utf-8"))
-    return int.from_bytes(hasher.digest()[:8], "big")
+    message = "/".join(map(repr, (master, *parts))).encode("utf-8")
+    return int.from_bytes(hashlib.sha256(message).digest()[:8], "big")
 
 
 def rng_from_seed(master: int | str, *parts: int | str) -> random.Random:

@@ -19,6 +19,11 @@ from repro.graph.random_graphs import (
 from repro.stream.generators import adversarial_churn_stream, stream_from_graph
 
 
+def _listed(wire):
+    """A wire as a list of Python ints (pass 0 ships an ``int64`` array)."""
+    return wire.tolist() if hasattr(wire, "tolist") else list(wire)
+
+
 def build(graph, k, seed, churn=0.3, **kwargs):
     stream = stream_from_graph(graph, seed=seed, churn=churn)
     builder = TwoPassSpannerBuilder(graph.num_vertices, k, seed=seed, **kwargs)
@@ -126,29 +131,33 @@ class TestMerge:
             if max(update.u, update.v) < 8:
                 target.process(update, 0)
             other.process(update, 0)
-        before = target.shard_state_ints(0)
+        before = _listed(target.shard_state_ints(0))
         with pytest.raises(ValueError, match="num_vertices, k, params"):
             target.merge_first_pass(other)
         with pytest.raises(ValueError, match="num_vertices, k, params"):
             target.merge_second_pass(other)
-        assert target.shard_state_ints(0) == before
+        assert _listed(target.shard_state_ints(0)) == before
 
     def test_out_of_range_cluster_key_in_wire_raises(self):
-        """A pass-0 wire key (r, j) past the edge levels would alias the
-        next target level's seed group; loading it must fail instead."""
+        """A pass-0 cell key past its ``(r, j)`` group's ``vertices *
+        cells`` would alias the next group's cells; loading it must fail
+        instead, before any change."""
         builder = TwoPassSpannerBuilder(16, 3, "wire-keys")
         builder.process_batch(list(stream_from_graph(complete_graph(16), seed=2)), 0)
-        wire = builder.shard_state_ints(0)
-        key_at = 2 + wire[0]  # after the touched list and the key count
-        assert wire[key_at + 1] == 1  # a level-1 key: r = 1
-        wire[key_at + 2] = builder._edge_levels + 1
-        with pytest.raises(ValueError, match="out of range"):
-            TwoPassSpannerBuilder(16, 3, "wire-keys").load_shard_state_ints(0, wire)
+        wire = _listed(builder.shard_state_ints(0))
+        count_at = 1 + wire[0]  # after the touched list: group (1, 0)'s count
+        assert wire[count_at] > 0
+        last = count_at + 1 + 4 * (wire[count_at] - 1)  # its last cell's key
+        wire[last] = 16 * builder._cluster_store.cells
+        target = TwoPassSpannerBuilder(16, 3, "wire-keys")
+        with pytest.raises(ValueError, match="outside"):
+            target.load_shard_state_ints(0, wire)
+        assert _listed(target.shard_state_ints(0)) == [0] + [0] * target._cluster_store.num_groups
 
 
 class TestPassZeroWire:
     """The pass-0 wire: touched ids, then the cluster stack's nonzero
-    rows.  Malformed wires are refused before any state changes."""
+    cells.  Malformed wires are refused before any state changes."""
 
     @staticmethod
     def _source_and_target():
@@ -165,7 +174,7 @@ class TestPassZeroWire:
             (lambda wire: wire.__setitem__(wire[0], 10**6), "touched id"),  # the last one
             (lambda wire: wire.__setitem__(1, -1), "touched id"),
             (lambda wire: wire.__setitem__(0, len(wire)), "inside its touched list"),
-            (lambda wire: wire.__setitem__(1 + wire[0], wire[1 + wire[0]] + 1), "inside a cluster"),
+            (lambda wire: wire.__setitem__(1 + wire[0], len(wire)), "overruns"),
         ],
         ids=["touched-id-past-universe", "negative-touched-id", "touched-count-overruns",
              "row-count-overruns"],
@@ -175,52 +184,52 @@ class TestPassZeroWire:
         out-of-universe touched id once loaded and failed only at the
         forest build; an overrunning count raised ``IndexError``)."""
         _, source, target = self._source_and_target()
-        wire = source.shard_state_ints(0)
+        wire = _listed(source.shard_state_ints(0))
         corrupt(wire)
-        before = target.shard_state_ints(0)
+        before = _listed(target.shard_state_ints(0))
         with pytest.raises(ValueError, match=match):
             target.load_shard_state_ints(0, wire)
-        assert target.shard_state_ints(0) == before
+        assert _listed(target.shard_state_ints(0)) == before
 
     def test_rows_are_the_nonzero_rows(self):
+        """The cell blocks name exactly the nonzero cells of the nonzero
+        rows, one block per ``(r, j)`` group."""
         _, source, _ = self._source_and_target()
-        wire = source.shard_state_ints(0)
-        width = 3 + source._cluster_store.row_state_len()
-        rows = wire[2 + wire[0] :]
-        assert wire[1 + wire[0]] * width == len(rows) > 0
-        assert all(any(rows[at + 3 : at + width]) for at in range(0, len(rows), width))
+        store = source._cluster_store
+        wire = _listed(source.shard_state_ints(0))
+        cursor, named = 1 + wire[0], []
+        for group in range(store.num_groups):
+            count = wire[cursor]
+            records = [wire[at : at + 4] for at in range(cursor + 1, cursor + 1 + 4 * count, 4)]
+            assert all(any(record[1:]) for record in records)
+            named.append(len({record[0] // store.cells for record in records}))
+            cursor += 1 + 4 * count
+        assert cursor == len(wire)
+        assert named == store.nonzero_rows().tolist() and sum(named) > 0
 
-    def test_a_wire_carrying_an_all_zero_row_loads_the_same_state(self):
-        """Wires once shipped all-zero rows too; such a row loads as a
-        no-op, so the padded wire restores the same state, space and
-        answers as the wire without it."""
+    def test_restores_the_same_state_refuses_zero_cells(self):
+        """A restored builder ships the same wires and spanner as its
+        source; a wire padded with an all-zero cell is refused, before
+        any change."""
         stream, source, _ = self._source_and_target()
-        wire = source.shard_state_ints(0)
-        touched = wire[0]
-        width = 3 + source._cluster_store.row_state_len()
-        rows = [wire[at : at + width] for at in range(2 + touched, len(wire), width)]
-        shipped = {tuple(row[:3]) for row in rows}
-        extra = next(
-            (vertex, r, j)
-            for vertex in range(16)
-            for r in (1, 2)
-            for j in range(source._edge_levels + 1)
-            if (vertex, r, j) not in shipped
-        )
-        rows.append([*extra] + [0] * (width - 3))
-        padded = wire[: 1 + touched] + [len(rows)] + [v for row in sorted(rows) for v in row]
+        wire = _listed(source.shard_state_ints(0))
         plain = TwoPassSpannerBuilder(16, 3, "wire-zero")
-        old = TwoPassSpannerBuilder(16, 3, "wire-zero")
         plain.load_shard_state_ints(0, wire)
-        old.load_shard_state_ints(0, padded)
-        assert old.shard_state_ints(0) == wire
-        assert old.space_report() == plain.space_report()
-        for builder in (source, plain, old):
+        assert _listed(plain.shard_state_ints(0)) == wire
+        assert plain.space_report() == source.space_report()
+        count_at = 1 + wire[0]
+        end = count_at + 1 + 4 * wire[count_at]
+        padded = wire[:count_at] + [wire[count_at] + 1] + wire[count_at + 1 : end]
+        padded += [16 * source._cluster_store.cells - 1, 0, 0, 0] + wire[end:]
+        target = TwoPassSpannerBuilder(16, 3, "wire-zero")
+        with pytest.raises(ValueError, match="all-zero"):
+            target.load_shard_state_ints(0, padded)
+        assert _listed(target.shard_state_ints(0)) == [0] + [0] * target._cluster_store.num_groups
+        for builder in (source, plain):
             builder.end_pass(0)
             builder.process_batch(stream, 1)
-        assert old.shard_state_ints(1) == plain.shard_state_ints(1) == source.shard_state_ints(1)
-        edges = source.finalize().spanner.edge_set()
-        assert old.finalize().spanner.edge_set() == plain.finalize().spanner.edge_set() == edges
+        assert plain.shard_state_ints(1) == source.shard_state_ints(1)
+        assert plain.finalize().spanner.edge_set() == source.finalize().spanner.edge_set()
 
 
 def _record(wire, block, index):

@@ -120,7 +120,7 @@ def test_restored_state_digest_equals_live(tmp_path, kind):
     session.checkpoint(path)
     restored = load_session(path)
     live, back = session._connectivity, restored._connectivity
-    assert live.shard_state_ints(0) == back.shard_state_ints(0)
+    assert list(live.shard_state_ints(0)) == list(back.shard_state_ints(0))
     assert live.state_digest() == back.state_digest()
 
 
@@ -154,6 +154,23 @@ def test_corrupt_and_missing_checkpoints_raise(tmp_path):
         load_session(path)
 
 
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_stale_format_is_refused_with_a_pointed_message(tmp_path, version):
+    """An older layout (v3 shipped nonzero rows, not nonzero cells) is
+    refused by name, never misread."""
+    from repro.service import checkpoint as ckpt
+
+    session = GraphSession(6, 9, enable_spanner=False, enable_sparsifier=False)
+    session.ingest_batch(list(mixed_workload_stream(6, 40, seed=9)))
+    path = tmp_path / "stale.bin"
+    session.checkpoint(path)
+    stale = f"repro-sketchstore-v{version}\n".encode()
+    assert stale in ckpt._STALE_MAGICS and ckpt.MAGIC == b"repro-sketchstore-v4\n"
+    path.write_bytes(stale + path.read_bytes()[len(ckpt.MAGIC) :])
+    with pytest.raises(CheckpointError, match=f"v{version} checkpoint.*re-create"):
+        load_session(path)
+
+
 def test_checkpoint_overwrite_is_atomic(tmp_path):
     session = GraphSession(6, 7, enable_spanner=False, enable_sparsifier=False)
     session.ingest_batch(list(mixed_workload_stream(6, 40, seed=8)))
@@ -163,3 +180,30 @@ def test_checkpoint_overwrite_is_atomic(tmp_path):
     session.checkpoint(path)  # same state: replaces with identical bytes
     assert path.read_bytes() == first
     assert not path.with_name(path.name + ".tmp").exists()
+
+
+@pytest.mark.parametrize("kind", ["dense-churn", "powerlaw-1e7"])
+def test_live_and_restored_space_agree_after_every_ingest(tmp_path, kind):
+    """Space charges the rows holding a nonzero cell — the rows the wire
+    ships — so a session restored after any ingest reports the live
+    session's words, rows whose cells cancelled across ingests
+    included (they stay resident in the live stacks only)."""
+    from repro.graph.vertex_space import VertexSpace
+    from repro.stream.generators import power_law_universe_stream
+
+    if kind == "dense-churn":
+        space, chunk = 16, 2000
+        tokens = list(mixed_workload_stream(16, 20_000, seed="space-churn"))
+    else:
+        space, chunk = VertexSpace.sparse(10**7), 250
+        tokens = list(power_law_universe_stream(
+            10**7, 80, 2500, "space-powerlaw", exponent=1.2
+        ))
+    session = GraphSession(space, f"space-{kind}", k=3, sparsifier_k=1, sparsifier_params=SLIM)
+    path = tmp_path / "space.bin"
+    for start in range(0, len(tokens), chunk):
+        session.ingest_batch(tokens[start : start + chunk])
+        session.checkpoint(path)
+        restored = load_session(path)
+        assert restored.space_report() == session.space_report()
+        assert restored.stats().space_words == session.stats().space_words

@@ -100,10 +100,10 @@ def test_snapshot_never_mutates_the_live_sparsifier(kind):
     session, tokens = _session_and_tokens(kind)
     session.ingest_batch(tokens)
     live = session._sparsifier
-    before = live.shard_state_ints(0)
+    before = list(live.shard_state_ints(0))
     clone, _, _ = _cold_snapshot(session)  # replayed and finalized
     sanitize.check_clone_independent(live, clone)
-    assert live.shard_state_ints(0) == before
+    assert list(live.shard_state_ints(0)) == before
     assert all(builder.forest is None for builder in _sub_spanners(live))
 
 

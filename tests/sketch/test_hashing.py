@@ -1,10 +1,73 @@
 """Tests for k-wise independent hashing and nested samplers."""
 
 import collections
+import hashlib
+import random
 
 import pytest
 
-from repro.sketch.hashing import MERSENNE_61, KWiseHash, NestedSampler
+from repro.sketch.hashing import MERSENNE_61, KWiseHash, NestedSampler, _field_element
+from repro.util.rng import derive_seed, rng_from_seed
+
+
+def _incremental_derive_seed(master, *parts):
+    """The part-by-part SHA-256 feed ``derive_seed`` once ran."""
+    hasher = hashlib.sha256()
+    hasher.update(repr(master).encode("utf-8"))
+    for part in parts:
+        hasher.update(b"/")
+        hasher.update(repr(part).encode("utf-8"))
+    return int.from_bytes(hasher.digest()[:8], "big")
+
+
+def _random_part(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randrange(-(2**70), 2**70)
+    if kind == 1:
+        return "".join(rng.choice("abc/-éx0 ") for _ in range(rng.randrange(8)))
+    if kind == 2:
+        return (rng.randrange(100), f"p{rng.randrange(9)}", (rng.random(),))
+    return rng.uniform(-1e9, 1e9)
+
+
+class _ScriptedRandom(random.Random):
+    """A ``Random`` whose ``getrandbits`` replays a script (so
+    ``randrange`` rejects through the same draws)."""
+
+    def __init__(self, script):
+        super().__init__(0)
+        self.script = list(script)
+
+    def getrandbits(self, k):
+        return self.script.pop(0)
+
+
+class TestSeedDerivationBits:
+    """``derive_seed`` hashes one joined message and ``KWiseHash`` draws
+    with ``getrandbits``: both give the very bits of the incremental
+    hasher and ``Random.randrange`` they replaced."""
+
+    def test_derive_seed_matches_the_incremental_hasher(self):
+        rng = random.Random("derive-seed-bits")
+        for _ in range(1500):
+            master = _random_part(rng) if rng.random() < 0.5 else rng.randrange(2**64)
+            parts = tuple(_random_part(rng) for _ in range(rng.randrange(6)))
+            assert derive_seed(master, *parts) == _incremental_derive_seed(master, *parts)
+
+    def test_coefficients_match_randrange(self):
+        seeds = list(range(1000)) + [f"s{i}" for i in range(100)] + [2**63 + 5, "x/y"]
+        for seed in seeds:
+            k = 1 + seed % 7 if isinstance(seed, int) else 4
+            rng = rng_from_seed(seed, "kwise", k)
+            expected = [rng.randrange(MERSENNE_61) for _ in range(k)]
+            assert list(KWiseHash(k, seed).coefficients) == expected
+
+    def test_draw_rejects_p_as_randrange_does(self):
+        script = [MERSENNE_61, MERSENNE_61, 5, MERSENNE_61 - 1]
+        ours, theirs = _ScriptedRandom(script), _ScriptedRandom(script)
+        assert [_field_element(ours), _field_element(ours)] == [5, MERSENNE_61 - 1]
+        assert [theirs.randrange(MERSENNE_61) for _ in range(2)] == [5, MERSENNE_61 - 1]
 
 
 class TestKWiseHash:

@@ -23,18 +23,24 @@ from repro.sketch import (
 )
 
 
+def _listed(values):
+    """An unpacked wire as a list (``unpack_ints`` returns an ``int64``
+    array when every value fits)."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
 class TestVarintCodec:
     def test_round_trip_basic(self):
         values = [0, 1, -1, 127, 128, -128, 10**6, -(10**6)]
-        assert unpack_ints(pack_ints(values)) == values
+        assert _listed(unpack_ints(pack_ints(values))) == values
 
     def test_round_trip_huge_values(self):
         values = [2**61 - 1, -(2**61), 2**200, -(2**200) + 1]
-        assert unpack_ints(pack_ints(values)) == values
+        assert _listed(unpack_ints(pack_ints(values))) == values
 
     def test_empty(self):
         assert pack_ints([]) == b""
-        assert unpack_ints(b"") == []
+        assert _listed(unpack_ints(b"")) == []
 
     def test_zero_is_one_byte(self):
         assert len(pack_ints([0])) == 1
@@ -52,7 +58,7 @@ class TestVarintCodec:
     @settings(max_examples=100, deadline=None)
     @given(values=st.lists(st.integers(min_value=-(2**80), max_value=2**80)))
     def test_round_trip_property(self, values):
-        assert unpack_ints(pack_ints(values)) == values
+        assert _listed(unpack_ints(pack_ints(values))) == values
 
 
 #: Values around every edge of the numpy codec: zero, the last value the
@@ -81,7 +87,7 @@ class TestNumpyCodec:
         for values in ([value], [3, value, -5], [value] * 3):
             packed = pack_ints(values)
             assert packed == serialize._pack_exact(values)
-            assert unpack_ints(packed) == serialize._unpack_exact(packed) == values
+            assert _listed(unpack_ints(packed)) == serialize._unpack_exact(packed) == values
 
     @pytest.mark.parametrize("shift", [-1, 0, 1])
     def test_random_mixes_across_block_edges(self, shift):
@@ -91,21 +97,21 @@ class TestNumpyCodec:
         assert packed == serialize._pack_exact(values)
         # Several unpack windows, one of them holding a 10-byte varint.
         assert len(packed) > serialize._UNPACK_BLOCK
-        assert unpack_ints(packed) == serialize._unpack_exact(packed) == values
+        assert _listed(unpack_ints(packed)) == serialize._unpack_exact(packed) == values
 
     def test_int64_only_stream_crosses_windows(self):
         values = _random_mix(7, 3 * serialize._PACK_BLOCK)
         values = [v for v in values if abs(v) < 2**62]
         packed = pack_ints(values)
         assert packed == serialize._pack_exact(values)
-        assert unpack_ints(packed) == values
+        assert _listed(unpack_ints(packed)) == values
 
     @pytest.mark.parametrize(
         "data",
         [b"\x80\x00", b"\xff\x80\x00\x05", b"\x80" * 9 + b"\x01", b"\x81" * 12 + b"\x00"],
     )
     def test_overlong_varints_match_exact_loop(self, data):
-        assert unpack_ints(data) == serialize._unpack_exact(data)
+        assert _listed(unpack_ints(data)) == serialize._unpack_exact(data)
 
     def test_numpy_integer_input(self):
         values = [0, -1, 2**61, -(2**61) + 5, 2**62 - 1]
@@ -147,7 +153,7 @@ class TestNumpyCodec:
         assert pack_ints(values) == expected
         assert pack_ints(np.array(values, dtype=np.int64)) == expected
         assert spy == []
-        assert unpack_ints(expected) == values
+        assert _listed(unpack_ints(expected)) == values
 
     def test_weighted_checkpoint_never_takes_exact_pack(self, monkeypatch, tmp_path):
         from repro.core import SparsifierParams
@@ -179,13 +185,68 @@ class TestNumpyCodec:
     def test_ten_byte_varints(self, data):
         """Ten-byte varints decode on the numpy path when they fit uint64,
         and on the exact loop when they do not."""
-        assert unpack_ints(data) == serialize._unpack_exact(data)
-        assert unpack_ints(b"\x05" + data + b"\x03") == [-3, *serialize._unpack_exact(data), -2]
+        assert _listed(unpack_ints(data)) == serialize._unpack_exact(data)
+        assert _listed(unpack_ints(b"\x05" + data + b"\x03")) == [-3, *serialize._unpack_exact(data), -2]
 
     def test_buffer_types(self):
         packed = pack_ints([5, -7, 2**61])
         for data in (bytearray(packed), memoryview(packed)):
-            assert unpack_ints(data) == [5, -7, 2**61]
+            assert _listed(unpack_ints(data)) == [5, -7, 2**61]
+
+
+class TestArrayContract:
+    """Wires travel as ``int64`` arrays: packing one infers no dtype per
+    element, and unpacking returns one whenever every value fits."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_list_int64_and_object_arrays_pack_alike(self, seed):
+        values = [v for v in _random_mix(seed, 3 * serialize._PACK_BLOCK + 7) if abs(v) < 2**63]
+        expected = serialize._pack_exact(values)
+        assert pack_ints(values) == expected
+        assert pack_ints(np.array(values, dtype=np.int64)) == expected
+        assert pack_ints(np.array(values, dtype=object)) == expected
+        # An int64 array of any shape packs in C order.
+        square = np.array(values[:64], dtype=np.int64).reshape(16, 4)
+        assert pack_ints(square) == serialize._pack_exact(values[:64])
+
+    def test_int64_arrays_skip_dtype_inference(self, monkeypatch):
+        values = np.arange(-5000, 5000, dtype=np.int64) * 977
+        expected = serialize._pack_exact(values.tolist())
+        monkeypatch.setattr(serialize, "_int64_block", lambda block: pytest.fail("inferred"))
+        assert pack_ints(values) == expected
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_unpack_returns_int64_arrays_where_values_fit(self, seed):
+        values = [v for v in _random_mix(seed, 5 * serialize._PACK_BLOCK) if abs(v) < 2**63]
+        values += [2**63 - 1, -(2**63)]
+        packed = pack_ints(values)
+        unpacked = unpack_ints(packed)
+        assert isinstance(unpacked, np.ndarray) and unpacked.dtype == np.int64
+        assert unpacked.tolist() == serialize._unpack_exact(packed) == values
+        assert unpack_ints(b"").dtype == np.int64
+
+    @pytest.mark.parametrize("wide", [2**63, -(2**63) - 1, 2**200])
+    def test_values_past_int64_take_the_exact_path(self, wide):
+        values = _random_mix(5, 2 * serialize._PACK_BLOCK)
+        values = [v for v in values if abs(v) < 2**63]
+        values[len(values) // 2] = wide
+        for form in (values, np.array(values, dtype=object)):
+            packed = pack_ints(form)
+            assert packed == serialize._pack_exact(values)
+            unpacked = unpack_ints(packed)
+            assert isinstance(unpacked, list)
+            assert all(type(v) is int for v in unpacked)
+            assert unpacked == serialize._unpack_exact(packed) == values
+
+    def test_concat_ints(self):
+        small = np.array([1, -2, 3], dtype=np.int64)
+        joined = serialize.concat_ints([[4], small, (), [2**62]])
+        assert joined.dtype == np.int64 and joined.tolist() == [4, 1, -2, 3, 2**62]
+        exact = serialize.concat_ints([small, [2**64]])
+        assert exact == [1, -2, 3, 2**64] and all(type(v) is int for v in exact)
+        assert serialize.concat_ints([]).tolist() == []
+        with pytest.raises(TypeError):
+            serialize.concat_ints([small, [1.5]])
 
 
 class TestStateInts:
@@ -225,7 +286,7 @@ class TestStateInts:
         for sketch in sketches:
             size = serialized_size_bytes(sketch)
             assert size > 0
-            assert unpack_ints(pack_ints(sketch.state_ints())) == sketch.state_ints()
+            assert _listed(unpack_ints(pack_ints(sketch.state_ints()))) == list(sketch.state_ints())
 
     def test_hash_tables_expose_state_ints(self):
         # Regression: the tables advertised combine() but state_ints()
@@ -267,7 +328,7 @@ def _round_trip(sketch, fresh):
     """serialize -> deserialize into a fresh instance -> compare state."""
     blob = serialize_sketch(sketch)
     clone = deserialize_sketch(fresh, blob)
-    assert clone.state_ints() == sketch.state_ints()
+    assert _listed(clone.state_ints()) == _listed(sketch.state_ints())
     return clone
 
 
@@ -349,7 +410,7 @@ class TestFromStateInts:
         for index, delta in updates:
             sketch.update(index, delta)
         state = sketch.state_ints()
-        assert unpack_ints(pack_ints(state)) == state
+        assert _listed(unpack_ints(pack_ints(state))) == state
         clone = SparseRecoverySketch(500, 4, seed="prop").from_state_ints(state)
         assert clone.state_ints() == state
 
